@@ -131,22 +131,29 @@ def _suite_interpolation(bundle, cfg, seed):
     ]
 
 
-def _suite_number(cfg, seed):
-    species, masses = cfgmod.mass_grid_values(cfg)
-    table = cfgmod.build_table(cfg)
-    basis = cfgmod.build_basis(cfg, table)
-    tensors = cfgmod.build_tensors(cfg, table)
+def _sweeps(bundle, cfg, seed):
+    """Run the mass_grid entries in order, yielding (species, curve).
+
+    Each later sweep starts where the earlier ones ended, with every finished
+    species frozen at zero mass.
+    """
     dense_cap = int(cfg["solver"]["dense_cap"])
-    curve = mass_sweep(
-        table, basis, tensors, float(cfg["coupling"]), species, masses,
-        dense_cap=dense_cap, seed=seed,
-    )
+    for species, masses in cfgmod.mass_grid_entries(cfg):
+        curve = mass_sweep(bundle, species, masses, dense_cap=dense_cap, seed=seed)
+        yield species, curve
+        # the limit point is this bundle with the swept species at zero mass
+        bundle = curve.bundles[-1]
+
+
+def _suite_number(bundle, cfg, seed):
     exps = cfg["exponents"]
     exempt = int(exps["exempt_species"])
     margin = float(exps["margin"])
-    reports = [vf.check_number_estimate(curve, species, exempt, margin)]
-    if cfg["species"][species].get("chains"):
-        reports.append(vf.check_gradient_estimate(curve, species, exempt, margin))
+    reports = []
+    for species, curve in _sweeps(bundle, cfg, seed):
+        reports.append(vf.check_number_estimate(curve, species, exempt, margin))
+        if cfg["species"][species].get("chains"):
+            reports.append(vf.check_gradient_estimate(curve, species, exempt, margin))
     return reports
 
 
@@ -191,11 +198,25 @@ def _suite_infrared(cfg, seed):
     return reports
 
 
-def cmd_verify(args) -> int:
+_BUNDLE_SUITES = {
+    "exact": _suite_exact,
+    "bounds": _suite_bounds,
+    "interpolation": _suite_interpolation,
+    "number": _suite_number,
+}
+
+
+def _load_config(args) -> tuple[dict, int]:
+    """The config with the --dense-cap override applied, and the run's seed."""
     cfg = cfgmod.load_config(args.config)
     if args.dense_cap is not None:
         cfg["solver"]["dense_cap"] = args.dense_cap
     seed = args.seed if args.seed is not None else int(cfg["solver"]["seed"])
+    return cfg, seed
+
+
+def cmd_verify(args) -> int:
+    cfg, seed = _load_config(args)
     out = _report_dir(args)
     suites = (
         ["exact", "bounds", "interpolation", "number", "infrared"]
@@ -206,20 +227,13 @@ def cmd_verify(args) -> int:
     failures = 0
     bundle = None
     for suite in suites:
-        if suite in ("exact", "bounds", "interpolation") and bundle is None:
-            bundle = cfgmod.build_bundle(cfg)
-        if suite == "exact":
-            reports = _suite_exact(bundle, cfg, seed)
-        elif suite == "bounds":
-            reports = _suite_bounds(bundle, cfg, seed)
-        elif suite == "interpolation":
-            reports = _suite_interpolation(bundle, cfg, seed)
-        elif suite == "number":
-            reports = _suite_number(cfg, seed)
-        elif suite == "infrared":
+        if suite == "infrared":
             reports = _suite_infrared(cfg, seed)
         else:
-            raise ValueError(f"unknown suite {suite!r}")
+            # one bundle serves every suite that needs the operators
+            if bundle is None:
+                bundle = cfgmod.build_bundle(cfg)
+            reports = _BUNDLE_SUITES[suite](bundle, cfg, seed)
         all_reports[suite] = [r.as_dict() for r in reports]
         for report in reports:
             status = "pass" if report.passed else "FAIL"
@@ -238,10 +252,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    if args.dense_cap is not None:
-        cfg["solver"]["dense_cap"] = args.dense_cap
-    seed = args.seed if args.seed is not None else int(cfg["solver"]["seed"])
+    cfg, seed = _load_config(args)
     bundle = cfgmod.build_bundle(cfg)
     out = _report_dir(args)
     result = ground_state(
@@ -287,22 +298,13 @@ def cmd_groundstate(args) -> int:
 
 
 def cmd_masslimit(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    if args.dense_cap is not None:
-        cfg["solver"]["dense_cap"] = args.dense_cap
-    seed = args.seed if args.seed is not None else int(cfg["solver"]["seed"])
-    targets = cfgmod.mass_grid_entries(cfg)
-    table = cfgmod.build_table(cfg)
-    basis = cfgmod.build_basis(cfg, table)
-    tensors = cfgmod.build_tensors(cfg, table)
+    cfg, seed = _load_config(args)
+    cfgmod.mass_grid_entries(cfg)  # reject a bad grid before any model work
+    bundle = cfgmod.build_bundle(cfg)
     out = _report_dir(args)
     rows = []
     sweeps = []
-    for species, masses in targets:
-        curve = mass_sweep(
-            table, basis, tensors, float(cfg["coupling"]), species, masses,
-            dense_cap=int(cfg["solver"]["dense_cap"]), seed=seed,
-        )
+    for species, curve in _sweeps(bundle, cfg, seed):
         for j, m in enumerate(curve.masses):
             overlap = float(curve.overlaps[j]) if j < len(curve.overlaps) else curve.limit_overlap
             rows.append([species, float(m), float(curve.energies[j]),
@@ -322,8 +324,6 @@ def cmd_masslimit(args) -> int:
         print(f"masslimit[{species}]: E({curve.masses[-1]!r}) = {curve.energies[-1]!r}, "
               f"limit {curve.limit_energy!r}, monotone dev {mono:.2e}, "
               f"sandwich dev {sandwich:.2e}")
-        # later targets run on top of this species frozen at zero mass
-        table = table.with_species_mass(species, 0.0)
     _write_csv(
         os.path.join(out, "masslimit.csv"),
         ["target_species", "mass", "energy", "cross_energy", "overlap_next"],

@@ -197,10 +197,6 @@ def mass_grid_entries(cfg: dict) -> list[tuple[int, list[float]]]:
     return pairs
 
 
-def mass_grid_values(cfg: dict) -> tuple[int, list[float]]:
-    return mass_grid_entries(cfg)[0]
-
-
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert numpy scalars/arrays for json.dumps."""
     if isinstance(obj, dict):

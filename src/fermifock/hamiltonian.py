@@ -16,14 +16,14 @@ that weighted continuum integrals become plain tensor sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, free_hamiltonian_diagonal, parity_diagonal
+from .fock import FockBasis, annihilation, free_hamiltonian_diagonal, parity_diagonal
 from .modes import ModeTable
 
 HERMITICITY_TOL = 1e-13
@@ -227,31 +227,36 @@ def assemble_interaction_term(
 
 @dataclass(frozen=True)
 class HamiltonianBundle:
-    """Free part, interaction and total for one table, basis and coupling."""
+    """H = H_free + coupling * H_int for one table, basis and coupling.
+
+    The interaction (h_int, the process terms it was summed from and their
+    kernel tensors) depends on the mode geometry only and is built once, by
+    assemble_total. The species masses enter only the free diagonal, so
+    free_diag and h_total are derived from the table and the coupling on
+    construction: a mass or coupling change is a dataclasses.replace that
+    shares the interaction.
+    """
 
     table: ModeTable
     basis: FockBasis
     coupling: float
     tensors: tuple[KernelTensor, ...]
     terms: tuple[sp.csr_matrix, ...]
-    free_diag: np.ndarray
-    h_free: sp.csr_matrix
     h_int: sp.csr_matrix
-    h_total: sp.csr_matrix
+    free_diag: np.ndarray = field(init=False)
+    h_total: sp.csr_matrix = field(init=False)
+
+    def __post_init__(self):
+        coupling = float(self.coupling)
+        free_diag = free_hamiltonian_diagonal(self.table, self.basis)
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "free_diag", free_diag)
+        object.__setattr__(
+            self, "h_total", (sp.diags(free_diag) + coupling * self.h_int).tocsr()
+        )
 
     def with_coupling(self, coupling: float) -> "HamiltonianBundle":
-        h_total = (self.h_free + coupling * self.h_int).tocsr()
-        return HamiltonianBundle(
-            table=self.table,
-            basis=self.basis,
-            coupling=float(coupling),
-            tensors=self.tensors,
-            terms=self.terms,
-            free_diag=self.free_diag,
-            h_free=self.h_free,
-            h_int=self.h_int,
-            h_total=h_total,
-        )
+        return replace(self, coupling=coupling)
 
 
 def assemble_total(
@@ -262,11 +267,10 @@ def assemble_total(
 ) -> HamiltonianBundle:
     """Build H = H_free + coupling * sum_terms (term + adjoint).
 
-    Raises if the assembled interaction fails hermiticity at 1e-13, which
-    would indicate an assembly bug rather than bad input.
+    The only place the interaction is assembled. Raises if it fails
+    hermiticity at 1e-13, which would indicate an assembly bug rather than
+    bad input.
     """
-    free_diag = free_hamiltonian_diagonal(table, basis)
-    h_free = sp.diags(free_diag, format="csr", dtype=np.complex128)
     dim = basis.dimension
     h_int = sp.csr_matrix((dim, dim), dtype=np.complex128)
     terms = []
@@ -278,17 +282,13 @@ def assemble_total(
     dev = _max_abs(h_int - h_int.conj().T)
     if dev > HERMITICITY_TOL:
         raise AssertionError(f"interaction not hermitian, deviation {dev:.2e}")
-    h_total = (h_free + coupling * h_int).tocsr()
     return HamiltonianBundle(
         table=table,
         basis=basis,
-        coupling=float(coupling),
+        coupling=coupling,
         tensors=tuple(tensors),
         terms=tuple(terms),
-        free_diag=free_diag,
-        h_free=h_free,
         h_int=h_int,
-        h_total=h_total,
     )
 
 
@@ -357,8 +357,6 @@ def commutator_with_annihilator(
     local = mode - table.offsets[species]
     g = bundle.coupling
     dim = basis.dimension
-
-    from .fock import annihilation  # local import to avoid a cycle at module load
 
     b_op = annihilation(table, basis, mode)
     slice_sum = sp.csr_matrix((dim, dim), dtype=np.complex128)

@@ -9,7 +9,7 @@ phase convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,8 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fock import annihilation
-from .hamiltonian import HamiltonianBundle, assemble_total
-from .modes import ModeTable
+from .hamiltonian import HamiltonianBundle
 
 DENSE_CAP_DEFAULT = 2048
 CROSS_CHECK_TOL = 1e-9
@@ -206,6 +205,7 @@ class MassCurve:
     massless problem. cross_energies[j] = <Phi_j, H(limit) Phi_j> realizes the
     sandwich limit_energy <= cross_energies[j] <= energies[j]; overlaps track
     |<Phi_j, Phi_(j+1)>| as a convergence proxy (no compactness claim).
+    bundles holds one bundle per mass and the limit last, all sharing one h_int.
     """
 
     species: int
@@ -234,10 +234,7 @@ class MassCurve:
 
 
 def mass_sweep(
-    table: ModeTable,
-    basis,
-    tensors,
-    coupling: float,
+    bundle: HamiltonianBundle,
     species: int,
     masses: Sequence[float],
     dense_cap: int = DENSE_CAP_DEFAULT,
@@ -246,10 +243,11 @@ def mass_sweep(
 ) -> MassCurve:
     """Solve the ground problem along a decreasing mass grid plus the limit.
 
-    The mode geometry is fixed; only the species' dispersion changes, so the
-    kernel tensors (and hence the interaction) are reused unchanged. Masses
-    must be strictly decreasing and positive; the massless limit is appended
-    internally.
+    The mode geometry is fixed and only the species' dispersion changes, so
+    every point is the bundle with that species' mass replaced: all points
+    share the bundle's h_int, terms and tensors, and only the free diagonal
+    differs. Masses must be strictly decreasing and positive; the massless
+    limit is appended internally.
     """
     masses = np.asarray([float(m) for m in masses])
     if masses.size < 2 or np.any(np.diff(masses) >= 0):
@@ -257,19 +255,14 @@ def mass_sweep(
     if np.any(masses <= 0):
         raise ValueError("masses must be positive; the limit is added internally")
 
-    bundles = []
-    results = []
-    for mass in masses:
-        t = table.with_species_mass(species, mass)
-        bundle = assemble_total(t, basis, tensors, coupling)
-        bundles.append(bundle)
-        results.append(ground_state(bundle.h_total, dense_cap=dense_cap, seed=seed))
+    bundles = [
+        replace(bundle, table=bundle.table.with_species_mass(species, m))
+        for m in [*masses, 0.0]
+    ]
+    results = [ground_state(b.h_total, dense_cap=dense_cap, seed=seed) for b in bundles]
+    limit_result = results.pop()
 
-    limit_table = table.with_species_mass(species, 0.0)
-    limit_bundle = assemble_total(limit_table, basis, tensors, coupling)
-    limit_result = ground_state(limit_bundle.h_total, dense_cap=dense_cap, seed=seed)
-
-    h_limit = limit_bundle.h_total
+    h_limit = bundles[-1].h_total
     cross = np.array(
         [float(np.real(np.vdot(r.vector, h_limit @ r.vector))) for r in results]
     )
@@ -290,7 +283,7 @@ def mass_sweep(
         limit_overlap=limit_overlap,
         vectors=tuple(r.vector for r in results) if keep_vectors else (),
         limit_vector=limit_result.vector if keep_vectors else None,
-        bundles=tuple(bundles) + (limit_bundle,),
+        bundles=tuple(bundles),
     )
 
 

@@ -151,7 +151,7 @@ def grid_instance():
 def limit_curve():
     table, basis, tensors, coupling = triple_parts()
     masses = list(np.geomspace(1.0, 1e-3, 6))
-    return mass_sweep(table, basis, tensors, coupling, 1, masses)
+    return mass_sweep(assemble_total(table, basis, tensors, coupling), 1, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +238,7 @@ def test_criterion_05_toy_energy_and_mass_curve():
     assert abs(result.energy - (1.0 - sqrt(2.0))) <= TOY_TOL
 
     masses = [1.0, 0.6, 0.3, 0.1, 0.01]
-    curve = mass_sweep(
-        bundle.table, bundle.basis, list(bundle.tensors), 1.0, 0, masses,
-        keep_vectors=False,
-    )
+    curve = mass_sweep(bundle, 0, masses, keep_vectors=False)
     for m, energy in zip(curve.masses, curve.energies):
         want = ((1.0 + m) - sqrt((1.0 + m) ** 2 + 4.0)) / 2.0
         assert abs(energy - want) <= CURVE_TOL, m

@@ -273,10 +273,29 @@ def test_cli_verify_all_suites_on_sweep_instance(tmp_path):
         "operator_bound",
         "relative_bound_zero",
     ]
-    assert [r["name"] for r in payload["reports"]["number"]] == ["number_estimate"]
+    # one number estimate per mass_grid entry (species 1, then species 0)
+    assert [r["name"] for r in payload["reports"]["number"]] == ["number_estimate"] * 2
     ir = payload["reports"]["infrared"][0]
     assert ir["passed"]
     assert ir["details"]["verdict"] == "finite"
+
+
+def test_cli_verify_number_suite_runs_every_mass_grid_entry(tmp_path):
+    cfg = sweep_config()
+    # a gaussian kernel, so that both sweeps see a nonzero interaction
+    cfg["kernels"] = [{"kind": "gaussian", "alpha": 0.3, "created": [0, 1]}]
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    code = main(
+        ["--report-dir", str(out), "verify", "--config", cfg_path, "--suite", "number"]
+    )
+    assert code == 0
+    reports = json.loads((out / "verify_number.json").read_text())["reports"]["number"]
+    assert [r["name"] for r in reports] == ["number_estimate", "number_estimate"]
+    assert [r["params"]["target"] for r in reports] == [1, 0]
+    for report, grid in zip(reports, cfg["mass_grid"]):
+        assert report["passed"]
+        assert report["details"]["masses"] == grid["values"] + [0.0]
 
 
 def test_cli_verify_infrared_annotation_controls_exit(tmp_path):

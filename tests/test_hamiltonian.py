@@ -200,7 +200,7 @@ def test_toy_spectrum():
 def test_with_coupling_rescales_interaction():
     bundle = toy_bundle(coupling=1.0)
     half = bundle.with_coupling(0.5)
-    dev = half.h_total - (bundle.h_free + 0.5 * bundle.h_int)
+    dev = half.h_total - (sp.diags(bundle.free_diag) + 0.5 * bundle.h_int)
     assert (np.max(np.abs(dev.toarray())) if dev.nnz else 0.0) == 0.0
 
 

@@ -130,9 +130,8 @@ def test_toy_observables():
 
 
 def test_toy_mass_curve_matches_analytic():
-    table, basis, tensors = toy_pieces()
     masses = [1.0, 0.6, 0.3, 0.1, 0.01]
-    curve = mass_sweep(table, basis, tensors, 1.0, 0, masses)
+    curve = mass_sweep(toy_bundle(), 0, masses)
     for m, e in zip(curve.masses, curve.energies):
         assert e == pytest.approx(toy_energy(m), abs=CURVE_TOL)
     assert curve.limit_energy == pytest.approx((1.0 - np.sqrt(5.0)) / 2.0, abs=CURVE_TOL)
@@ -141,19 +140,52 @@ def test_toy_mass_curve_matches_analytic():
     assert np.all(curve.overlaps >= 0.99)
     assert curve.limit_overlap >= 0.99
     assert curve.limit_gap() >= -CURVE_TOL
+    # every point, the limit included, shares the one assembled interaction
+    first = curve.bundles[0]
+    assert len(curve.bundles) == len(masses) + 1
+    for bundle in curve.bundles:
+        assert bundle.h_int is first.h_int
+        assert bundle.terms is first.terms
+
+
+def test_mass_sweep_points_match_fresh_assembly():
+    """Each point equals assembling the whole operator again at its mass."""
+    rng = np.random.default_rng(3)
+    species = [
+        SpeciesConfig(
+            mass=m, points=rng.uniform(-1.0, 1.0, size=(2, 3)),
+            weights=rng.uniform(0.5, 1.5, size=2), spins=(0.5,),
+        )
+        for m in (1.0, 0.8, 0.6)
+    ]
+    table = build_mode_table(species)
+    basis = enumerate_basis(table)
+    tensors = [
+        KernelTensor(
+            signature=sig,
+            values=rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)),
+        )
+        for sig in (ProcessSignature(3, (0, 1, 2), ()), ProcessSignature(3, (0,), (1, 2)))
+    ]
+    masses = [0.8, 0.3, 0.05]
+    curve = mass_sweep(assemble_total(table, basis, tensors, 0.7), 1, masses)
+    for mass, bundle in zip(masses + [0.0], curve.bundles):
+        fresh = assemble_total(table.with_species_mass(1, mass), basis, tensors, 0.7)
+        assert bundle.table.species[1].mass == mass
+        np.testing.assert_array_equal(bundle.free_diag, fresh.free_diag)
+        assert np.array_equal(bundle.h_total.toarray(), fresh.h_total.toarray())
 
 
 def test_mass_sweep_validates_grid():
-    table, basis, tensors = toy_pieces()
+    bundle = toy_bundle()
     with pytest.raises(ValueError, match="decreasing"):
-        mass_sweep(table, basis, tensors, 1.0, 0, [0.1, 0.5])
+        mass_sweep(bundle, 0, [0.1, 0.5])
     with pytest.raises(ValueError, match="positive"):
-        mass_sweep(table, basis, tensors, 1.0, 0, [0.5, 0.0])
+        mass_sweep(bundle, 0, [0.5, 0.0])
 
 
 def test_mass_sweep_without_vectors():
-    table, basis, tensors = toy_pieces()
-    curve = mass_sweep(table, basis, tensors, 1.0, 0, [1.0, 0.5], keep_vectors=False)
+    curve = mass_sweep(toy_bundle(), 0, [1.0, 0.5], keep_vectors=False)
     assert curve.vectors == ()
     assert curve.limit_vector is None
     assert len(curve.bundles) == 3  # two masses plus the limit

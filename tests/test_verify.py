@@ -65,6 +65,24 @@ def two_point_bundle(seed=5, coupling=0.8):
     return assemble_total(table, basis, [tensor], coupling)
 
 
+def large_bundle(seed=9, coupling=0.7):
+    """Two five-mode species, random kernel: dimension 1024, above the
+    dense cutoff of the singular-value checks."""
+    rng = np.random.default_rng(seed)
+    species = [
+        SpeciesConfig(
+            mass=m, points=rng.uniform(-1.0, 1.0, size=(5, 3)),
+            weights=rng.uniform(0.5, 1.5, size=5), spins=(0.5,),
+        )
+        for m in (1.0, 0.7)
+    ]
+    table = build_mode_table(species)
+    basis = enumerate_basis(table)
+    vals = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    tensor = KernelTensor(signature=ProcessSignature(2, (0,), (1,)), values=vals)
+    return assemble_total(table, basis, [tensor], coupling)
+
+
 def chain_sweep(coupling=0.6, masses=(0.5, 0.1)):
     """Sweep a chain-carrying species to its massless limit, keeping vectors."""
     s0 = SpeciesConfig(
@@ -84,7 +102,7 @@ def chain_sweep(coupling=0.6, masses=(0.5, 0.1)):
     x = pts[:, 0]
     vals = ((1.0 + 0.3 * x) * np.exp(-0.8 * x)).reshape(1, 5).astype(np.complex128)
     tensors = [KernelTensor(signature=ProcessSignature(2, (0, 1), ()), values=vals)]
-    return mass_sweep(table, basis, tensors, coupling, 1, list(masses))
+    return mass_sweep(assemble_total(table, basis, tensors, coupling), 1, list(masses))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +338,7 @@ def test_number_estimate_rejects_momentum_origin_on_massless_target():
     tensors = [
         KernelTensor(signature=ProcessSignature(2, (0, 1), ()), values=np.ones((1, 1)))
     ]
-    curve = mass_sweep(table, basis, tensors, 1.0, 0, [1.0, 0.5])
+    curve = mass_sweep(assemble_total(table, basis, tensors, 1.0), 0, [1.0, 0.5])
     with pytest.raises(ValueError, match="k = 0"):
         check_number_estimate(curve, target=0)
 
@@ -334,7 +352,7 @@ def test_gradient_estimate_needs_chains():
     tensors = [
         KernelTensor(signature=ProcessSignature(2, (0, 1), ()), values=np.ones((1, 1)))
     ]
-    curve = mass_sweep(table, basis, tensors, 1.0, 0, [1.0, 0.5])
+    curve = mass_sweep(assemble_total(table, basis, tensors, 1.0), 0, [1.0, 0.5])
     with pytest.raises(ValueError, match="chains"):
         check_gradient_estimate(curve, target=1)
 
@@ -353,6 +371,17 @@ def test_estimates_require_kept_vectors():
     )
     with pytest.raises(ValueError, match="keep_vectors"):
         check_number_estimate(stripped, target=1)
+
+
+def test_singular_value_checks_repeat_exactly_above_dense_size():
+    bundle = large_bundle()
+    assert bundle.basis.dimension > 600
+    op_1, op_2 = (check_operator_bound(bundle, trials=20, seed=3) for _ in range(2))
+    norms_1, norms_2 = (check_smeared_norms(bundle, trials=2) for _ in range(2))
+    assert op_1.passed and norms_1.passed
+    assert op_1.details["exact_sup_ratio"] == op_2.details["exact_sup_ratio"]
+    assert op_1.max_ratio == op_2.max_ratio
+    assert norms_1.max_ratio == norms_2.max_ratio
 
 
 # ---------------------------------------------------------------------------
