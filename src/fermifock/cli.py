@@ -22,8 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import config as cfgmod
-from .fock import save_triplets
-from .hamiltonian import enumerate_processes
+from .fock import enumerate_basis, save_triplets
+from .hamiltonian import (
+    ProcessSignature,
+    assemble_total,
+    enumerate_processes,
+    sample_kernel_tensor,
+)
 from .kernels import (
     exponent_table,
     fermi_demo_spec,
@@ -31,6 +36,7 @@ from .kernels import (
     power_counting_verdict,
     separable_slice_profiles,
 )
+from .modes import SpeciesConfig, build_mode_table
 from .spectra import ground_state, low_spectrum, mass_sweep, observables
 from . import verify as vf
 
@@ -372,7 +378,7 @@ def cmd_fermi_demo(args) -> int:
         if not annotated:
             failures += 1
         profiles = separable_slice_profiles(spec, massless_index, float_exps, n_grid=41)
-        finite_norm = all(np.all(np.isfinite(v)) for v in profiles.values)
+        finite_norm = np.all(np.isfinite(profiles.values))
         oracle = power_counting_verdict(nu, args.r)
         variants[name] = {
             "massless_exponent": nu,
@@ -387,10 +393,6 @@ def cmd_fermi_demo(args) -> int:
     payload["variants"] = variants
 
     # small Fock-side ground problem with the same structure
-    from .modes import SpeciesConfig, build_mode_table
-    from .fock import enumerate_basis
-    from .hamiltonian import assemble_total, sample_kernel_tensor, ProcessSignature
-
     spec = fermi_demo_spec(_DEMO_VARIANTS["regular"][0])
     pts = np.array([[0.3, 0.0, 0.0], [0.0, 0.45, 0.15]])
     species = [

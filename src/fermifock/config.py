@@ -122,21 +122,25 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
     signature = ProcessSignature(n_species, created, annihilated)
     kind = entry["kind"]
     value = complex(entry.get("value", 1.0))
+    if kind in ("power", "separable"):
+        nus = [float(v) for v in entry["nus"]]
+        if len(nus) != n_species:
+            raise ValueError(
+                f"{kind} kernel needs one nus entry per species ({n_species}), got {len(nus)}"
+            )
     if kind == "constant":
         spec = constant_kernel(n_species, value)
     elif kind == "gaussian":
         spec = gaussian_kernel(n_species, float(entry["alpha"]), value)
     elif kind == "power":
-        spec = power_kernel(
-            [float(v) for v in entry["nus"]], float(entry["lam"]), value
-        )
+        spec = power_kernel(nus, float(entry["lam"]), value)
     elif kind == "separable":
         signs = entry.get(
             "conservation_signs",
             [1 if i in created else -1 for i in range(n_species)],
         )
         spec = separable_kernel(
-            nus=[float(v) for v in entry["nus"]],
+            nus=nus,
             lam=float(entry["lam"]),
             conservation_sigma=float(entry.get("conservation_sigma", 0.0)),
             conservation_signs=signs,

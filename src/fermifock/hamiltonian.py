@@ -121,28 +121,26 @@ class KernelTensor:
 def sample_kernel_tensor(
     table: ModeTable,
     signature: ProcessSignature,
-    amplitude: Callable[[np.ndarray, np.ndarray], complex],
+    amplitude: Callable[[Sequence[np.ndarray]], np.ndarray],
 ) -> KernelTensor:
-    """Sample amplitude(ks, spins) on every mode tuple and fold in weights.
+    """Sample amplitude on every mode tuple in one call and fold in weights.
 
-    amplitude receives an (n, 3) momentum stack and an (n,) spin vector, one
-    row per species in ascending species order.
+    amplitude receives one momentum array per species in ascending species
+    order; species i's modes run along axis i (shape (1, .., M_i, .., 1, 3)),
+    and it returns the amplitude broadcast over them.
     """
     n = table.n_species
     if signature.n_species != n:
         raise ValueError("signature species count must match the table")
-    momenta = [table.momenta(i) for i in range(n)]
-    spins = [table.spins_of(i) for i in range(n)]
-    shape = tuple(len(table.block(i)) for i in range(n))
-    raw = np.empty(shape, dtype=np.complex128)
-    for idx in np.ndindex(shape):
-        ks = np.stack([momenta[i][idx[i]] for i in range(n)])
-        ss = np.array([spins[i][idx[i]] for i in range(n)])
-        raw[idx] = amplitude(ks, ss)
-    values = raw
+
+    def along(i: int, values: np.ndarray) -> np.ndarray:
+        return values.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i) + values.shape[1:])
+
+    values = np.asarray(
+        amplitude([along(i, table.momenta(i)) for i in range(n)]), dtype=np.complex128
+    )
     for i in range(n):
-        sqw = np.sqrt(table.mode_weights(i))
-        values = values * sqw.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
+        values = values * along(i, np.sqrt(table.mode_weights(i)))
     return KernelTensor(signature=signature, values=values)
 
 

@@ -11,9 +11,11 @@ Three related jobs live here:
   spectrally in that basis. On Gauss-Hermite grids the same construction is
   exact quadrature.
 
-* Kernel specs. Callable amplitude families (constant, gaussian, per-species
-  radial powers, component-separable products with a momentum conservation
-  regularizer) plus analytic-slice stubs used as infrared oracles.
+* Kernel specs. Amplitude families (constant, gaussian, per-species radial
+  powers, component-separable products with a momentum conservation
+  regularizer). KernelSpec.amplitude is the one evaluation of a kernel: it
+  takes one momentum array per species and broadcasts, so a kernel tensor or
+  a slice-profile grid is a single call on per-species coordinate views.
 
 * Infrared diagnostics. Radial integrals of |k|^(-2r) ||S G slice||^r (and the
   gradient variant) over shrinking inner cutoffs, with a geometric-decay
@@ -23,12 +25,14 @@ Three related jobs live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import zeta
 
 from .modes import ModeTable
@@ -68,10 +72,6 @@ class HermiteAxis:
     weights: np.ndarray
     basis: np.ndarray  # (P, P), row l = e_l at the nodes
     levels: np.ndarray  # (P,) oscillator eigenvalues 2l+1
-
-    @property
-    def size(self) -> int:
-        return self.nodes.shape[0]
 
     def coefficients(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
         """Hermite coefficients along one axis of a sampled array."""
@@ -354,8 +354,6 @@ def weighted_kernel_norm(
     choice: str,
     species_subset: Sequence[int] | None = None,
     exponents: dict[int, float] | None = None,
-    momentum_subsets: Sequence[Sequence[int]] | None = None,
-    exempt: int | None = None,
 ) -> float:
     """l2 norm of a weighted kernel tensor under one of the standard weights.
 
@@ -364,10 +362,6 @@ def weighted_kernel_norm(
       "inv_sqrt_energy"         omega^(-1/2) on each species in species_subset.
       "one_plus_inv_sqrt_energy" (1 + omega^(-1/2)) on each species in subset.
       "oscillator"              fractional oscillator powers from exponents.
-      "subset_min"              min over momentum_subsets I of the norm with
-                                m^(-1/2) on massive species outside I and
-                                |k|^(-1/2) on species in I and massless ones,
-                                skipping the exempt species.
     """
     values = np.asarray(tensor_values, dtype=np.complex128)
     if choice == "plain":
@@ -390,27 +384,6 @@ def weighted_kernel_norm(
             raise ValueError("exponents required for the oscillator weight")
         out = weight_kernel_tensor(values, table, exponents)
         return float(np.linalg.norm(out.ravel()))
-    if choice == "subset_min":
-        if momentum_subsets is None or exempt is None:
-            raise ValueError("subset_min needs momentum_subsets and exempt")
-        best = math.inf
-        for subset in momentum_subsets:
-            subset = set(int(i) for i in subset)
-            out = values
-            for i in range(table.n_species):
-                if i == exempt:
-                    continue
-                cfg = table.species[i]
-                if cfg.is_massless or i in subset:
-                    kabs = np.linalg.norm(table.momenta(i), axis=1)
-                    if np.any(kabs == 0):
-                        raise ValueError("zero momentum makes |k|^(-1/2) singular")
-                    scale = kabs**-0.5
-                else:
-                    scale = np.full(len(table.block(i)), cfg.mass**-0.5)
-                out = _axis_scale(out, i, scale)
-            best = min(best, float(np.linalg.norm(out.ravel())))
-        return best
     raise ValueError(f"unknown weight choice {choice!r}")
 
 
@@ -453,39 +426,20 @@ class RadialProfile:
             power = np.where(rho > 0, rho**self.nu, 0.0 if self.nu > 0 else np.inf)
         return power * cut
 
-    def envelope_constants(self, orders: tuple[int, ...] = (1, 2)) -> dict[int, float]:
-        """Estimate sup |d^a f| / |k|^(nu - a) over the support by sampling.
-
-        Finite values witness the derivative-envelope hypothesis for this
-        profile family.
-        """
-        rho = np.geomspace(1e-4 * self.lam, 0.999 * self.lam, 400)
-        out: dict[int, float] = {}
-        for order in orders:
-            h = 1e-5 * self.lam
-            if order == 1:
-                deriv = (self(rho + h) - self(rho - h)) / (2 * h)
-            elif order == 2:
-                deriv = (self(rho + h) - 2 * self(rho) + self(rho - h)) / h**2
-            else:
-                raise ValueError("orders beyond 2 not sampled")
-            out[order] = float(np.max(np.abs(deriv) * rho ** (order - self.nu)))
-        return out
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel family: a callable amplitude plus structural metadata.
+    """A kernel family: a broadcasting amplitude plus structural metadata.
 
     kind:
       "constant"   amplitude c everywhere.
       "gaussian"   c * exp(-alpha * sum_i |k_i|^2).
       "power"      prod_i RadialProfile(nu_i, lam)(|k_i|), species-separable.
-      "separable"  component-separable: prod_(i,j) u_i(k_i^j) with a gaussian
-                   momentum-conservation regularizer; component profiles are
-                   RadialProfile(nu_i / 3, lam) in each coordinate.
-      "analytic-slice" no amplitude; carries a closed-form slice norm for
-                   infrared oracle cases.
+      "separable"  component-separable: c * prod_j u(k_0^j, ..., k_(n-1)^j), one
+                   coordinate factor u for x, y and z alike, made of the
+                   profiles RadialProfile(nu_i / 3, lam)(k_i^j) and a gaussian
+                   momentum-conservation regularizer in the signed sum
+                   sum_i s_i k_i^j.
     """
 
     n_species: int
@@ -496,40 +450,38 @@ class KernelSpec:
     lam: float = 1.0
     conservation_sigma: float = 0.0
     conservation_signs: tuple[int, ...] = ()
-    slice_nu: float = 0.0
 
-    def amplitude(self, ks: np.ndarray, spins: np.ndarray) -> complex:
-        ks = np.asarray(ks, dtype=float)
+    def amplitude(self, ks: Sequence[np.ndarray]) -> np.ndarray:
+        """The kernel on momenta: ks[i] holds species i's momenta, shape (..., 3).
+
+        The leading shapes broadcast against each other, and so does the result.
+        """
+        ks = [np.asarray(k, dtype=float) for k in ks]
         if self.kind == "constant":
-            return self.constant
+            return np.full(np.broadcast_shapes(*(k.shape[:-1] for k in ks)), self.constant)
         if self.kind == "gaussian":
-            return self.constant * math.exp(-self.alpha * float(np.sum(ks * ks)))
+            total = sum(np.sum(k * k, axis=-1) for k in ks)
+            return self.constant * np.exp(-self.alpha * total)
         if self.kind == "power":
             value = self.constant
-            for i in range(self.n_species):
-                value *= float(RadialProfile(self.nus[i], self.lam)(np.linalg.norm(ks[i])))
+            for nu, k in zip(self.nus, ks):
+                value = value * RadialProfile(nu, self.lam)(np.linalg.norm(k, axis=-1))
             return value
         if self.kind == "separable":
             value = self.constant
             for j in range(3):
-                value *= float(self.component_factor(j, ks[:, j]))
+                value = value * self._coordinate_factor([k[..., j] for k in ks])
             return value
-        raise ValueError(f"kind {self.kind!r} has no pointwise amplitude")
+        raise ValueError(f"unknown kernel kind {self.kind!r}")
 
-    def component_factor(self, component: int, coords: np.ndarray) -> np.ndarray:
-        """One coordinate factor of a separable kernel, broadcasting over coords.
-
-        coords has the per-species coordinate values along its first axis.
-        """
-        if self.kind != "separable":
-            raise ValueError("component_factor applies to separable kernels only")
-        coords = np.asarray(coords, dtype=float)
-        out = np.ones_like(coords[0])
-        for i in range(self.n_species):
-            out = out * RadialProfile(self.nus[i] / 3.0, self.lam)(coords[i])
+    def _coordinate_factor(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """The separable coordinate factor u; coords[i] holds species i's values
+        of one coordinate, and the factor broadcasts over them."""
+        out = np.ones(())
+        for nu, c in zip(self.nus, coords):
+            out = out * RadialProfile(nu / 3.0, self.lam)(c)
         if self.conservation_sigma > 0:
-            signs = np.asarray(self.conservation_signs, dtype=float)
-            total = np.tensordot(signs, coords, axes=(0, 0))
+            total = sum(s * c for s, c in zip(self.conservation_signs, coords))
             out = out * np.exp(-(total**2) / (4.0 * self.conservation_sigma**2))
         return out
 
@@ -572,13 +524,6 @@ def separable_kernel(
     )
 
 
-def analytic_slice_kernel(n_species: int, slice_nu: float, lam: float) -> KernelSpec:
-    """Oracle stub whose slice norm is exactly |k|^slice_nu inside radius lam."""
-    return KernelSpec(
-        n_species=n_species, kind="analytic-slice", slice_nu=slice_nu, lam=lam
-    )
-
-
 def fermi_demo_spec(nu_massless: float, lam: float = 1.0, sigma: float = 0.35) -> KernelSpec:
     """Four-species decay-style kernel: two created, two annihilated, species 3
     massless with component exponent nu_massless / 3, gaussian momentum
@@ -598,34 +543,32 @@ def fermi_demo_spec(nu_massless: float, lam: float = 1.0, sigma: float = 0.35) -
 
 @dataclass(frozen=True)
 class SliceProfiles:
-    """Per-component slice-norm profiles of a separable kernel.
+    """Coordinate slice-norm profile of a separable kernel.
 
-    For component j, values[j][g] is || W (G_j sliced at coordinate a_grid[g]) ||
-    with the oscillator weights W on the remaining species' axes, and
-    grad_values[j] is the same for the coordinate derivative of the slice. The
-    full 3D slice norm at momentum k factorizes as prod_j values[j](k_j).
+    A separable kernel is a product of one coordinate factor u, taken at the x,
+    y and z coordinates alike, so a single table serves all three. values[g]
+    is || W (u sliced at coordinate a_grid[g]) || with the oscillator weights W
+    on the remaining species' axes, and grad_values[g] is the same for the
+    coordinate derivative of the slice. The full 3D slice norm at momentum k
+    factorizes as prod_j values(k_j).
     """
 
     a_grid: np.ndarray
-    values: tuple[np.ndarray, ...]
-    grad_values: tuple[np.ndarray, ...]
+    values: np.ndarray
+    grad_values: np.ndarray
 
     def norm_at(self, k: np.ndarray) -> np.ndarray:
         k = np.atleast_2d(np.asarray(k, dtype=float))
         out = np.ones(k.shape[0])
         for j in range(3):
-            out = out * np.interp(k[:, j], self.a_grid, self.values[j])
+            out = out * np.interp(k[:, j], self.a_grid, self.values)
         return out
 
     def grad_norm_at(self, k: np.ndarray) -> np.ndarray:
         """Euclidean norm over the three coordinate derivatives."""
         k = np.atleast_2d(np.asarray(k, dtype=float))
-        factors = np.stack(
-            [np.interp(k[:, j], self.a_grid, self.values[j]) for j in range(3)]
-        )
-        grads = np.stack(
-            [np.interp(k[:, j], self.a_grid, self.grad_values[j]) for j in range(3)]
-        )
+        factors = np.interp(k, self.a_grid, self.values).T
+        grads = np.interp(k, self.a_grid, self.grad_values).T
         total = np.zeros(k.shape[0])
         for j in range(3):
             term = grads[j]
@@ -636,89 +579,66 @@ class SliceProfiles:
         return np.sqrt(total)
 
 
+# Gauss-Hermite nodes per remaining species axis, and the half-width of the
+# slice grid in units of lam (the cutoff support ends at lam)
+_SLICE_QUAD_NODES = 24
+_SLICE_GRID_MARGIN = 1.05
+
+
 def separable_slice_profiles(
     spec: KernelSpec,
     slice_species: int,
     exponents: dict[int, float],
     n_grid: int = 161,
-    n_quad: int = 24,
-    grid_margin: float = 1.05,
 ) -> SliceProfiles:
-    """Tabulate per-component weighted slice norms of a separable kernel.
+    """Tabulate the weighted coordinate slice norms of a separable kernel.
 
     exponents gives the oscillator power per remaining species (the slice
-    species itself and any exempt species should be absent or zero). The grid
-    spans [-margin*lam, margin*lam] where the cutoff support lives.
+    species itself and any exempt species should be absent or zero). The
+    coordinate factor is sampled once per grid shift (base, plus and minus the
+    difference step), from per-species 1-D coordinate views that broadcast.
     """
     if spec.kind != "separable":
         raise ValueError("slice profiles require a separable kernel")
-    n = spec.n_species
-    others = [i for i in range(n) if i != slice_species]
-    axis = hermite_axis(n_quad)
-    span = grid_margin * spec.lam
+    others = [i for i in range(spec.n_species) if i != slice_species]
+    axis = hermite_axis(_SLICE_QUAD_NODES)
+    span = _SLICE_GRID_MARGIN * spec.lam
     a_grid = np.linspace(-span, span, n_grid)
     delta = 1e-4 * spec.lam
 
-    weight_mats = []
-    for i in others:
+    def factor(a_values: np.ndarray) -> np.ndarray:
+        # slice coordinate on axis 0, the nodes of others[pos] on axis 1 + pos
+        coords = [None] * spec.n_species
+        coords[slice_species] = a_values.reshape((-1,) + (1,) * len(others))
+        for pos, i in enumerate(others):
+            coords[i] = axis.nodes.reshape((-1,) + (1,) * (len(others) - 1 - pos))
+        return spec._coordinate_factor(coords)
+
+    base = factor(a_grid)
+    deriv = (factor(a_grid + delta) - factor(a_grid - delta)) / (2.0 * delta)
+    for pos, i in enumerate(others):
         power = float(exponents.get(i, 0.0))
         if power == 0.0:
-            weight_mats.append(None)
-        else:
-            mat = (axis.basis.T * axis.levels**power) @ (axis.basis * axis.weights)
-            weight_mats.append(mat)
-
-    values, grads = [], []
-    for j in range(3):
-        base = _component_slice_stack(spec, slice_species, others, axis, a_grid, j)
-        plus = _component_slice_stack(spec, slice_species, others, axis, a_grid + delta, j)
-        minus = _component_slice_stack(spec, slice_species, others, axis, a_grid - delta, j)
-        deriv = (plus - minus) / (2.0 * delta)
-        for pos, mat in enumerate(weight_mats):
-            if mat is None:
-                continue
-            base = np.moveaxis(
-                np.tensordot(mat, np.moveaxis(base, 1 + pos, 0), axes=(1, 0)), 0, 1 + pos
-            )
-            deriv = np.moveaxis(
-                np.tensordot(mat, np.moveaxis(deriv, 1 + pos, 0), axes=(1, 0)), 0, 1 + pos
-            )
-        # quadrature cell weights for the remaining axes (these are L2 norms)
-        w_nd = np.ones(())
-        for _ in others:
-            w_nd = np.multiply.outer(w_nd, axis.weights)
-        cell = w_nd.reshape(-1)
-        flat = base.reshape(a_grid.shape[0], -1)
-        flat_d = deriv.reshape(a_grid.shape[0], -1)
-        values.append(np.sqrt(np.abs(flat) ** 2 @ cell))
-        grads.append(np.sqrt(np.abs(flat_d) ** 2 @ cell))
+            continue
+        mat = (axis.basis.T * axis.levels**power) @ (axis.basis * axis.weights)
+        base = np.moveaxis(
+            np.tensordot(mat, np.moveaxis(base, 1 + pos, 0), axes=(1, 0)), 0, 1 + pos
+        )
+        deriv = np.moveaxis(
+            np.tensordot(mat, np.moveaxis(deriv, 1 + pos, 0), axes=(1, 0)), 0, 1 + pos
+        )
+    # quadrature cell weights for the remaining axes (these are L2 norms)
+    w_nd = np.ones(())
+    for _ in others:
+        w_nd = np.multiply.outer(w_nd, axis.weights)
+    cell = w_nd.reshape(-1)
+    flat = base.reshape(a_grid.shape[0], -1)
+    flat_d = deriv.reshape(a_grid.shape[0], -1)
     return SliceProfiles(
-        a_grid=a_grid, values=tuple(values), grad_values=tuple(grads)
+        a_grid=a_grid,
+        values=np.sqrt(np.abs(flat) ** 2 @ cell),
+        grad_values=np.sqrt(np.abs(flat_d) ** 2 @ cell),
     )
-
-
-def _component_slice_stack(
-    spec: KernelSpec,
-    slice_species: int,
-    others: list[int],
-    axis: HermiteAxis,
-    a_values: np.ndarray,
-    component: int,
-) -> np.ndarray:
-    """Sample one component factor with the slice coordinate on the first axis."""
-    n = spec.n_species
-    shape = (a_values.shape[0],) + (axis.size,) * len(others)
-    coords = []
-    for i in range(n):
-        if i == slice_species:
-            view = a_values.reshape((-1,) + (1,) * len(others))
-        else:
-            pos = others.index(i)
-            view = axis.nodes.reshape(
-                (1,) + (1,) * pos + (-1,) + (1,) * (len(others) - 1 - pos)
-            )
-        coords.append(np.broadcast_to(view, shape))
-    return spec.component_factor(component, np.stack(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +646,9 @@ def _component_slice_stack(
 # ---------------------------------------------------------------------------
 
 
-def power_counting_verdict(slice_nu: float, r: float) -> str:
-    """Oracle for pure-power slice norms: radial exponent nu*r - 2r + 2 vs -1."""
-    exponent = slice_nu * r - 2.0 * r + 2.0
+def power_counting_verdict(nu: float, r: float) -> str:
+    """Oracle for slice norms |k|^nu: radial exponent nu*r - 2r + 2 vs -1."""
+    exponent = nu * r - 2.0 * r + 2.0
     return "finite" if exponent > -1.0 else "divergent"
 
 
@@ -757,25 +677,25 @@ class InfraredReport:
 
 
 _DECAY_THRESHOLD = 0.9
+# decades of inner cutoff, Gauss-Legendre nodes per decade, and polar nodes of
+# the angular rule (the azimuth gets twice as many)
+_IR_LEVELS = 3
+_IR_NODES_PER_DECADE = 32
+_IR_ANGULAR = 24
 
 
 def _radial_integral_decades(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    lam: float,
-    n_levels: int,
-    nodes_per_decade: int = 32,
+    integrand: Callable[[np.ndarray], np.ndarray], lam: float
 ) -> tuple[float, ...]:
     """Cumulative integrals int_(a_l)^(lam) with a_l = lam * 10^-(l+1).
 
     Each decade is integrated by Gauss-Legendre in log rho, so pure powers are
     captured accurately however singular they are at the origin.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(nodes_per_decade)
+    x, w = leggauss(_IR_NODES_PER_DECADE)
     totals = []
     running = 0.0
-    for level in range(n_levels):
+    for level in range(_IR_LEVELS):
         hi = lam * 10.0 ** (-level)
         lo = lam * 10.0 ** (-(level + 1))
         mid = 0.5 * (math.log(hi) + math.log(lo))
@@ -804,8 +724,6 @@ def infrared_report(
     slice_species: int,
     r: float,
     exponents: dict[int, float] | None = None,
-    n_levels: int = 3,
-    n_angular: int = 24,
 ) -> InfraredReport:
     """Shrinking-cutoff integrals of the ground-state infrared conditions.
 
@@ -818,30 +736,10 @@ def infrared_report(
         raise ValueError("r must lie in [1, 2)")
     lam = spec.lam
 
-    if spec.kind == "analytic-slice":
-        nu = spec.slice_nu
-
-        def radial(rho: np.ndarray) -> np.ndarray:
-            return 4.0 * math.pi * rho**2 * rho ** (-2.0 * r) * rho ** (nu * r)
-
-        def radial_grad(rho: np.ndarray) -> np.ndarray:
-            scale = abs(nu) if nu != 0 else 1.0
-            return (
-                4.0
-                * math.pi
-                * rho**2
-                * rho ** (-r)
-                * (scale * rho ** (nu - 1.0)) ** r
-            )
-
-    elif spec.kind == "separable":
-        profiles = separable_slice_profiles(
-            spec, slice_species, exponents or {}
-        )
-        from numpy.polynomial.legendre import leggauss
-
-        cos_nodes, cos_w = leggauss(n_angular)
-        phi = np.linspace(0.0, 2.0 * math.pi, 2 * n_angular, endpoint=False)
+    if spec.kind == "separable":
+        profiles = separable_slice_profiles(spec, slice_species, exponents or {})
+        cos_nodes, cos_w = leggauss(_IR_ANGULAR)
+        phi = np.linspace(0.0, 2.0 * math.pi, 2 * _IR_ANGULAR, endpoint=False)
         phi_w = 2.0 * math.pi / phi.shape[0]
         sin_nodes = np.sqrt(1.0 - cos_nodes**2)
         dirs = np.stack(
@@ -884,8 +782,8 @@ def infrared_report(
     else:
         raise ValueError(f"kind {spec.kind!r} has no infrared profile")
 
-    levels = _radial_integral_decades(radial, lam, n_levels)
-    grad_levels = _radial_integral_decades(radial_grad, lam, n_levels)
+    levels = _radial_integral_decades(radial, lam)
+    grad_levels = _radial_integral_decades(radial_grad, lam)
     verdict, ratio = _verdict_from_levels(levels)
     gverdict, gratio = _verdict_from_levels(grad_levels)
     return InfraredReport(
@@ -918,8 +816,6 @@ def fd_oscillator_power_norm(
     uniform grid, lowest eigenpairs from LAPACK, fractional power applied
     spectrally. Used as the cross-check oracle for hermite_power_norm.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     x = np.linspace(-extent, extent, n_grid)
     dx = x[1] - x[0]
     diag = 2.0 / dx**2 + x * x

@@ -164,10 +164,6 @@ class ModeTable:
         cfg = self.species[i]
         return np.repeat(cfg.points, len(cfg.spins), axis=0)
 
-    def spins_of(self, i: int) -> np.ndarray:
-        cfg = self.species[i]
-        return np.tile(np.asarray(cfg.spins), cfg.n_points)
-
     def mode_weights(self, i: int) -> np.ndarray:
         """(n_modes,) quadrature weight of every mode of species i."""
         cfg = self.species[i]

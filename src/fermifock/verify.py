@@ -40,6 +40,7 @@ from .kernels import (
     discrete_bound_constant,
     exponent_table,
     hermite_bound_constant,
+    species_regularity_basis,
     weight_kernel_tensor,
     weighted_kernel_norm,
 )
@@ -407,8 +408,6 @@ def _kernel_weight_matrix(
     table: ModeTable, exponents: dict[int, float], inverse: bool
 ) -> np.ndarray:
     """Kron-product matrix of the oscillator weight over all species axes."""
-    from .kernels import species_regularity_basis
-
     out = np.ones((1, 1))
     for i in range(table.n_species):
         power = float(exponents.get(i, 0.0))
@@ -462,9 +461,9 @@ def check_interpolation(
     constants = {}
     rng = np.random.default_rng(seed)
     trial_ok = True
+    energy = _free_energy_sum_diag(bundle, exempt) + 1.0
     for theta in theta_grid:
         axis_powers, energy_power = blend_exponents(table, exempt, smoothness, theta)
-        energy = _free_energy_sum_diag(bundle, exempt) + 1.0
         d_inv = energy**-energy_power
         row_scale = np.kron(d_inv, d_inv)
         w_inv = _kernel_weight_matrix(table, axis_powers, inverse=True)
@@ -696,6 +695,24 @@ def check_hermiticity(bundle: HamiltonianBundle, tol: float = IDENTITY_TOL) -> B
 # ---------------------------------------------------------------------------
 
 
+def _target_slices(
+    bundle: HamiltonianBundle, target: int, local_mode: int
+) -> list[np.ndarray]:
+    """Each term's kernel slice at one target mode, as a term creating it.
+
+    A term that annihilates the target creates it through its hermitian
+    conjugate, so its slice is taken from the conjugated tensor.
+    """
+    out = []
+    for tensor in bundle.tensors:
+        if target in tensor.signature.annihilated:
+            tensor = KernelTensor(
+                signature=tensor.signature, values=np.conj(tensor.values)
+            )
+        out.append(kernel_slice(tensor, bundle.table, target, local_mode))
+    return out
+
+
 def _slice_norm_sum(
     bundle: HamiltonianBundle,
     target: int,
@@ -707,15 +724,7 @@ def _slice_norm_sum(
     others = [i for i in range(table.n_species) if i != target]
     axis_species = {a: s for a, s in enumerate(others)}
     total = 0.0
-    for tensor in bundle.tensors:
-        sig = tensor.signature
-        if target in sig.created:
-            values = kernel_slice(tensor, table, target, local_mode)
-        elif target in sig.annihilated:
-            conj_tensor = KernelTensor(signature=sig, values=np.conj(tensor.values))
-            values = kernel_slice(conj_tensor, table, target, local_mode)
-        else:
-            continue
+    for values in _target_slices(bundle, target, local_mode):
         weighted = weight_kernel_tensor(values, table, exponents, axis_species)
         total += float(np.linalg.norm(weighted.ravel()))
     return total
@@ -851,24 +860,7 @@ def check_gradient_estimate(
                     psi[loc] = (
                         annihilation(table, bundle.basis, mode) @ vector
                     ) / math.sqrt(w[loc])
-                slices = {}
-                for loc in locals_:
-                    per_tensor = []
-                    for tensor in bundle.tensors:
-                        sig = tensor.signature
-                        if target in sig.created:
-                            vals = kernel_slice(tensor, table, target, loc)
-                        elif target in sig.annihilated:
-                            vals = kernel_slice(
-                                KernelTensor(signature=sig, values=np.conj(tensor.values)),
-                                table,
-                                target,
-                                loc,
-                            )
-                        else:
-                            continue
-                        per_tensor.append(vals)
-                    slices[loc] = per_tensor
+                slices = {loc: _target_slices(bundle, target, loc) for loc in locals_}
                 for pos in range(1, len(chain) - 1):
                     mid, lo, hi = locals_[pos], locals_[pos - 1], locals_[pos + 1]
                     grad = np.linalg.norm(psi[hi] - psi[lo]) / (2.0 * spacing)

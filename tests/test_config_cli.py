@@ -36,18 +36,22 @@ def toy_config():
 
 
 def sweep_config():
-    """Two two-mode species, both swept to zero mass one after the other."""
+    """Two two-mode species, both swept to zero mass one after the other.
+
+    The points stay off the coordinate planes, where the separable kernel
+    vanishes, so the interaction is nonzero.
+    """
     return {
         "species": [
             {
                 "mass": 1.0,
-                "points": [[0.3, 0.0, 0.0], [0.6, 0.0, 0.0]],
+                "points": [[0.3, 0.2, 0.1], [0.6, 0.15, 0.2]],
                 "weights": [0.8, 0.9],
                 "spins": [0.5],
             },
             {
                 "mass": 0.8,
-                "points": [[0.25, 0.1, 0.0], [0.5, 0.1, 0.0]],
+                "points": [[0.25, 0.1, 0.3], [0.5, 0.1, 0.25]],
                 "weights": [0.7, 1.1],
                 "spins": [0.5],
             },
@@ -224,6 +228,18 @@ def test_cli_rejects_malformed_config(tmp_path, capsys):
     assert main(["--report-dir", str(out), "build", "--config", missing]) == 2
 
 
+@pytest.mark.parametrize("nus", [[0.5], [0.5, 0.6, 0.7]])
+def test_cli_rejects_kernel_nus_of_wrong_length(tmp_path, capsys, nus):
+    cfg = toy_config()
+    cfg["kernels"] = [{"kind": "power", "nus": nus, "lam": 2.0, "created": [0, 1]}]
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "build", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "one nus entry per species" in err[0]
+
+
 def test_cli_groundstate_outputs(tmp_path):
     cfg_path = write_config(tmp_path, toy_config())
     out = tmp_path / "reports"
@@ -256,6 +272,7 @@ def test_cli_verify_exact_suite(tmp_path):
 
 
 def test_cli_verify_all_suites_on_sweep_instance(tmp_path):
+    assert build_bundle(normalize_config(sweep_config())).h_int.nnz > 0
     cfg_path = write_config(tmp_path, sweep_config())
     out = tmp_path / "reports"
     code = main(["--report-dir", str(out), "verify", "--config", cfg_path])

@@ -20,6 +20,13 @@ from fermifock.hamiltonian import (
     parity_identity_check,
     sample_kernel_tensor,
 )
+from fermifock.kernels import (
+    RadialProfile,
+    constant_kernel,
+    gaussian_kernel,
+    power_kernel,
+    separable_kernel,
+)
 from fermifock.modes import SpeciesConfig, build_mode_table
 
 ASSEMBLY_TOL = 1e-13
@@ -159,8 +166,8 @@ def test_sampled_tensor_folds_weights():
     table = random_table(26, (1.0, 0.5), (2, 2), (1, 1))
     sig = ProcessSignature(2, (0,), (1,))
 
-    def amplitude(ks, spins):
-        return ks[0] @ ks[1] + 0.25j
+    def amplitude(ks):
+        return np.sum(ks[0] * ks[1], axis=-1) + 0.25j
 
     tensor = sample_kernel_tensor(table, sig, amplitude)
     k0 = table.momenta(0)
@@ -174,6 +181,51 @@ def test_sampled_tensor_folds_weights():
     sliced = kernel_slice(tensor, table, 0, 1)
     np.testing.assert_allclose(sliced, tensor.values[1, :] / np.sqrt(w0[1]))
     assert tensor.frobenius() == pytest.approx(np.linalg.norm(tensor.values))
+
+
+def per_tuple_amplitude(spec, ks):
+    """Scalar oracle: the kernel at one (n, 3) momentum stack, family by family."""
+    if spec.kind == "constant":
+        return spec.constant
+    if spec.kind == "gaussian":
+        return spec.constant * np.exp(-spec.alpha * np.sum(ks * ks))
+    out = spec.constant
+    if spec.kind == "power":
+        for nu, k in zip(spec.nus, ks):
+            out *= RadialProfile(nu, spec.lam)(np.linalg.norm(k))
+        return out
+    for j in range(3):
+        for nu, k in zip(spec.nus, ks):
+            out *= RadialProfile(nu / 3.0, spec.lam)(k[j])
+        total = np.dot(spec.conservation_signs, ks[:, j])
+        out *= np.exp(-(total**2) / (4.0 * spec.conservation_sigma**2))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        constant_kernel(4, 0.7 - 0.2j),
+        gaussian_kernel(4, 0.3, 1.5),
+        power_kernel((0.5, -0.25, 0.0, 1.0), lam=2.5),
+        separable_kernel((0.6, 0.0, 0.5, 0.3), lam=2.5, conservation_sigma=0.6,
+                         conservation_signs=(1, 1, -1, -1)),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_broadcast_sampling_matches_per_tuple_loop(spec):
+    # four species, species 0 and 2 spinful, species 2 massless
+    table = random_table(27, (1.0, 0.5, 0.0, 0.8), (2, 3, 2, 2), (2, 1, 2, 1))
+    tensor = sample_kernel_tensor(table, ProcessSignature(4, (0, 1), (2, 3)), spec.amplitude)
+    momenta = [table.momenta(i) for i in range(4)]
+    sqw = [np.sqrt(table.mode_weights(i)) for i in range(4)]
+    assert tensor.values.shape == (4, 3, 4, 2)
+    assert np.max(np.abs(tensor.values)) > 1e-3
+    for idx in np.ndindex(tensor.values.shape):
+        want = per_tuple_amplitude(spec, np.stack([momenta[i][m] for i, m in enumerate(idx)]))
+        for i, m in enumerate(idx):
+            want = want * sqw[i][m]
+        assert abs(tensor.values[idx] - want) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from numpy.polynomial.hermite import hermgauss
 
 from fermifock.kernels import (
     RadialProfile,
-    analytic_slice_kernel,
+    _radial_integral_decades,
+    _verdict_from_levels,
     blend_exponents,
     constant_kernel,
     discrete_bound_constant,
@@ -29,7 +30,6 @@ from fermifock.kernels import (
     separable_slice_profiles,
     species_regularity_basis,
     weight_kernel_tensor,
-    weighted_kernel_norm,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
 
@@ -166,33 +166,6 @@ def test_weight_roundtrip_and_monotonicity():
     assert all(b >= a * (1.0 - 1e-12) for a, b in zip(norms, norms[1:]))
 
 
-def test_subset_min_weight_picks_the_smaller_norm():
-    # species 1 has one mode at |k| = 3 with mass 4: the mass weight 1/2 beats
-    # the momentum weight 3^(-1/2), so the minimum lands on the empty subset
-    s0 = SpeciesConfig(
-        mass=1.0, points=np.zeros((1, 3)), weights=np.ones(1), spins=(0.5,)
-    )
-    s1 = SpeciesConfig(
-        mass=4.0, points=np.array([[3.0, 0.0, 0.0]]), weights=np.ones(1), spins=(0.5,)
-    )
-    table = build_mode_table([s0, s1])
-    values = np.full((1, 1), 2.0)
-    got = weighted_kernel_norm(
-        values, table, "subset_min", momentum_subsets=[(), (1,)], exempt=0
-    )
-    assert abs(got - 1.0) <= 1e-12
-    only_momentum = weighted_kernel_norm(
-        values, table, "subset_min", momentum_subsets=[(1,)], exempt=0
-    )
-    assert abs(only_momentum - 2.0 / np.sqrt(3.0)) <= 1e-12
-    with pytest.raises(ValueError, match="momentum_subsets"):
-        weighted_kernel_norm(values, table, "subset_min")
-    with pytest.raises(ValueError, match="zero momentum"):
-        weighted_kernel_norm(
-            values, table, "subset_min", momentum_subsets=[(0,)], exempt=1
-        )
-
-
 # ---------------------------------------------------------------------------
 # exponent bookkeeping
 # ---------------------------------------------------------------------------
@@ -245,24 +218,21 @@ def test_radial_profile_envelope():
     rho = np.array([0.1, 0.4, 0.7])
     np.testing.assert_allclose(prof(rho), rho**0.5)
     assert prof(np.array([1.05]))[0] == 0.0
-    consts = prof.envelope_constants()
-    assert np.isfinite(consts[1]) and np.isfinite(consts[2])
 
 
 def test_kernel_family_amplitudes():
-    ks = np.array([[0.3, 0.0, 0.0], [0.0, 0.4, 0.0]])
-    spins = np.array([0.5, 0.5])
-    assert constant_kernel(2, 2.0).amplitude(ks, spins) == 2.0
-    assert gaussian_kernel(2, 0.5).amplitude(ks, spins) == pytest.approx(
+    ks = [np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.4, 0.0])]
+    assert constant_kernel(2, 2.0).amplitude(ks) == 2.0
+    assert gaussian_kernel(2, 0.5).amplitude(ks) == pytest.approx(
         np.exp(-0.5 * 0.25)
     )
     pk = power_kernel((1.0, 0.0), lam=1.0)
-    assert pk.amplitude(ks, spins) == pytest.approx(0.3)
+    assert pk.amplitude(ks) == pytest.approx(0.3)
     sep = separable_kernel((0.0, 0.0), lam=1.0, conservation_sigma=0.5,
                            conservation_signs=(1, -1))
     # conservation regularizer sees the signed coordinate sums
     want = np.exp(-(0.3**2 + 0.4**2) / (4 * 0.25))
-    assert sep.amplitude(ks, spins) == pytest.approx(want)
+    assert sep.amplitude(ks) == pytest.approx(want)
 
 
 def test_fermi_demo_spec_structure():
@@ -283,14 +253,14 @@ def test_slice_profiles_match_trapezoid_oracle():
     x = np.linspace(-1.2, 1.2, 20001)
     col = plateau_cutoff(np.abs(x), 1.0)
     for a in (0.0, 0.4, 0.8):
-        got = float(np.interp(a, prof.a_grid, prof.values[0]))
+        got = float(np.interp(a, prof.a_grid, prof.values))
         integrand = col**2 * np.exp(-((x - a) ** 2) / (2 * 0.4**2))
         want = float(
             plateau_cutoff(np.array([a]), 1.0)[0] * np.sqrt(np.trapezoid(integrand, x))
         )
         assert got == pytest.approx(want, rel=PROFILE_QUAD_TOL)
     # profile vanishes outside the cutoff
-    assert float(np.interp(1.04, prof.a_grid, prof.values[0])) <= 1e-6
+    assert float(np.interp(1.04, prof.a_grid, prof.values)) <= 1e-6
 
 
 def test_slice_profile_gradient_sign():
@@ -299,8 +269,8 @@ def test_slice_profile_gradient_sign():
     prof = separable_slice_profiles(spec, slice_species=1, exponents={})
     # slice norm along each component behaves like |a|^(1/3): gradient blows
     # up toward zero, so the tabulated derivative must dominate there
-    g_near = float(np.interp(0.05, prof.a_grid, np.abs(prof.grad_values[0])))
-    g_far = float(np.interp(0.6, prof.a_grid, np.abs(prof.grad_values[0])))
+    g_near = float(np.interp(0.05, prof.a_grid, np.abs(prof.grad_values)))
+    g_far = float(np.interp(0.6, prof.a_grid, np.abs(prof.grad_values)))
     assert g_near > g_far
 
 
@@ -318,14 +288,22 @@ def test_power_counting_rule():
 @pytest.mark.parametrize("nu", [-0.25, 0.0, 0.25, 0.5, 1.0])
 @pytest.mark.parametrize("r", [1.0, 1.5, 1.9])
 def test_infrared_matches_power_counting(nu, r):
-    spec = analytic_slice_kernel(2, slice_nu=nu, lam=1.0)
-    report = infrared_report(spec, slice_species=1, r=r)
-    assert report.verdict == power_counting_verdict(nu, r)
-    assert report.gradient_verdict == power_counting_verdict(nu, r)
+    # the detector on a slice norm that is exactly |k|^nu inside radius 1
+    def radial(rho):
+        return 4.0 * np.pi * rho**2 * rho ** (-2.0 * r) * rho ** (nu * r)
+
+    def radial_grad(rho):
+        scale = abs(nu) if nu != 0 else 1.0
+        return 4.0 * np.pi * rho**2 * rho ** (-r) * (scale * rho ** (nu - 1.0)) ** r
+
+    verdict, _ = _verdict_from_levels(_radial_integral_decades(radial, 1.0))
+    gradient_verdict, _ = _verdict_from_levels(_radial_integral_decades(radial_grad, 1.0))
+    assert verdict == power_counting_verdict(nu, r)
+    assert gradient_verdict == power_counting_verdict(nu, r)
 
 
 def test_infrared_rejects_bad_r():
-    spec = analytic_slice_kernel(2, slice_nu=0.5, lam=1.0)
+    spec = power_kernel((0.0, 0.5), lam=1.0)
     with pytest.raises(ValueError, match="r must"):
         infrared_report(spec, slice_species=1, r=2.0)
 
