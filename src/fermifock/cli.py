@@ -20,13 +20,13 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import config as cfgmod
 from .fock import enumerate_basis, save_triplets
 from .hamiltonian import (
     ProcessSignature,
     assemble_total,
-    enumerate_processes,
     sample_kernel_tensor,
 )
 from .kernels import (
@@ -463,7 +463,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArpackNoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

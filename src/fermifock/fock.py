@@ -6,12 +6,15 @@ operators carry the Jordan-Wigner sign (-1)^(number of occupied modes below m),
 which together with the species-major global mode order realizes
 anticommutation both within and across species.
 
-All operators are scipy CSR matrices with complex128 entries.
+monomial_operator is the one builder of off-diagonal operators: single
+creators and annihilators, smeared fields and interaction monomials are all
+calls of it. All operators are scipy CSR matrices with complex128 entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -88,65 +91,95 @@ def enumerate_basis(
     return FockBasis(states=states, truncation=tuple(truncation) if truncation else None)
 
 
-def _jw_signs(states: np.ndarray, mode: int) -> np.ndarray:
-    """(-1)^(occupied modes strictly below `mode`) for every state."""
-    below = np.int64((1 << mode) - 1)
-    parity = np.bitwise_count(states & below) & 1
-    return 1.0 - 2.0 * parity.astype(np.float64)
+def monomial_operator(
+    table: ModeTable,
+    basis: FockBasis,
+    factors: Sequence[tuple[int, bool]],
+    values: np.ndarray,
+) -> sp.csr_matrix:
+    """Assemble sum over mode tuples of values[tuple] * (operator factors).
 
+    factors lists (species, is_creation) pairs left to right; each species may
+    appear at most once. values has one axis per involved species in ascending
+    species order, sized by that species' mode count. Zero tensor entries are
+    skipped, so sparse kernels assemble cheaply.
+    """
+    involved = sorted(s for s, _ in factors)
+    if len(set(involved)) != len(factors):
+        raise ValueError("each species may appear only once in a monomial")
+    values = np.asarray(values, dtype=np.complex128)
+    expected = tuple(len(table.block(s)) for s in involved)
+    if values.shape != expected:
+        raise ValueError("tensor shape must match the involved species' mode counts")
+    axis_of = {s: a for a, s in enumerate(involved)}
+    offsets = [table.offsets[s] for s, _ in factors]
 
-def creation(table: ModeTable, basis: FockBasis, mode: int) -> sp.csr_matrix:
-    """Sparse matrix of b*_mode in the given basis."""
-    if not (0 <= mode < table.total_modes):
-        raise ValueError("mode index out of range")
-    bit = np.int64(1) << np.int64(mode)
     states = basis.states
-    src = np.nonzero((states & bit) == 0)[0]
-    new_masks = states[src] | bit
-    rows, found = basis.positions(new_masks)
-    src = src[found]
-    rows = rows[found]
-    data = _jw_signs(states[src], mode).astype(np.complex128)
     dim = basis.dimension
-    op = sp.csr_matrix((data, (rows, src)), shape=(dim, dim))
+    all_rows, all_cols, all_data = [], [], []
+    for idx in np.argwhere(values != 0):
+        amp = values[tuple(idx)]
+        cur = states.copy()
+        sign = np.ones(dim)
+        alive = np.ones(dim, dtype=bool)
+        for (s, create), off in zip(reversed(factors), reversed(offsets)):
+            mode = off + int(idx[axis_of[s]])
+            bit = np.int64(1) << np.int64(mode)
+            occupied = (cur & bit) != 0
+            ok = ~occupied if create else occupied
+            below = np.bitwise_count(cur & (bit - np.int64(1))) & 1
+            sign = np.where(ok, sign * (1.0 - 2.0 * below), 0.0)
+            alive &= ok
+            cur = np.where(ok, cur | bit if create else cur & ~bit, cur)
+        cols = np.nonzero(alive)[0]
+        if cols.size == 0:
+            continue
+        rows, found = basis.positions(cur[cols])
+        cols = cols[found]
+        rows = rows[found]
+        all_rows.append(rows)
+        all_cols.append(cols)
+        all_data.append(amp * sign[cols])
+    if not all_rows:
+        return sp.csr_matrix((dim, dim), dtype=np.complex128)
+    op = sp.csr_matrix(
+        (np.concatenate(all_data), (np.concatenate(all_rows), np.concatenate(all_cols))),
+        shape=(dim, dim),
+    )
     op.sum_duplicates()
     return op
 
 
+def _ladder(table: ModeTable, basis: FockBasis, mode: int, create: bool) -> sp.csr_matrix:
+    species = table.locate(mode)[0]
+    values = np.zeros(len(table.block(species)))
+    values[mode - table.offsets[species]] = 1.0
+    return monomial_operator(table, basis, ((species, create),), values)
+
+
+def creation(table: ModeTable, basis: FockBasis, mode: int) -> sp.csr_matrix:
+    """Sparse matrix of b*_mode in the given basis."""
+    return _ladder(table, basis, mode, True)
+
+
 def annihilation(table: ModeTable, basis: FockBasis, mode: int) -> sp.csr_matrix:
-    """Sparse matrix of b_mode; adjoint of creation by construction."""
-    return creation(table, basis, mode).conj().T.tocsr()
+    """Sparse matrix of b_mode in the given basis."""
+    return _ladder(table, basis, mode, False)
 
 
 def smeared(
-    table: ModeTable,
-    basis: FockBasis,
-    species: int,
-    coefficients: np.ndarray,
-    create: bool = True,
+    table: ModeTable, basis: FockBasis, species: int, coefficients: np.ndarray
 ) -> sp.csr_matrix:
-    """Weighted smeared operator for one species.
+    """Smeared creator sum_m sqrt(w_m) f_m b*_m of one species, the discrete b*(f).
 
-    create=True gives sum_m sqrt(w_m) f_m b*_m, the discrete b*(f); with
-    create=False the annihilator sum_m sqrt(w_m) conj(f_m) b_m. Its operator
-    norm equals the weighted l2 norm of f (checked in the test suite).
+    Its operator norm equals the weighted l2 norm of f (checked in the test
+    suite).
     """
     coefficients = np.asarray(coefficients, dtype=np.complex128)
     w = table.mode_weights(species)
     if coefficients.shape != w.shape:
         raise ValueError("need one coefficient per mode of the species")
-    dim = basis.dimension
-    out = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    for local, mode in enumerate(table.block(species)):
-        amp = np.sqrt(w[local]) * coefficients[local]
-        if amp == 0:
-            continue
-        op = creation(table, basis, mode)
-        if not create:
-            op = op.conj().T
-            amp = np.conj(amp)
-        out = out + amp * op
-    return out.tocsr()
+    return monomial_operator(table, basis, ((species, True),), np.sqrt(w) * coefficients)
 
 
 def diagonal_second_quantized(
@@ -182,27 +215,9 @@ def free_hamiltonian_diagonal(table: ModeTable, basis: FockBasis) -> np.ndarray:
     return diag
 
 
-def number_diagonal(
-    table: ModeTable, basis: FockBasis, species: int | None = None
-) -> np.ndarray:
-    """Diagonal of the number operator (one species, or total)."""
-    if species is not None:
-        ones = np.ones(len(table.block(species)))
-        return diagonal_second_quantized(table, basis, species, ones)
-    return np.bitwise_count(basis.states).astype(float)
-
-
-def parity_diagonal(
-    table: ModeTable, basis: FockBasis, species: int | None = None
-) -> np.ndarray:
-    """Diagonal of (-1)^N, total or for one species' block."""
-    if species is None:
-        counts = np.bitwise_count(basis.states)
-    else:
-        mask = np.int64(0)
-        for mode in table.block(species):
-            mask |= np.int64(1) << np.int64(mode)
-        counts = np.bitwise_count(basis.states & mask)
+def parity_diagonal(basis: FockBasis) -> np.ndarray:
+    """Diagonal of the total parity (-1)^N."""
+    counts = np.bitwise_count(basis.states)
     return 1.0 - 2.0 * (counts & 1).astype(float)
 
 

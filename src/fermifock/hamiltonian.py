@@ -23,7 +23,13 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, annihilation, free_hamiltonian_diagonal, parity_diagonal
+from .fock import (
+    FockBasis,
+    annihilation,
+    free_hamiltonian_diagonal,
+    monomial_operator,
+    parity_diagonal,
+)
 from .modes import ModeTable
 
 HERMITICITY_TOL = 1e-13
@@ -157,65 +163,6 @@ def kernel_slice(
     return np.take(tensor.values, local_mode, axis=species) / np.sqrt(w)
 
 
-def monomial_operator(
-    table: ModeTable,
-    basis: FockBasis,
-    factors: Sequence[tuple[int, bool]],
-    values: np.ndarray,
-) -> sp.csr_matrix:
-    """Assemble sum over mode tuples of values[tuple] * (operator factors).
-
-    factors lists (species, is_creation) pairs left to right; each species may
-    appear at most once. values has one axis per involved species in ascending
-    species order, sized by that species' mode count. Zero tensor entries are
-    skipped, so sparse kernels assemble cheaply.
-    """
-    involved = sorted(s for s, _ in factors)
-    if len(set(involved)) != len(factors):
-        raise ValueError("each species may appear only once in a monomial")
-    values = np.asarray(values, dtype=np.complex128)
-    expected = tuple(len(table.block(s)) for s in involved)
-    if values.shape != expected:
-        raise ValueError("tensor shape must match the involved species' mode counts")
-    axis_of = {s: a for a, s in enumerate(involved)}
-    offsets = [table.offsets[s] for s, _ in factors]
-
-    states = basis.states
-    dim = basis.dimension
-    all_rows, all_cols, all_data = [], [], []
-    for idx in np.argwhere(values != 0):
-        amp = values[tuple(idx)]
-        cur = states.copy()
-        sign = np.ones(dim)
-        alive = np.ones(dim, dtype=bool)
-        for (s, create), off in zip(reversed(factors), reversed(offsets)):
-            mode = off + int(idx[axis_of[s]])
-            bit = np.int64(1) << np.int64(mode)
-            occupied = (cur & bit) != 0
-            ok = ~occupied if create else occupied
-            below = np.bitwise_count(cur & (bit - np.int64(1))) & 1
-            sign = np.where(ok, sign * (1.0 - 2.0 * below), 0.0)
-            alive &= ok
-            cur = np.where(ok, cur | bit if create else cur & ~bit, cur)
-        cols = np.nonzero(alive)[0]
-        if cols.size == 0:
-            continue
-        rows, found = basis.positions(cur[cols])
-        cols = cols[found]
-        rows = rows[found]
-        all_rows.append(rows)
-        all_cols.append(cols)
-        all_data.append(amp * sign[cols])
-    if not all_rows:
-        return sp.csr_matrix((dim, dim), dtype=np.complex128)
-    op = sp.csr_matrix(
-        (np.concatenate(all_data), (np.concatenate(all_rows), np.concatenate(all_cols))),
-        shape=(dim, dim),
-    )
-    op.sum_duplicates()
-    return op
-
-
 def assemble_interaction_term(
     table: ModeTable, basis: FockBasis, tensor: KernelTensor
 ) -> sp.csr_matrix:
@@ -316,7 +263,7 @@ def parity_identity_check(bundle: HamiltonianBundle) -> ParityCheckResult:
     for tensor in bundle.tensors:
         if tensor.signature.n_species % 2 == 0:
             raise ValueError("parity identity needs an odd number of species")
-    p = parity_diagonal(bundle.table, bundle.basis)
+    p = parity_diagonal(bundle.basis)
     h = bundle.h_total.toarray()
     flipped = p[:, None] * h * p[None, :]
     target = h - 2.0 * bundle.coupling * bundle.h_int.toarray()

@@ -73,23 +73,9 @@ class HermiteAxis:
     basis: np.ndarray  # (P, P), row l = e_l at the nodes
     levels: np.ndarray  # (P,) oscillator eigenvalues 2l+1
 
-    def coefficients(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Hermite coefficients along one axis of a sampled array."""
-        weighted = np.moveaxis(np.asarray(values), axis, 0) * self.weights.reshape(
-            (-1,) + (1,) * (np.ndim(values) - 1)
-        )
-        coeff = np.tensordot(self.basis, weighted, axes=(1, 0))
-        return np.moveaxis(coeff, 0, axis)
-
-    def apply_power(self, values: np.ndarray, power: float, axis: int = 0) -> np.ndarray:
-        """Apply the oscillator power h^power along one axis."""
-        coeff = self.coefficients(values, axis=axis)
-        shaped = self.levels.astype(float) ** power
-        coeff = np.moveaxis(coeff, axis, 0) * shaped.reshape(
-            (-1,) + (1,) * (coeff.ndim - 1)
-        )
-        out = np.tensordot(self.basis.T, coeff, axes=(1, 0))
-        return np.moveaxis(out, 0, axis)
+    def power_matrix(self, power: float) -> np.ndarray:
+        """The oscillator power h^power acting on values sampled at the nodes."""
+        return (self.basis.T * self.levels**power) @ (self.basis * self.weights)
 
 
 def hermite_axis(n_nodes: int) -> HermiteAxis:
@@ -620,7 +606,7 @@ def separable_slice_profiles(
         power = float(exponents.get(i, 0.0))
         if power == 0.0:
             continue
-        mat = (axis.basis.T * axis.levels**power) @ (axis.basis * axis.weights)
+        mat = axis.power_matrix(power)
         base = np.moveaxis(
             np.tensordot(mat, np.moveaxis(base, 1 + pos, 0), axes=(1, 0)), 0, 1 + pos
         )

@@ -10,7 +10,7 @@ phase convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,21 +76,15 @@ def ground_state(
     h: sp.spmatrix,
     dense_cap: int = DENSE_CAP_DEFAULT,
     seed: int = 7,
-    tol: float = 0.0,
-    method: str = "auto",
 ) -> GroundStateResult:
     """Lowest eigenpair of a hermitian sparse matrix.
 
-    method "auto" takes the dense path below dense_cap and seeded Lanczos
-    (eigsh) above it, with a dense eigenvalue cross-check when the dimension
-    still allows one; "dense" and "lanczos" force the respective path.
+    Dense up to dimension dense_cap; above it seeded Lanczos (eigsh), with a
+    dense eigenvalue cross-check when the dimension still allows one.
     """
     h = sp.csr_matrix(h)
     dim = h.shape[0]
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError("method must be auto, dense or lanczos")
-    use_dense = method == "dense" or (method == "auto" and dim <= dense_cap)
-    if use_dense:
+    if dim <= dense_cap:
         energy, vec, degeneracy = _dense_ground(h.toarray())
         method = "dense"
         cross = None
@@ -103,9 +97,7 @@ def ground_state(
         # Lanczos resolves much more reliably than a raw "SA" run
         shift = 1.0 + _row_sum_bound(h)
         flipped = (sp.identity(dim, dtype=h.dtype, format="csr") * shift) - h
-        vals, vecs = spla.eigsh(
-            flipped, k=1, which="LA", v0=v0, tol=tol, maxiter=10000
-        )
+        vals, vecs = spla.eigsh(flipped, k=1, which="LA", v0=v0, maxiter=10000)
         energy = float(shift - vals[0])
         vec = _fix_phase(vecs[:, 0].astype(np.complex128))
         degeneracy = 1

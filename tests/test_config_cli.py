@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+
+import fermifock.verify
 
 from fermifock.cli import main
 from fermifock.config import (
@@ -238,6 +241,32 @@ def test_cli_rejects_kernel_nus_of_wrong_length(tmp_path, capsys, nus):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "one nus entry per species" in err[0]
+
+
+def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
+    """Two five-mode species (dimension 1024): the form bound's spectral edges
+    come from ARPACK, and its non-convergence ends the run with one line."""
+    cfg = toy_config()
+    cfg["species"] = [
+        {"mass": m, "grid": {"extent": 1.0, "shape": [5, 1, 1]}, "spins": [0.5]}
+        for m in (1.0, 0.7)
+    ]
+    cfg["solver"] = {"trials": 5}
+    cfg_path = write_config(tmp_path, cfg)
+
+    def no_convergence(op, **kwargs):
+        raise spla.ArpackNoConvergence(
+            "No convergence (2000 iterations, 0/1 eigenvectors converged)",
+            np.empty(0), np.empty((op.shape[0], 0)),
+        )
+
+    monkeypatch.setattr(fermifock.verify.spla, "eigsh", no_convergence)
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "bounds", "--config", cfg_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "No convergence" in err[0]
 
 
 def test_cli_groundstate_outputs(tmp_path):

@@ -13,7 +13,6 @@ from fermifock.fock import (
     enumerate_basis,
     free_hamiltonian_diagonal,
     load_triplets,
-    number_diagonal,
     parity_diagonal,
     save_triplets,
     smeared,
@@ -58,23 +57,33 @@ def test_truncated_basis_counts():
         assert bin(int(state) & 0b011000).count("1") <= 2
 
 
-def test_creation_matrices_single_species():
-    """Two modes: frozen 4x4 matrices fix the sign convention."""
+@pytest.mark.parametrize(
+    "points_per_species,builder,mode,entries",
+    [
+        ((2,), creation, 0, {(1, 0): 1, (3, 2): 1}),
+        ((2,), creation, 1, {(2, 0): 1, (3, 1): -1}),
+        ((2,), annihilation, 0, {(0, 1): 1, (2, 3): 1}),
+        ((2,), annihilation, 1, {(0, 2): 1, (1, 3): -1}),
+        # species 1's single mode picks up the sign of the occupied species-0 modes
+        ((2, 1), creation, 2, {(4, 0): 1, (5, 1): -1, (6, 2): -1, (7, 3): 1}),
+        ((2, 1), annihilation, 2, {(0, 4): 1, (1, 5): -1, (2, 6): -1, (3, 7): 1}),
+    ],
+    ids=["cre0", "cre1", "ann0", "ann1", "cre-species1", "ann-species1"],
+)
+def test_ladder_matrices_frozen(points_per_species, builder, mode, entries):
+    """Frozen matrices fix the Jordan-Wigner sign convention, across species too."""
     pts = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
     table = build_mode_table(
-        [SpeciesConfig(mass=1.0, points=pts, weights=np.ones(2), spins=(0.5,))]
+        [
+            SpeciesConfig(mass=1.0, points=pts[:n], weights=np.ones(n), spins=(0.5,))
+            for n in points_per_species
+        ]
     )
     basis = enumerate_basis(table)
-    b0 = creation(table, basis, 0).toarray()
-    b1 = creation(table, basis, 1).toarray()
-    want0 = np.zeros((4, 4))
-    want0[1, 0] = 1.0
-    want0[3, 2] = 1.0
-    want1 = np.zeros((4, 4))
-    want1[2, 0] = 1.0
-    want1[3, 1] = -1.0  # Jordan-Wigner sign from the occupied mode below
-    np.testing.assert_allclose(b0, want0)
-    np.testing.assert_allclose(b1, want1)
+    want = np.zeros((basis.dimension, basis.dimension))
+    for (row, col), value in entries.items():
+        want[row, col] = value
+    np.testing.assert_array_equal(builder(table, basis, mode).toarray(), want)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -113,7 +122,7 @@ def test_smeared_norm_matches_weighted_l2():
         f = rng.normal(size=len(table.block(i))) + 1j * rng.normal(
             size=len(table.block(i))
         )
-        op = smeared(table, basis, i, f, create=True)
+        op = smeared(table, basis, i, f)
         op_norm = np.linalg.norm(op.toarray(), ord=2)
         assert op_norm == pytest.approx(weighted_norm(table, i, f), abs=NORM_TOL)
 
@@ -136,10 +145,8 @@ def test_function_pull_through():
 def test_number_and_parity_diagonals():
     table = random_table(9, (1.0, 0.5), (2, 1), (1, 2))
     basis = enumerate_basis(table)
-    n_total = number_diagonal(table, basis)
-    n_split = sum(number_diagonal(table, basis, i) for i in range(table.n_species))
-    np.testing.assert_allclose(n_total, n_split)
-    np.testing.assert_allclose(parity_diagonal(table, basis), (-1.0) ** n_total)
+    n_total = np.bitwise_count(basis.states)
+    np.testing.assert_allclose(parity_diagonal(basis), (-1.0) ** n_total)
     free = free_hamiltonian_diagonal(table, basis)
     assert free[0] == 0.0
     assert np.all(free >= 0.0)

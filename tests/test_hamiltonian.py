@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fermifock.fock import annihilation, creation, enumerate_basis
+from fermifock.fock import annihilation, creation, enumerate_basis, monomial_operator
 from fermifock.hamiltonian import (
     KernelTensor,
     ProcessSignature,
@@ -16,7 +16,6 @@ from fermifock.hamiltonian import (
     commutator_with_annihilator,
     enumerate_processes,
     kernel_slice,
-    monomial_operator,
     parity_identity_check,
     sample_kernel_tensor,
 )

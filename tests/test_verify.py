@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+
+import fermifock.verify
 
 from fermifock.fock import enumerate_basis
 from fermifock.hamiltonian import (
@@ -382,6 +385,22 @@ def test_singular_value_checks_repeat_exactly_above_dense_size():
     assert op_1.details["exact_sup_ratio"] == op_2.details["exact_sup_ratio"]
     assert op_1.max_ratio == op_2.max_ratio
     assert norms_1.max_ratio == norms_2.max_ratio
+
+
+def test_form_bound_raises_when_an_edge_does_not_converge(monkeypatch):
+    """A spectral edge ARPACK could not find must not pass as an exact supremum."""
+    bundle = large_bundle()
+    assert bundle.basis.dimension > 600
+
+    def no_convergence(op, **kwargs):
+        raise spla.ArpackNoConvergence(
+            "No convergence (2000 iterations, 0/1 eigenvectors converged)",
+            np.empty(0), np.empty((op.shape[0], 0)),
+        )
+
+    monkeypatch.setattr(fermifock.verify.spla, "eigsh", no_convergence)
+    with pytest.raises(spla.ArpackNoConvergence):
+        check_form_bound(bundle, trials=5)
 
 
 # ---------------------------------------------------------------------------
