@@ -57,18 +57,35 @@ def test_truncated_basis_counts():
         assert bin(int(state) & 0b011000).count("1") <= 2
 
 
+def test_creation_matrices_single_species():
+    """Two modes: frozen 4x4 matrices fix the sign convention."""
+    pts = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])
+    table = build_mode_table(
+        [SpeciesConfig(mass=1.0, points=pts, weights=np.ones(2), spins=(0.5,))]
+    )
+    basis = enumerate_basis(table)
+    b0 = creation(table, basis, 0).toarray()
+    b1 = creation(table, basis, 1).toarray()
+    want0 = np.zeros((4, 4))
+    want0[1, 0] = 1.0
+    want0[3, 2] = 1.0
+    want1 = np.zeros((4, 4))
+    want1[2, 0] = 1.0
+    want1[3, 1] = -1.0  # Jordan-Wigner sign from the occupied mode below
+    np.testing.assert_allclose(b0, want0)
+    np.testing.assert_allclose(b1, want1)
+
+
 @pytest.mark.parametrize(
     "points_per_species,builder,mode,entries",
     [
-        ((2,), creation, 0, {(1, 0): 1, (3, 2): 1}),
-        ((2,), creation, 1, {(2, 0): 1, (3, 1): -1}),
         ((2,), annihilation, 0, {(0, 1): 1, (2, 3): 1}),
         ((2,), annihilation, 1, {(0, 2): 1, (1, 3): -1}),
         # species 1's single mode picks up the sign of the occupied species-0 modes
         ((2, 1), creation, 2, {(4, 0): 1, (5, 1): -1, (6, 2): -1, (7, 3): 1}),
         ((2, 1), annihilation, 2, {(0, 4): 1, (1, 5): -1, (2, 6): -1, (3, 7): 1}),
     ],
-    ids=["cre0", "cre1", "ann0", "ann1", "cre-species1", "ann-species1"],
+    ids=["ann0", "ann1", "cre-species1", "ann-species1"],
 )
 def test_ladder_matrices_frozen(points_per_species, builder, mode, entries):
     """Frozen matrices fix the Jordan-Wigner sign convention, across species too."""
