@@ -463,7 +463,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArpackNoConvergence) as exc:
+    # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result
+    except (ValueError, OSError, ArpackNoConvergence, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,12 @@
 
 Dense LAPACK diagonalization is authoritative below a dimension cap; above it
 a seeded Lanczos run takes over and, below a cross-check cap, both are run and
-compared. Degenerate ground spaces get a deterministic representative: the
-projection of the first basis vector with nonvanishing component, with a fixed
-phase convention.
+compared. Every dense solve runs per block of H, one per connected component
+of its sparsity pattern (every term changes each species' particle number by
+one, so these are conserved sectors); the blocks' spectra together are exactly
+H's, and the largest block sets the cost. Degenerate ground spaces, counted
+across blocks, get a deterministic representative: the projection of the first
+basis vector with nonvanishing component, with a fixed phase convention.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .fock import annihilation
 from .hamiltonian import HamiltonianBundle
@@ -51,24 +55,60 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _dense_ground(h: np.ndarray) -> tuple[float, np.ndarray, int]:
-    vals, vecs = np.linalg.eigh(h)
-    energy = float(vals[0])
-    members = np.nonzero(vals - energy <= DEGENERACY_TOL * max(1.0, abs(energy)))[0]
-    degeneracy = int(members.size)
-    space = vecs[:, members]
+def _blocks(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(states, dense block of h) for each connected component of h's pattern.
+
+    states are ascending basis indices. One-state components share a single
+    pair whose block is the 1-D array of their diagonal entries, so a diagonal
+    h costs no per-state work.
+    """
+    # the graph is the stored pattern, not h: csgraph would cast complex data
+    # to real (a ComplexWarning) and weigh a purely imaginary coupling as zero
+    pattern = sp.csr_matrix((np.ones(h.nnz, np.int8), h.indices, h.indptr), shape=h.shape)
+    _, labels = connected_components(pattern, directed=False)
+    sizes = np.bincount(labels)
+    lone = sizes[labels] == 1
+    pairs = [(np.nonzero(lone)[0], h.diagonal()[lone].real)] if lone.any() else []
+    order = np.argsort(labels, kind="stable")
+    grouped = order[~lone[order]]  # the other components one after the other
+    permuted = h[grouped][:, grouped]
+    bounds = np.cumsum([0, *sizes[sizes > 1]])
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        pairs.append((grouped[start:end], permuted[start:end, start:end].toarray()))
+    return pairs
+
+
+def _block_eigvalsh(h: sp.csr_matrix) -> np.ndarray:
+    """All eigenvalues of h, ascending, from its blocks."""
+    vals = [b if b.ndim == 1 else np.linalg.eigvalsh(b) for _, b in _blocks(h)]
+    return np.sort(np.concatenate(vals))
+
+
+def _in_ground_space(vals: np.ndarray, energy: float) -> np.ndarray:
+    return vals - energy <= DEGENERACY_TOL * max(1.0, abs(energy))
+
+
+def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int]:
+    solved = [(s, b, None) if b.ndim == 1 else (s, *np.linalg.eigh(b)) for s, b in _blocks(h)]
+    energy = float(min(vals.min() for _, vals, _ in solved))
+    degeneracy = 0
     # deterministic representative: project the first basis vector that meets
-    # the eigenspace, then fix the phase
-    rep = None
-    for basis_index in range(h.shape[0]):
-        overlap = space.conj().T[:, basis_index]
-        cand = space @ overlap
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            rep = cand / norm
-            break
-    if rep is None:
-        rep = space[:, 0]
+    # the ground space. It lies in one block, so each block offers its first.
+    offers = []
+    for states, vals, vecs in solved:
+        members = _in_ground_space(vals, energy)
+        degeneracy += int(members.sum())
+        if not members.any():
+            continue
+        if vecs is None:  # one-state blocks: the ground states are basis vectors
+            offers.append((states[members][0], states[members][:1], np.ones(1)))
+            continue
+        space = vecs[:, members]
+        local = int(np.argmax(np.linalg.norm(space, axis=1) > 1e-8))
+        offers.append((states[local], states, space @ space[local].conj()))
+    _, states, projection = min(offers, key=lambda offer: offer[0])
+    rep = np.zeros(h.shape[0], dtype=np.complex128)
+    rep[states] = projection
     return energy, _fix_phase(rep), degeneracy
 
 
@@ -85,7 +125,7 @@ def ground_state(
     h = sp.csr_matrix(h)
     dim = h.shape[0]
     if dim <= dense_cap:
-        energy, vec, degeneracy = _dense_ground(h.toarray())
+        energy, vec, degeneracy = _dense_ground(h)
         method = "dense"
         cross = None
     else:
@@ -104,7 +144,9 @@ def ground_state(
         method = "lanczos"
         cross = None
         if dim <= 4 * dense_cap:
-            dense_energy = float(np.linalg.eigvalsh(h.toarray())[0])
+            vals = _block_eigvalsh(h)
+            dense_energy = float(vals[0])
+            degeneracy = int(_in_ground_space(vals, dense_energy).sum())
             cross = abs(dense_energy - energy)
             if cross > CROSS_CHECK_TOL * max(1.0, abs(energy)):
                 raise AssertionError(
@@ -126,7 +168,7 @@ def low_spectrum(h: sp.spmatrix, count: int, dense_cap: int = DENSE_CAP_DEFAULT,
     h = sp.csr_matrix(h)
     dim = h.shape[0]
     if dim <= dense_cap:
-        return np.linalg.eigvalsh(h.toarray())[:count]
+        return _block_eigvalsh(h)[:count]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     vals = spla.eigsh(h, k=count, which="SA", v0=v0 / np.linalg.norm(v0))[0]

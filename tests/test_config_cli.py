@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import fermifock.hamiltonian
+import fermifock.spectra
 import fermifock.verify
 
 from fermifock.cli import main
@@ -267,6 +269,31 @@ def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "No convergence" in err[0]
+
+
+def _disagreeing_block_spectrum(monkeypatch):
+    solve = fermifock.spectra._block_eigvalsh
+    monkeypatch.setattr(fermifock.spectra, "_block_eigvalsh", lambda h: solve(h) - 1.0)
+    return "dense and Lanczos ground energies disagree"
+
+
+def _non_hermitian_interaction(monkeypatch):
+    monkeypatch.setattr(fermifock.hamiltonian, "_max_abs", lambda op: 1.0)
+    return "interaction not hermitian"
+
+
+@pytest.mark.parametrize("failure", [_disagreeing_block_spectrum, _non_hermitian_interaction])
+def test_cli_refused_result_exits_2(tmp_path, capsys, monkeypatch, failure):
+    """Dimension 16 with dense cap 8: Lanczos runs and the block cross-check
+    with it. A failed internal check ends the run with one line, no traceback."""
+    message = failure(monkeypatch)
+    cfg_path = write_config(tmp_path, sweep_config())
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "8", "--config", cfg_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and message in err[0]
 
 
 def test_cli_groundstate_outputs(tmp_path):

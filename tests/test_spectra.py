@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from test_acceptance import grid_instance, pair_instance, quad_instance, triple_parts
 
+from fermifock import spectra
 from fermifock.fock import enumerate_basis
 from fermifock.hamiltonian import KernelTensor, ProcessSignature, assemble_total
 from fermifock.modes import SpeciesConfig, build_mode_table
 from fermifock.spectra import (
+    DEGENERACY_TOL,
     coupling_gap_curve,
     ground_state,
     low_spectrum,
@@ -54,6 +57,38 @@ def random_sparse_hermitian(dim, seed, density=0.05):
         data_rvs=lambda k: rng.normal(size=k) + 1j * rng.normal(size=k),
     ).tocsr()
     return (mat + mat.conj().T) * 0.5 + sp.diags(rng.normal(size=dim))
+
+
+def random_hermitian(dim, rng):
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (mat + mat.conj().T) * 0.5
+
+
+def permuted_block_diagonal(blocks, rng):
+    """The block-diagonal matrix of `blocks`, with its basis randomly permuted."""
+    mat = sp.block_diag(blocks, format="csr")
+    perm = rng.permutation(mat.shape[0])
+    return mat[perm][:, perm]
+
+
+def full_dense_ground(h):
+    """The full-matrix dense ground solve the blockwise one replaced."""
+    vals, vecs = np.linalg.eigh(h)
+    energy = float(vals[0])
+    members = np.nonzero(vals - energy <= DEGENERACY_TOL * max(1.0, abs(energy)))[0]
+    degeneracy = int(members.size)
+    space = vecs[:, members]
+    rep = None
+    for basis_index in range(h.shape[0]):
+        overlap = space.conj().T[:, basis_index]
+        cand = space @ overlap
+        norm = np.linalg.norm(cand)
+        if norm > 1e-8:
+            rep = cand / norm
+            break
+    if rep is None:
+        rep = space[:, 0]
+    return energy, spectra._fix_phase(rep), degeneracy
 
 
 def test_toy_ground_energy():
@@ -111,6 +146,98 @@ def test_degenerate_ground_space_is_reported():
     assert result.degeneracy == 2
     # deterministic representative: the first basis state in the eigenspace
     assert abs(result.vector[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_path_reports_degeneracy_across_blocks():
+    """Equal minima in two blocks: both paths count a two-fold ground space."""
+    rng = np.random.default_rng(52)
+    twin = random_hermitian(20, rng)
+    h = permuted_block_diagonal([twin, twin, random_hermitian(20, rng) + 10.0 * np.eye(20)], rng)
+    lanczos = ground_state(h, dense_cap=40)
+    dense = ground_state(h, dense_cap=60)
+    assert lanczos.method == "lanczos" and lanczos.cross_check_gap is not None
+    assert lanczos.degeneracy == 2
+    assert dense.degeneracy == 2
+    assert abs(lanczos.energy - dense.energy) <= CROSS_METHOD_TOL
+
+
+def imaginary_coupling_matrix():
+    """Only purely imaginary off-diagonal couplings; components listed below."""
+    components = [(0, 5, 7), (1, 2), (3, 4, 8, 11)]
+    h = sp.lil_matrix((12, 12), dtype=np.complex128)
+    h.setdiag(np.linspace(-1.0, 1.0, 12))
+    for comp in components:
+        for a, b in zip(comp, comp[1:]):
+            h[a, b], h[b, a] = 0.7j, -0.7j
+    return h.tocsr(), components
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: grid_instance().h_total,
+        lambda: pair_instance().h_total,
+        lambda: assemble_total(*triple_parts()).h_total,
+        lambda: quad_instance().h_total,
+        lambda: imaginary_coupling_matrix()[0],
+    ],
+    ids=["grid", "pair", "triple", "quad", "imaginary"],
+)
+def test_block_spectrum_equals_full_spectrum(build):
+    h = sp.csr_matrix(build())
+    full = h.toarray()
+    if not np.any(full.imag):
+        full = full.real  # the same matrix; the real solver is about 4x faster
+    np.testing.assert_allclose(
+        spectra._block_eigvalsh(h), np.linalg.eigvalsh(full), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.filterwarnings("error")  # csgraph warns when it casts complex data
+def test_blocks_follow_imaginary_couplings():
+    h, components = imaginary_coupling_matrix()
+    blocks = spectra._blocks(h)
+    lone = [states for states, block in blocks if block.ndim == 1]
+    multi = [tuple(states) for states, block in blocks if block.ndim == 2]
+    assert sorted(multi) == sorted(components)
+    assert [list(states) for states in lone] == [[6, 9, 10]]
+    for states, block in blocks:
+        if block.ndim == 2:
+            np.testing.assert_array_equal(block, h[states][:, states].toarray())
+
+
+def ground_space_across_blocks(seed):
+    """Ground space spread over two equal blocks and a one-state block.
+
+    At seed 54 the representative comes from a block although a one-state
+    block holds state 0; at seed 70 the one-state block's ground state wins.
+    """
+    rng = np.random.default_rng(seed)
+    twin = random_hermitian(6, rng)
+    lowest = np.linalg.eigvalsh(twin)[0]
+    lone = sp.diags([lowest + 5.0, lowest, lowest + 3.0])
+    return permuted_block_diagonal(
+        [twin, random_hermitian(5, rng) + 10.0 * np.eye(5), twin, lone], rng
+    )
+
+
+@pytest.mark.parametrize(
+    "build, expected_degeneracy",
+    [
+        (lambda: ground_space_across_blocks(54), 3),
+        (lambda: ground_space_across_blocks(70), 3),
+        (lambda: toy_bundle(coupling=0.0).h_total, 1),
+        (lambda: pair_instance(coupling=0.0).h_total, 1),
+    ],
+    ids=["block-wins", "one-state-wins", "toy-coupling-0", "pair-coupling-0"],
+)
+def test_blockwise_dense_ground_matches_full_matrix(build, expected_degeneracy):
+    h = sp.csr_matrix(build())
+    want_energy, want_vector, want_degeneracy = full_dense_ground(h.toarray())
+    energy, vector, degeneracy = spectra._dense_ground(h)
+    assert abs(energy - want_energy) <= 1e-12
+    assert degeneracy == want_degeneracy == expected_degeneracy
+    np.testing.assert_allclose(vector, want_vector, rtol=0, atol=1e-12)
 
 
 def test_toy_observables():
