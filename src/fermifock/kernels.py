@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import zeta
 
 from .modes import ModeTable
@@ -782,40 +781,3 @@ def infrared_report(
         decay_ratio=ratio,
         gradient_decay_ratio=gratio,
     )
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oscillator oracle
-# ---------------------------------------------------------------------------
-
-
-def fd_oscillator_power_norm(
-    fn: Callable[[np.ndarray], np.ndarray],
-    power: float,
-    extent: float = 9.0,
-    n_grid: int = 1600,
-    n_eigs: int = 140,
-) -> float:
-    """|| h^power f || via a finite-difference discretization of h.
-
-    Independent of the Hermite-recurrence machinery: h = -d2/dx2 + x^2 on a
-    uniform grid, lowest eigenpairs from LAPACK, fractional power applied
-    spectrally. Used as the cross-check oracle for hermite_power_norm.
-    """
-    x = np.linspace(-extent, extent, n_grid)
-    dx = x[1] - x[0]
-    diag = 2.0 / dx**2 + x * x
-    off = np.full(n_grid - 1, -1.0 / dx**2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
-    f = fn(x)
-    coeff = vecs.T @ f
-    return float(np.sqrt(dx) * np.linalg.norm(coeff * vals**power))
-
-
-def hermite_power_norm(
-    fn: Callable[[np.ndarray], np.ndarray], power: float, n_quad: int = 160
-) -> float:
-    """|| h^power f || via Gauss-Hermite coefficients (the fast path)."""
-    axis = hermite_axis(n_quad)
-    coeff = axis.basis @ (axis.weights * fn(axis.nodes))
-    return float(np.linalg.norm(coeff * axis.levels**power))

@@ -122,7 +122,9 @@ def triple_parts():
 
 def quad_instance():
     """Four species with a decay-style two-in two-out kernel, dimension 256."""
-    pts = np.array([[0.3, 0.0, 0.0], [0.0, 0.45, 0.15]])
+    # off the coordinate planes: the separable amplitude is a product of
+    # per-component powers, so a zero coordinate makes the kernel vanish
+    pts = np.array([[0.3, 0.1, 0.05], [0.1, 0.45, 0.15]])
     species = [
         SpeciesConfig(mass=m, points=pts, weights=np.array([0.7, 0.6]), spins=(0.5,))
         for m in (1.0, 0.8, 0.5, 0.4)
@@ -171,6 +173,7 @@ def test_criterion_01_exact_identity_suite():
     assert {b.table.n_species for b in bundles} == {2, 3, 4}
     for bundle in bundles:
         assert bundle.basis.dimension <= 4096
+        assert bundle.h_int.nnz > 0, bundle.table.n_species
         for report in (
             vf.check_car_relations(bundle, tol=IDENTITY_TOL),
             vf.check_smeared_norms(bundle, tol=IDENTITY_TOL),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy.linalg import eigh_tridiagonal
 
 from fermifock.kernels import (
     RadialProfile,
@@ -14,13 +15,11 @@ from fermifock.kernels import (
     constant_kernel,
     discrete_bound_constant,
     exponent_table,
-    fd_oscillator_power_norm,
     fermi_demo_spec,
     gaussian_kernel,
     hermite_axis,
     hermite_bound_constant,
     hermite_functions,
-    hermite_power_norm,
     infrared_report,
     level_lattice_sum,
     plateau_cutoff,
@@ -311,6 +310,30 @@ def test_infrared_rejects_bad_r():
 # ---------------------------------------------------------------------------
 # dual-route fractional powers
 # ---------------------------------------------------------------------------
+
+def fd_oscillator_power_norm(fn, power, extent=9.0, n_grid=1600, n_eigs=140):
+    """|| h^power f || via a finite-difference discretization of h.
+
+    Independent of the Hermite-recurrence machinery: h = -d2/dx2 + x^2 on a
+    uniform grid, lowest eigenpairs from LAPACK, fractional power applied
+    spectrally. The cross-check oracle for hermite_power_norm.
+    """
+    x = np.linspace(-extent, extent, n_grid)
+    dx = x[1] - x[0]
+    diag = 2.0 / dx**2 + x * x
+    off = np.full(n_grid - 1, -1.0 / dx**2)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
+    f = fn(x)
+    coeff = vecs.T @ f
+    return float(np.sqrt(dx) * np.linalg.norm(coeff * vals**power))
+
+
+def hermite_power_norm(fn, power, n_quad=160):
+    """|| h^power f || via Gauss-Hermite coefficients of hermite_axis."""
+    axis = hermite_axis(n_quad)
+    coeff = axis.basis @ (axis.weights * fn(axis.nodes))
+    return float(np.linalg.norm(coeff * axis.levels**power))
+
 
 @pytest.mark.parametrize("power", [0.5, 0.75, -0.5])
 @pytest.mark.parametrize(

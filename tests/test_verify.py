@@ -6,19 +6,30 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from test_acceptance import pair_instance, triple_parts
 
 import fermifock.verify
 
-from fermifock.fock import enumerate_basis
+from fermifock.fock import enumerate_basis, monomial_operator
 from fermifock.hamiltonian import (
     KernelTensor,
     ProcessSignature,
     assemble_total,
+    sample_kernel_tensor,
 )
-from fermifock.kernels import level_lattice_sum
+from fermifock.kernels import (
+    blend_exponents,
+    gaussian_kernel,
+    level_lattice_sum,
+    power_kernel,
+    separable_kernel,
+)
 from fermifock.modes import SpeciesConfig, build_mode_table
 from fermifock.spectra import mass_sweep
 from fermifock.verify import (
+    BoundReport,
+    _free_energy_sum_diag,
+    _kernel_weight_matrix,
     check_car_relations,
     check_form_bound,
     check_gradient_estimate,
@@ -230,6 +241,137 @@ def test_interpolation_log_convexity():
     for entry in per_theta.values():
         assert entry["log_excess"] <= 1e-6
     assert report.details["trials_below_exact"]
+
+
+def dense_svd_interpolation(
+    bundle, term_index=0, exempt=0, smoothness=0.75, thetas=(0.25, 0.5, 0.75),
+    trials=200, seed=23, tol=1e-6,
+):
+    """Oracle: the interpolation check with each M_theta the top singular
+    value of the dense (dim^2, k_dim) map, as check_interpolation computed it
+    before it moved to the Gram matrix."""
+    table = bundle.table
+    basis = bundle.basis
+    sig = bundle.tensors[term_index].signature
+    dim = basis.dimension
+    shape = tuple(len(table.block(i)) for i in range(table.n_species))
+    k_dim = int(np.prod(shape))
+
+    base_columns = np.zeros((dim * dim, k_dim), dtype=np.complex128)
+    for j in range(k_dim):
+        values = np.zeros(shape, dtype=np.complex128)
+        values[np.unravel_index(j, shape)] = 1.0
+        term = monomial_operator(table, basis, sig.factors(), values)
+        herm = (term + term.conj().T).toarray()
+        base_columns[:, j] = herm.ravel()
+
+    theta_grid = [0.0] + sorted(float(t) for t in thetas) + [1.0]
+    constants = {}
+    rng = np.random.default_rng(seed)
+    trial_ok = True
+    energy = _free_energy_sum_diag(bundle, exempt) + 1.0
+    for theta in theta_grid:
+        axis_powers, energy_power = blend_exponents(table, exempt, smoothness, theta)
+        d_inv = energy**-energy_power
+        row_scale = np.kron(d_inv, d_inv)
+        w_inv = _kernel_weight_matrix(table, axis_powers, inverse=True)
+        full_map = (base_columns * row_scale[:, None]) @ w_inv
+        m_theta = float(np.linalg.svd(full_map, compute_uv=False)[0])
+        constants[theta] = m_theta
+        g_trials = rng.standard_normal((k_dim, trials)) + 1j * rng.standard_normal(
+            (k_dim, trials)
+        )
+        g_trials /= np.linalg.norm(g_trials, axis=0, keepdims=True)
+        ratios = np.linalg.norm(full_map @ g_trials, axis=0)
+        if np.max(ratios) > m_theta * (1.0 + 1e-10):
+            trial_ok = False
+
+    m0, m1 = constants[0.0], constants[1.0]
+    worst = -math.inf
+    per_theta = {}
+    for theta in thetas:
+        theta = float(theta)
+        bound = (1.0 - theta) * math.log(m0) + theta * math.log(m1)
+        gap = math.log(constants[theta]) - bound
+        per_theta[theta] = {"constant": constants[theta], "log_excess": gap}
+        worst = max(worst, gap)
+    return BoundReport(
+        name="interpolation",
+        passed=worst <= tol and trial_ok,
+        max_ratio=worst,
+        tolerance=tol,
+        trials=trials * len(theta_grid),
+        params={
+            "term": sig.label(),
+            "exempt": exempt,
+            "smoothness": smoothness,
+            "endpoint_constants": [m0, m1],
+        },
+        details={
+            "per_theta": {str(k): v for k, v in per_theta.items()},
+            "trials_below_exact": trial_ok,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "make, term_index",
+    [
+        (lambda: pair_instance(gaussian_kernel(2, 0.25)), 0),
+        (lambda: pair_instance(power_kernel((0.6, 0.5), 2.5)), 0),
+        (lambda: pair_instance(separable_kernel((0.5, 0.7), 2.0, 0.25, (1, -1))), 0),
+        (two_point_bundle, 0),
+        (lambda: assemble_total(*triple_parts()), 0),
+        (lambda: assemble_total(*triple_parts()), 1),
+    ],
+    ids=["pair_gaussian", "pair_power", "pair_separable", "two_point", "triple_0", "triple_1"],
+)
+def test_interpolation_constants_match_dense_svd(make, term_index):
+    bundle = make()
+    report = check_interpolation(bundle, term_index, trials=50, seed=31)
+    oracle = dense_svd_interpolation(bundle, term_index, trials=50, seed=31)
+    got, want = report.as_dict(), oracle.as_dict()
+    for m, m_oracle in zip(got["params"].pop("endpoint_constants"),
+                           want["params"].pop("endpoint_constants")):
+        assert m == pytest.approx(m_oracle, rel=EXACT_TOL, abs=0.0)
+    got_theta = got["details"].pop("per_theta")
+    want_theta = want["details"].pop("per_theta")
+    assert set(got_theta) == set(want_theta)
+    for key, entry in want_theta.items():
+        assert got_theta[key]["constant"] == pytest.approx(
+            entry["constant"], rel=EXACT_TOL, abs=0.0
+        )
+        assert got_theta[key]["log_excess"] == pytest.approx(
+            entry["log_excess"], rel=0.0, abs=EXACT_TOL
+        )
+    assert got.pop("max_ratio") == pytest.approx(want.pop("max_ratio"), rel=0.0, abs=EXACT_TOL)
+    # name, verdict, tolerance, trial count, term label, trial verdict
+    assert got == want
+
+
+def test_interpolation_above_the_old_dense_map_cap():
+    """Dimension 2048 with 30 kernel entries: the dense (dim^2, k_dim) map
+    would hold 1.3e8 complex values, well above the 5e7 the check once
+    refused."""
+    line = np.array([[0.2 + 0.15 * i, 0.1, 0.05] for i in range(5)])
+    species = [
+        SpeciesConfig(mass=1.0, points=line[:3], weights=np.full(3, 0.8)),
+        SpeciesConfig(mass=0.7, points=line, weights=np.full(5, 0.6), spins=(0.5,)),
+    ]
+    table = build_mode_table(species)
+    basis = enumerate_basis(table)
+    signature = ProcessSignature(2, (0, 1), ())
+    tensor = sample_kernel_tensor(table, signature, gaussian_kernel(2, 0.3).amplitude)
+    bundle = assemble_total(table, basis, [tensor], 0.7)
+    k_dim = tensor.values.size
+    assert basis.dimension == 2048 and k_dim == 30
+    assert basis.dimension**2 * k_dim > 5e7
+    report = check_interpolation(bundle, trials=100, seed=37)
+    assert report.passed
+    assert report.max_ratio <= 1e-6
+    assert report.details["trials_below_exact"]
+    m0, m1 = report.params["endpoint_constants"]
+    assert m0 > 0.0 and m1 > 0.0
 
 
 def test_relative_bound_zero_frozen_constants():
