@@ -327,7 +327,7 @@ def cmd_masslimit(args) -> int:
             "sandwich_violation": sandwich,
             "passed": bool(mono <= 1e-9 and sandwich <= 1e-9),
         })
-        print(f"masslimit[{species}]: E({curve.masses[-1]!r}) = {curve.energies[-1]!r}, "
+        print(f"masslimit[{species}]: E({float(curve.masses[-1])}) = {float(curve.energies[-1])}, "
               f"limit {curve.limit_energy!r}, monotone dev {mono:.2e}, "
               f"sandwich dev {sandwich:.2e}")
     _write_csv(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -86,15 +87,7 @@ def build_species(entry: dict) -> SpeciesConfig:
             spins=spins,
             axis_offsets=tuple(float(v) for v in grid.get("offsets", (0.0, 0.0, 0.0))),
         )
-        if chains:
-            cfg = SpeciesConfig(
-                mass=mass,
-                points=cfg.points,
-                weights=cfg.weights,
-                spins=spins,
-                chains=chains,
-            )
-        return cfg
+        return replace(cfg, chains=chains) if chains else cfg
     points = np.asarray(entry["points"], dtype=float)
     weights = entry.get("weights")
     if weights is None:

@@ -182,35 +182,23 @@ def smeared(
     return monomial_operator(table, basis, ((species, True),), np.sqrt(w) * coefficients)
 
 
-def diagonal_second_quantized(
-    table: ModeTable,
-    basis: FockBasis,
-    species: int,
-    per_mode: np.ndarray | None = None,
-) -> np.ndarray:
-    """Diagonal of dGamma(per_mode) for one species, as a dense vector.
-
-    per_mode defaults to the species' mode energies, giving the free
-    Hamiltonian block. Returned as a vector; wrap with scipy.sparse.diags to
-    get an operator.
-    """
-    if per_mode is None:
-        per_mode = table.mode_energies(species)
-    per_mode = np.asarray(per_mode, dtype=float)
-    block = table.block(species)
-    if per_mode.shape != (len(block),):
-        raise ValueError("need one value per mode of the species")
+def diagonal_second_quantized(table: ModeTable, basis: FockBasis, species: int) -> np.ndarray:
+    """Diagonal of the free Hamiltonian block dGamma(omega) of one species, as a
+    dense vector; wrap with scipy.sparse.diags to get an operator."""
+    energies = table.mode_energies(species)
     diag = np.zeros(basis.dimension)
-    for local, mode in enumerate(block):
+    for local, mode in enumerate(table.block(species)):
         occ = (basis.states >> np.int64(mode)) & 1
-        diag += per_mode[local] * occ
+        diag += energies[local] * occ
     return diag
 
 
-def free_hamiltonian_diagonal(table: ModeTable, basis: FockBasis) -> np.ndarray:
-    """Diagonal of the total free Hamiltonian sum_i dGamma(omega_i)."""
+def free_hamiltonian_diagonal(
+    table: ModeTable, basis: FockBasis, species: Sequence[int] | None = None
+) -> np.ndarray:
+    """Diagonal of sum_i dGamma(omega_i) over the given species (all by default)."""
     diag = np.zeros(basis.dimension)
-    for i in range(table.n_species):
+    for i in range(table.n_species) if species is None else species:
         diag += diagonal_second_quantized(table, basis, i)
     return diag
 

@@ -58,10 +58,6 @@ class ProcessSignature:
         if created and annihilated and not created[0] < annihilated[0]:
             raise ValueError("first created species must precede first annihilated")
 
-    @property
-    def n_created(self) -> int:
-        return len(self.created)
-
     def factors(self) -> tuple[tuple[int, bool], ...]:
         """Operator factors left to right as (species, is_creation)."""
         return tuple((c, True) for c in self.created) + tuple(
@@ -163,13 +159,6 @@ def kernel_slice(
     return np.take(tensor.values, local_mode, axis=species) / np.sqrt(w)
 
 
-def assemble_interaction_term(
-    table: ModeTable, basis: FockBasis, tensor: KernelTensor
-) -> sp.csr_matrix:
-    """Single process term (no hermitian conjugate added)."""
-    return monomial_operator(table, basis, tensor.signature.factors(), tensor.values)
-
-
 @dataclass(frozen=True)
 class HamiltonianBundle:
     """H = H_free + coupling * H_int for one table, basis and coupling.
@@ -220,7 +209,7 @@ def assemble_total(
     h_int = sp.csr_matrix((dim, dim), dtype=np.complex128)
     terms = []
     for tensor in tensors:
-        term = assemble_interaction_term(table, basis, tensor)
+        term = monomial_operator(table, basis, tensor.signature.factors(), tensor.values)
         terms.append(term)
         h_int = h_int + term + term.conj().T
     h_int = h_int.tocsr()

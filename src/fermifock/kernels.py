@@ -328,48 +328,24 @@ def blend_exponents(
 # ---------------------------------------------------------------------------
 
 
-def _axis_scale(values: np.ndarray, axis: int, scale: np.ndarray) -> np.ndarray:
-    shape = (1,) * axis + (-1,) + (1,) * (values.ndim - axis - 1)
-    return values * scale.reshape(shape)
-
-
 def weighted_kernel_norm(
     tensor_values: np.ndarray,
     table: ModeTable,
-    choice: str,
-    species_subset: Sequence[int] | None = None,
-    exponents: dict[int, float] | None = None,
+    species_subset: Sequence[int],
+    one_plus: bool = False,
 ) -> float:
-    """l2 norm of a weighted kernel tensor under one of the standard weights.
-
-    choice:
-      "plain"                   no weight.
-      "inv_sqrt_energy"         omega^(-1/2) on each species in species_subset.
-      "one_plus_inv_sqrt_energy" (1 + omega^(-1/2)) on each species in subset.
-      "oscillator"              fractional oscillator powers from exponents.
-    """
-    values = np.asarray(tensor_values, dtype=np.complex128)
-    if choice == "plain":
-        return float(np.linalg.norm(values.ravel()))
-    if choice in ("inv_sqrt_energy", "one_plus_inv_sqrt_energy"):
-        if species_subset is None:
-            raise ValueError("species_subset required for energy weights")
-        out = values
-        for i in species_subset:
-            omega = table.mode_energies(i)
-            if np.any(omega == 0):
-                raise ValueError("zero-energy mode makes the energy weight singular")
-            scale = omega**-0.5
-            if choice == "one_plus_inv_sqrt_energy":
-                scale = 1.0 + scale
-            out = _axis_scale(out, i, scale)
-        return float(np.linalg.norm(out.ravel()))
-    if choice == "oscillator":
-        if exponents is None:
-            raise ValueError("exponents required for the oscillator weight")
-        out = weight_kernel_tensor(values, table, exponents)
-        return float(np.linalg.norm(out.ravel()))
-    raise ValueError(f"unknown weight choice {choice!r}")
+    """l2 norm of a kernel tensor weighted by omega^(-1/2) on the axis of each
+    species in species_subset, or by 1 + omega^(-1/2) with one_plus set."""
+    out = np.asarray(tensor_values, dtype=np.complex128)
+    for i in species_subset:
+        omega = table.mode_energies(i)
+        if np.any(omega == 0):
+            raise ValueError("zero-energy mode makes the energy weight singular")
+        scale = omega**-0.5
+        if one_plus:
+            scale = 1.0 + scale
+        out = out * scale.reshape((1,) * i + (-1,) + (1,) * (out.ndim - i - 1))
+    return float(np.linalg.norm(out.ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .fock import (
     annihilation,
     creation,
     diagonal_second_quantized,
+    free_hamiltonian_diagonal,
     monomial_operator,
     smeared,
 )
@@ -44,7 +45,6 @@ from .kernels import (
     discrete_bound_constant,
     exponent_table,
     hermite_bound_constant,
-    species_regularity_basis,
     weight_kernel_tensor,
     weighted_kernel_norm,
 )
@@ -104,20 +104,24 @@ def _form_values(op: sp.spmatrix, vectors: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("id,di->i", vectors, applied))
 
 
-def _extreme_eigvec(op: sp.spmatrix, dim: int) -> list[np.ndarray]:
-    """Eigenvectors at both spectral edges of a hermitian sparse operator.
+def _spectral_edges(op: sp.spmatrix, dim: int) -> tuple[float, list[np.ndarray]]:
+    """Exact supremum of |<v, op v>| over unit v for a hermitian sparse
+    operator, with the eigenvectors at both spectral edges that attain it.
 
     Above dimension 600 ARPACK finds them; its ArpackNoConvergence propagates,
     since a missing edge would leave the exact supremum unproven.
     """
     if dim <= 600:
         vals, vecs = np.linalg.eigh(op.toarray())
-        return [vecs[:, 0], vecs[:, -1]]
-    v0 = np.ones(dim) / math.sqrt(dim)
-    return [
-        spla.eigsh(op, k=1, which=which, v0=v0, maxiter=2000)[1][:, 0]
-        for which in ("SA", "LA")
-    ]
+        edges = [vecs[:, 0], vecs[:, -1]]
+    else:
+        v0 = np.ones(dim) / math.sqrt(dim)
+        edges = [
+            spla.eigsh(op, k=1, which=which, v0=v0, maxiter=2000)[1][:, 0]
+            for which in ("SA", "LA")
+        ]
+    sup = max(float(_form_values(op, (v / np.linalg.norm(v))[None, :])[0]) for v in edges)
+    return sup, edges
 
 
 def _top_singular_value(op: sp.spmatrix) -> float:
@@ -133,17 +137,6 @@ def _top_singular_value(op: sp.spmatrix) -> float:
 def _hermitized(bundle: HamiltonianBundle, term_index: int) -> sp.csr_matrix:
     term = bundle.terms[term_index]
     return (term + term.conj().T).tocsr()
-
-
-def _free_energy_sum_diag(bundle: HamiltonianBundle, skip: int) -> np.ndarray:
-    """Diagonal of sum of per-species free parts, skipping one species."""
-    table, basis = bundle.table, bundle.basis
-    diag = np.zeros(basis.dimension)
-    for i in range(table.n_species):
-        if i == skip:
-            continue
-        diag += diagonal_second_quantized(table, basis, i)
-    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +164,13 @@ def check_form_bound(
     tensor = bundle.tensors[term_index]
     op = _hermitized(bundle, term_index)
     subset = [i for i in range(n) if i != exempt]
-    kernel_norm = weighted_kernel_norm(
-        tensor.values, table, "inv_sqrt_energy", species_subset=subset
-    )
-    energy = _free_energy_sum_diag(bundle, exempt) + 1.0
+    kernel_norm = weighted_kernel_norm(tensor.values, table, subset)
+    energy = free_hamiltonian_diagonal(table, bundle.basis, subset) + 1.0
     d = energy ** ((n - 1) / 2.0)
 
     dim = bundle.basis.dimension
     scaled = sp.diags(1.0 / d) @ op @ sp.diags(1.0 / d)
-    extremes = _extreme_eigvec(scaled.tocsr(), dim)
-    exact = 0.0
-    for vec in extremes:
-        exact = max(exact, float(_form_values(scaled, (vec / np.linalg.norm(vec))[None, :])[0]))
+    exact, extremes = _spectral_edges(scaled.tocsr(), dim)
     structured = [sp.diags(1.0 / d) @ v for v in extremes]
 
     rng = np.random.default_rng(seed)
@@ -241,9 +229,7 @@ def check_refined_form_bound(
     sig = tensor.signature
     op = _hermitized(bundle, term_index)
     subset = [i for i in range(table.n_species) if i != exempt]
-    kernel_norm = weighted_kernel_norm(
-        tensor.values, table, "inv_sqrt_energy", species_subset=subset
-    )
+    kernel_norm = weighted_kernel_norm(tensor.values, table, subset)
     a_diag = _group_half_power_diag(bundle, sig.created, exempt)
     b_diag = _group_half_power_diag(bundle, sig.annihilated, exempt)
 
@@ -311,21 +297,14 @@ def check_hermite_bound(
     table = bundle.table
     tensor = bundle.tensors[term_index]
     op = _hermitized(bundle, term_index)
-    exponents = {
-        i: smoothness for i in range(table.n_species) if i != exempt
-    }
-    weighted = weighted_kernel_norm(
-        tensor.values, table, "oscillator", exponents=exponents
-    )
+    exponents = {i: smoothness for i in range(table.n_species) if i != exempt}
+    weighted = float(np.linalg.norm(weight_kernel_tensor(tensor.values, table, exponents).ravel()))
     c_ref = hermite_bound_constant(table, exempt, smoothness)
     c_disc = discrete_bound_constant(table, exempt, smoothness)
     rhs_scale = c_ref * weighted
 
     dim = bundle.basis.dimension
-    extremes = _extreme_eigvec(op, dim)
-    exact = 0.0
-    for vec in extremes:
-        exact = max(exact, float(_form_values(op, (vec / np.linalg.norm(vec))[None, :])[0]))
+    exact, extremes = _spectral_edges(op, dim)
     rng = np.random.default_rng(seed)
     vectors = _with_structured(_unit_rows(dim, trials, rng), extremes)
     lhs = _form_values(op, vectors)
@@ -378,10 +357,8 @@ def check_operator_bound(
     tensor = bundle.tensors[term_index]
     term = bundle.terms[term_index]
     subset = [i for i in range(n) if i != exempt]
-    kernel_norm = weighted_kernel_norm(
-        tensor.values, table, "one_plus_inv_sqrt_energy", species_subset=subset
-    )
-    d = (_free_energy_sum_diag(bundle, exempt) + 1.0) ** ((n - 1) / 2.0)
+    kernel_norm = weighted_kernel_norm(tensor.values, table, subset, one_plus=True)
+    d = (free_hamiltonian_diagonal(table, bundle.basis, subset) + 1.0) ** ((n - 1) / 2.0)
     scaled = (term @ sp.diags(1.0 / d)).tocsr()
     dim = bundle.basis.dimension
     exact = _top_singular_value(scaled)
@@ -406,22 +383,6 @@ def check_operator_bound(
 # ---------------------------------------------------------------------------
 # interpolation (log-convexity across the weight blend)
 # ---------------------------------------------------------------------------
-
-
-def _kernel_weight_matrix(
-    table: ModeTable, exponents: dict[int, float], inverse: bool
-) -> np.ndarray:
-    """Kron-product matrix of the oscillator weight over all species axes."""
-    out = np.ones((1, 1))
-    for i in range(table.n_species):
-        power = float(exponents.get(i, 0.0))
-        if power == 0.0:
-            mat = np.eye(len(table.block(i)))
-        else:
-            basis = species_regularity_basis(table, i)
-            mat = basis.power_matrix(-power if inverse else power)
-        out = np.kron(out, mat)
-    return out
 
 
 def check_interpolation(
@@ -476,13 +437,17 @@ def check_interpolation(
     constants = {}
     rng = np.random.default_rng(seed)
     trial_ok = True
-    energy = _free_energy_sum_diag(bundle, exempt) + 1.0
+    non_exempt = [i for i in range(table.n_species) if i != exempt]
+    energy = free_hamiltonian_diagonal(table, basis, non_exempt) + 1.0
+    # W_theta^(-1) as a matrix: its action on the stacked unit kernels
+    unit_kernels = np.eye(k_dim).reshape(shape + (k_dim,))
     for theta in theta_grid:
         axis_powers, energy_power = blend_exponents(table, exempt, smoothness, theta)
         d_inv = energy**-energy_power
         scaled = base.copy()
         scaled.data *= d_inv[rows] * d_inv[cols]
-        w_inv = _kernel_weight_matrix(table, axis_powers, inverse=True)
+        inverse = {i: -p for i, p in axis_powers.items()}
+        w_inv = weight_kernel_tensor(unit_kernels, table, inverse).reshape(k_dim, k_dim)
         gram = w_inv.conj().T @ (scaled.conj().T @ scaled).toarray() @ w_inv
         m_theta = math.sqrt(np.linalg.eigvalsh(gram)[-1])
         constants[theta] = m_theta
@@ -730,20 +695,18 @@ def _target_slices(
 
 
 def _slice_norm_sum(
-    bundle: HamiltonianBundle,
+    table: ModeTable,
     target: int,
-    local_mode: int,
+    slices: Sequence[np.ndarray],
     exponents: dict[int, float],
 ) -> float:
-    """Sum over monomials creating the target species of weighted slice norms."""
-    table = bundle.table
+    """Sum of the weighted norms of kernel slices taken at one target mode."""
     others = [i for i in range(table.n_species) if i != target]
     axis_species = {a: s for a, s in enumerate(others)}
-    total = 0.0
-    for values in _target_slices(bundle, target, local_mode):
-        weighted = weight_kernel_tensor(values, table, exponents, axis_species)
-        total += float(np.linalg.norm(weighted.ravel()))
-    return total
+    return sum(
+        float(np.linalg.norm(weight_kernel_tensor(values, table, exponents, axis_species).ravel()))
+        for values in slices
+    )
 
 
 def _estimate_exponents(
@@ -756,6 +719,48 @@ def _estimate_exponents(
     return {
         i: float(full[i]) for i in range(n) if i not in (target, exempt)
     }
+
+
+def _mode_scale(table: ModeTable, target: int, local: int, massless: bool) -> float:
+    """|k| of a target mode when the target counts as massless (k = 0 refused,
+    its prefactors would be infinite), else omega."""
+    if not massless:
+        return float(table.mode_energies(target)[local])
+    kabs = float(np.linalg.norm(table.momenta(target)[local]))
+    if kabs == 0:
+        raise ValueError("massless target species may not hold a k = 0 mode")
+    return kabs
+
+
+def _uniformity_report(
+    name: str,
+    vanishing: str,
+    sup_constants: list[float],
+    uniformity_factor: float,
+    params: dict,
+    details: dict,
+    ok: bool = True,
+) -> BoundReport:
+    """Spread max/min of the per-mass best constants against the factor; a
+    pass with a note when all of them vanish (zero left sides at this coupling)."""
+    top = float(np.max(sup_constants))
+    if top < 1e-12:
+        return BoundReport(
+            name=name,
+            passed=True,
+            max_ratio=0.0,
+            tolerance=uniformity_factor,
+            params={"target": params["target"], "note": f"{vanishing} vanish at this coupling"},
+        )
+    spread = top / max(float(np.min(sup_constants)), _TINY)
+    return BoundReport(
+        name=name,
+        passed=spread <= uniformity_factor and ok,
+        max_ratio=spread,
+        tolerance=uniformity_factor,
+        params=params,
+        details={"per_mass_constants": [float(c) for c in sup_constants], **details},
+    )
 
 
 def check_number_estimate(
@@ -782,46 +787,25 @@ def check_number_estimate(
         target_massless = target == curve.species or table.species[target].is_massless
         exponents = _estimate_exponents(table, target, exempt, margin)
         w = table.mode_weights(target)
-        momenta = table.momenta(target)
-        energies = table.mode_energies(target)
         ratios = []
         for local, mode in enumerate(table.block(target)):
             amp = np.linalg.norm(
                 annihilation(table, bundle.basis, mode) @ vector
             ) / math.sqrt(w[local])
-            kabs = float(np.linalg.norm(momenta[local]))
-            if target_massless:
-                if kabs == 0:
-                    raise ValueError("massless target species may not hold a k = 0 mode")
-                prefactor = 1.0 / kabs
-            else:
-                prefactor = 1.0 / float(energies[local])
-            slices = _slice_norm_sum(bundle, target, local, exponents)
+            prefactor = 1.0 / _mode_scale(table, target, local, target_massless)
+            slices = _slice_norm_sum(
+                table, target, _target_slices(bundle, target, local), exponents
+            )
             rhs = prefactor * abs(bundle.coupling) * slices
             ratios.append(amp / max(rhs, _TINY))
         sup_constants.append(float(np.max(ratios)))
-    sup_constants = np.asarray(sup_constants)
-    top = float(np.max(sup_constants))
-    if top < 1e-12:
-        return BoundReport(
-            name="number_estimate",
-            passed=True,
-            max_ratio=0.0,
-            tolerance=uniformity_factor,
-            params={"target": target, "note": "amplitudes vanish at this coupling"},
-        )
-    bottom = float(np.min(sup_constants))
-    spread = top / max(bottom, _TINY)
-    return BoundReport(
-        name="number_estimate",
-        passed=spread <= uniformity_factor and math.isfinite(top),
-        max_ratio=spread,
-        tolerance=uniformity_factor,
+    return _uniformity_report(
+        "number_estimate",
+        "amplitudes",
+        sup_constants,
+        uniformity_factor,
         params={"target": target, "exempt": exempt, "margin": margin},
-        details={
-            "per_mass_constants": [float(c) for c in sup_constants],
-            "masses": [float(m) for m in curve.masses] + [0.0],
-        },
+        details={"masses": [float(m) for m in curve.masses] + [0.0]},
     )
 
 
@@ -861,10 +845,6 @@ def check_gradient_estimate(
         exponents = _estimate_exponents(table, target, exempt, margin)
         n_spins = len(cfg.spins)
         w = table.mode_weights(target)
-        momenta = table.momenta(target)
-        energies = table.mode_energies(target)
-        others = [i for i in range(table.n_species) if i != target]
-        axis_species = {a: s for a, s in enumerate(others)}
         ratios = []
         for chain in cfg.chains:
             spacing = table.chain_spacing(target, chain)
@@ -886,47 +866,24 @@ def check_gradient_estimate(
                         ) / (4.0 * spacing)
                         denom = max(grad, _TINY)
                         coarse_flags.append(abs(grad - wide) / denom > coarse_ratio)
-                    slice_total = 0.0
-                    dslice_total = 0.0
-                    for vals_mid, vals_lo, vals_hi in zip(
-                        slices[mid], slices[lo], slices[hi]
-                    ):
-                        sw = weight_kernel_tensor(vals_mid, table, exponents, axis_species)
-                        slice_total += float(np.linalg.norm(sw.ravel()))
-                        dvals = (vals_hi - vals_lo) / (2.0 * spacing)
-                        dw = weight_kernel_tensor(dvals, table, exponents, axis_species)
-                        dslice_total += float(np.linalg.norm(dw.ravel()))
-                    if target_massless:
-                        kabs = float(np.linalg.norm(momenta[mid]))
-                        if kabs == 0:
-                            raise ValueError("chain crosses k = 0 on a massless species")
-                        pref2, pref1 = kabs**-2.0, kabs**-1.0
-                    else:
-                        om = float(energies[mid])
-                        pref2, pref1 = om**-2.0, om**-1.0
+                    slice_total = _slice_norm_sum(table, target, slices[mid], exponents)
+                    dslices = [
+                        (v_hi - v_lo) / (2.0 * spacing)
+                        for v_lo, v_hi in zip(slices[lo], slices[hi])
+                    ]
+                    dslice_total = _slice_norm_sum(table, target, dslices, exponents)
+                    scale = _mode_scale(table, target, mid, target_massless)
+                    pref2, pref1 = scale**-2.0, scale**-1.0
                     rhs = abs(bundle.coupling) * (pref2 * slice_total + pref1 * dslice_total)
                     ratios.append(grad / max(rhs, _TINY))
         sup_constants.append(float(np.max(ratios)))
-    sup_constants = np.asarray(sup_constants)
-    top = float(np.max(sup_constants))
-    if top < 1e-12:
-        return BoundReport(
-            name="gradient_estimate",
-            passed=True,
-            max_ratio=0.0,
-            tolerance=uniformity_factor,
-            params={"target": target, "note": "gradients vanish at this coupling"},
-        )
-    spread = top / max(float(np.min(sup_constants)), _TINY)
-    coarse = bool(np.any(coarse_flags)) if coarse_flags else False
-    return BoundReport(
-        name="gradient_estimate",
-        passed=spread <= uniformity_factor and not coarse,
-        max_ratio=spread,
-        tolerance=uniformity_factor,
+    coarse = any(coarse_flags)
+    return _uniformity_report(
+        "gradient_estimate",
+        "gradients",
+        sup_constants,
+        uniformity_factor,
         params={"target": target, "exempt": exempt, "margin": margin},
-        details={
-            "per_mass_constants": [float(c) for c in sup_constants],
-            "coarse_spacing_flagged": coarse,
-        },
+        details={"coarse_spacing_flagged": coarse},
+        ok=not coarse,
     )

@@ -396,11 +396,14 @@ def test_cli_verify_infrared_annotation_controls_exit(tmp_path):
     assert report["details"]["annotated_expected"]
 
 
-def test_cli_masslimit_runs_both_targets(tmp_path):
+def test_cli_masslimit_runs_both_targets(tmp_path, capsys):
     cfg_path = write_config(tmp_path, sweep_config())
     out = tmp_path / "reports"
     code = main(["--report-dir", str(out), "masslimit", "--config", cfg_path])
     assert code == 0
+    stdout = capsys.readouterr().out
+    assert stdout.count("masslimit[") == 2
+    assert "np.float64" not in stdout
     payload = json.loads((out / "masslimit.json").read_text())
     assert payload["passed"]
     assert [s["species"] for s in payload["sweeps"]] == [1, 0]

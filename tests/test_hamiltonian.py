@@ -11,7 +11,6 @@ from fermifock.fock import annihilation, creation, enumerate_basis, monomial_ope
 from fermifock.hamiltonian import (
     KernelTensor,
     ProcessSignature,
-    assemble_interaction_term,
     assemble_total,
     commutator_with_annihilator,
     enumerate_processes,
@@ -144,7 +143,7 @@ def test_assembly_matches_naive_oracle(masses, points, spins, created, annihilat
     assert basis.dimension <= 256
     sig = ProcessSignature(len(masses), created, annihilated)
     tensor = random_tensor(table, sig, seed)
-    fast = assemble_interaction_term(table, basis, tensor)
+    fast = monomial_operator(table, basis, sig.factors(), tensor.values)
     slow = naive_term(table, basis, tensor)
     dev = fast - slow
     assert (np.max(np.abs(dev.toarray())) if dev.nnz else 0.0) <= ASSEMBLY_TOL

@@ -23,13 +23,12 @@ from fermifock.kernels import (
     level_lattice_sum,
     power_kernel,
     separable_kernel,
+    species_regularity_basis,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
 from fermifock.spectra import mass_sweep
 from fermifock.verify import (
     BoundReport,
-    _free_energy_sum_diag,
-    _kernel_weight_matrix,
     check_car_relations,
     check_form_bound,
     check_gradient_estimate,
@@ -265,16 +264,29 @@ def dense_svd_interpolation(
         herm = (term + term.conj().T).toarray()
         base_columns[:, j] = herm.ravel()
 
+    # free energy of the non-exempt species, read off the occupation bits
+    energy = np.ones(dim)
+    for i in range(table.n_species):
+        if i != exempt:
+            for omega, mode in zip(table.mode_energies(i), table.block(i)):
+                energy += omega * ((basis.states >> mode) & 1)
+
     theta_grid = [0.0] + sorted(float(t) for t in thetas) + [1.0]
     constants = {}
     rng = np.random.default_rng(seed)
     trial_ok = True
-    energy = _free_energy_sum_diag(bundle, exempt) + 1.0
     for theta in theta_grid:
         axis_powers, energy_power = blend_exponents(table, exempt, smoothness, theta)
         d_inv = energy**-energy_power
         row_scale = np.kron(d_inv, d_inv)
-        w_inv = _kernel_weight_matrix(table, axis_powers, inverse=True)
+        # kron product over the species axes of the inverse oscillator powers
+        w_inv = np.ones((1, 1))
+        for i in range(table.n_species):
+            power = axis_powers.get(i, 0.0)
+            w_inv = np.kron(w_inv, (
+                species_regularity_basis(table, i).power_matrix(-power)
+                if power else np.eye(len(table.block(i)))
+            ))
         full_map = (base_columns * row_scale[:, None]) @ w_inv
         m_theta = float(np.linalg.svd(full_map, compute_uv=False)[0])
         constants[theta] = m_theta
