@@ -169,8 +169,7 @@ def _suite_infrared(cfg, seed):
         raise ValueError("config has no infrared section")
     reports = []
     n = len(cfg["species"])
-    masses = [float(e["mass"]) for e in cfg["species"]]
-    massless = [i for i, m in enumerate(masses) if m == 0.0]
+    massless = [i for i, e in enumerate(cfg["species"]) if cfgmod.build_species(e).is_massless]
     exps = cfg["exponents"]
     slice_species = int(section["slice_species"])
     r = float(section.get("r", 1.9))

@@ -16,10 +16,9 @@ from typing import Any
 
 import numpy as np
 
-from .fock import FockBasis, enumerate_basis
+from .fock import enumerate_basis
 from .hamiltonian import (
     HamiltonianBundle,
-    KernelTensor,
     ProcessSignature,
     assemble_total,
     sample_kernel_tensor,
@@ -31,7 +30,7 @@ from .kernels import (
     power_kernel,
     separable_kernel,
 )
-from .modes import ModeTable, SpeciesConfig, build_mode_table, uniform_grid_species
+from .modes import SpeciesConfig, build_mode_table, uniform_grid_species
 
 DEFAULTS = {
     "coupling": 1.0,
@@ -61,6 +60,11 @@ def normalize_config(raw: dict) -> dict:
     exps = dict(DEFAULTS["exponents"])
     exps.update(cfg.get("exponents", {}))
     cfg["exponents"] = exps
+    exempt, n_species = int(exps["exempt_species"]), len(cfg["species"])
+    if not 0 <= exempt < n_species:
+        raise ValueError(f"exempt_species {exempt} is outside [0, {n_species})")
+    if "infrared" in cfg:
+        _required(cfg["infrared"], "slice_species", "infrared section")
     solver = dict(DEFAULTS["solver"])
     solver.update(cfg.get("solver", {}))
     cfg["solver"] = solver
@@ -74,21 +78,28 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _required(entry: dict, key: str, what: str) -> Any:
+    """entry[key]; a missing key is a config error that names it."""
+    if key not in entry:
+        raise ValueError(f"{what} is missing required key {key!r}")
+    return entry[key]
+
+
 def build_species(entry: dict) -> SpeciesConfig:
-    mass = float(entry["mass"])
+    mass = float(_required(entry, "mass", "species entry"))
     spins = tuple(float(s) for s in entry.get("spins", [0.5, -0.5]))
     chains = tuple(tuple(int(i) for i in c) for c in entry.get("chains", []))
     if "grid" in entry:
         grid = entry["grid"]
         cfg = uniform_grid_species(
             mass=mass,
-            extent=float(grid["extent"]),
-            points_per_axis=tuple(int(n) for n in grid["shape"]),
+            extent=float(_required(grid, "extent", "species grid")),
+            points_per_axis=tuple(int(n) for n in _required(grid, "shape", "species grid")),
             spins=spins,
             axis_offsets=tuple(float(v) for v in grid.get("offsets", (0.0, 0.0, 0.0))),
         )
         return replace(cfg, chains=chains) if chains else cfg
-    points = np.asarray(entry["points"], dtype=float)
+    points = np.asarray(_required(entry, "points", "species entry"), dtype=float)
     weights = entry.get("weights")
     if weights is None:
         weights = np.ones(points.shape[0])
@@ -101,10 +112,6 @@ def build_species(entry: dict) -> SpeciesConfig:
     )
 
 
-def build_table(cfg: dict) -> ModeTable:
-    return build_mode_table([build_species(e) for e in cfg["species"]])
-
-
 def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, KernelSpec]:
     created = tuple(int(i) for i in entry.get("created", ()))
     annihilated = tuple(
@@ -113,20 +120,21 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
         )
     )
     signature = ProcessSignature(n_species, created, annihilated)
-    kind = entry["kind"]
+    kind = _required(entry, "kind", "kernel entry")
+    what = f"{kind} kernel"
     value = complex(entry.get("value", 1.0))
     if kind in ("power", "separable"):
-        nus = [float(v) for v in entry["nus"]]
+        nus = [float(v) for v in _required(entry, "nus", what)]
         if len(nus) != n_species:
             raise ValueError(
-                f"{kind} kernel needs one nus entry per species ({n_species}), got {len(nus)}"
+                f"{what} needs one nus entry per species ({n_species}), got {len(nus)}"
             )
     if kind == "constant":
         spec = constant_kernel(n_species, value)
     elif kind == "gaussian":
-        spec = gaussian_kernel(n_species, float(entry["alpha"]), value)
+        spec = gaussian_kernel(n_species, float(_required(entry, "alpha", what)), value)
     elif kind == "power":
-        spec = power_kernel(nus, float(entry["lam"]), value)
+        spec = power_kernel(nus, float(_required(entry, "lam", what)), value)
     elif kind == "separable":
         signs = entry.get(
             "conservation_signs",
@@ -134,7 +142,7 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
         )
         spec = separable_kernel(
             nus=nus,
-            lam=float(entry["lam"]),
+            lam=float(_required(entry, "lam", what)),
             conservation_sigma=float(entry.get("conservation_sigma", 0.0)),
             conservation_signs=signs,
             value=value,
@@ -144,34 +152,25 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
     return signature, spec
 
 
-def build_tensors(cfg: dict, table: ModeTable) -> list[KernelTensor]:
+def build_bundle(cfg: dict) -> HamiltonianBundle:
+    table = build_mode_table([build_species(e) for e in cfg["species"]])
+    basis = enumerate_basis(table, cfg.get("truncation"))
     tensors = []
     for entry in cfg["kernels"]:
         signature, spec = build_kernel_spec(entry, table.n_species)
         tensors.append(sample_kernel_tensor(table, signature, spec.amplitude))
-    return tensors
-
-
-def build_basis(cfg: dict, table: ModeTable) -> FockBasis:
-    return enumerate_basis(table, cfg.get("truncation"))
-
-
-def build_bundle(cfg: dict) -> HamiltonianBundle:
-    table = build_table(cfg)
-    basis = build_basis(cfg, table)
-    tensors = build_tensors(cfg, table)
     return assemble_total(table, basis, tensors, float(cfg["coupling"]))
 
 
 def _one_mass_grid(grid: dict) -> tuple[int, list[float]]:
-    species = int(grid["species"])
+    species = int(_required(grid, "species", "mass_grid entry"))
     if "values" in grid:
         values = [float(v) for v in grid["values"]]
     else:
         start, stop, count = (
-            float(grid["start"]),
-            float(grid["stop"]),
-            int(grid["count"]),
+            float(_required(grid, "start", "mass_grid entry")),
+            float(_required(grid, "stop", "mass_grid entry")),
+            int(_required(grid, "count", "mass_grid entry")),
         )
         if start <= stop or stop <= 0:
             raise ValueError("mass_grid must decrease toward a positive stop")

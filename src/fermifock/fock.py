@@ -53,12 +53,6 @@ class FockBasis:
         found = self.states[pos_clip] == masks
         return pos_clip, found
 
-    def index(self, mask: int) -> int:
-        pos, found = self.positions(np.array([mask], dtype=np.int64))
-        if not found[0]:
-            raise KeyError(f"state {mask:#x} not in basis")
-        return int(pos[0])
-
 
 def enumerate_basis(
     table: ModeTable,
@@ -67,8 +61,8 @@ def enumerate_basis(
 ) -> FockBasis:
     """Enumerate occupation states, optionally capping particles per species.
 
-    truncation, when given, holds one cap per species; states with more than
-    that many occupied modes in the species' block are dropped.
+    truncation, when given, holds one non-negative cap per species; states
+    with more than that many occupied modes in the species' block are dropped.
     """
     m = table.total_modes
     if 2**m > max_states and truncation is None:
@@ -77,14 +71,12 @@ def enumerate_basis(
     if truncation is not None:
         if len(truncation) != table.n_species:
             raise ValueError("need one truncation cap per species")
+        if any(cap < 0 for cap in truncation):
+            raise ValueError(f"truncation caps must be non-negative, got {list(truncation)}")
         keep = np.ones(states.shape[0], dtype=bool)
         for i, cap in enumerate(truncation):
-            block = table.block(i)
-            block_mask = np.int64(0)
-            for mode in block:
-                block_mask |= np.int64(1) << np.int64(mode)
-            counts = np.bitwise_count(states & block_mask)
-            keep &= counts <= cap
+            block_mask = np.int64(sum(1 << mode for mode in table.block(i)))
+            keep &= np.bitwise_count(states & block_mask) <= cap
         states = states[keep]
     if states.shape[0] > max_states:
         raise ValueError("basis too large; tighten truncation")

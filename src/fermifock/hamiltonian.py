@@ -23,13 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import (
-    FockBasis,
-    annihilation,
-    free_hamiltonian_diagonal,
-    monomial_operator,
-    parity_diagonal,
-)
+from .fock import FockBasis, annihilation, free_hamiltonian_diagonal, monomial_operator
 from .modes import ModeTable
 
 HERMITICITY_TOL = 1e-13
@@ -229,38 +223,6 @@ def assemble_total(
 def _max_abs(op: sp.spmatrix) -> float:
     op = sp.csr_matrix(op)
     return float(np.max(np.abs(op.data))) if op.nnz else 0.0
-
-
-@dataclass(frozen=True)
-class ParityCheckResult:
-    matrix_deviation: float
-    spectrum_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.matrix_deviation < 1e-12 and self.spectrum_deviation < 1e-9
-
-
-def parity_identity_check(bundle: HamiltonianBundle) -> ParityCheckResult:
-    """Verify (-1)^N H (-1)^N = H - 2g H_int for odd-degree interactions.
-
-    Every monomial must have an odd factor count (odd species number);
-    otherwise the identity does not hold and a ValueError is raised. The
-    spectrum deviation compares sorted eigenvalues of the two sides, which
-    also witnesses that the two operators are unitarily equivalent.
-    """
-    for tensor in bundle.tensors:
-        if tensor.signature.n_species % 2 == 0:
-            raise ValueError("parity identity needs an odd number of species")
-    p = parity_diagonal(bundle.basis)
-    h = bundle.h_total.toarray()
-    flipped = p[:, None] * h * p[None, :]
-    target = h - 2.0 * bundle.coupling * bundle.h_int.toarray()
-    matrix_dev = float(np.max(np.abs(flipped - target))) if h.size else 0.0
-    ev_flip = np.linalg.eigvalsh(flipped)
-    ev_target = np.linalg.eigvalsh(target)
-    spec_dev = float(np.max(np.abs(ev_flip - ev_target)))
-    return ParityCheckResult(matrix_deviation=matrix_dev, spectrum_deviation=spec_dev)
 
 
 @dataclass(frozen=True)

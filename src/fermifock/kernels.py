@@ -171,11 +171,9 @@ def species_regularity_basis(
             if norm0 < 1e-300:
                 continue
             vec = cand.copy()
-            for prev in accepted:
-                vec -= np.dot(prev, vec) * prev
-            # second orthogonalization pass keeps the basis clean
-            for prev in accepted:
-                vec -= np.dot(prev, vec) * prev
+            for _ in range(2):  # the second orthogonalization pass keeps the basis clean
+                for prev in accepted:
+                    vec -= np.dot(prev, vec) * prev
             resid = np.linalg.norm(vec)
             if resid <= tol * norm0:
                 continue
@@ -206,6 +204,13 @@ def species_regularity_basis(
     return basis
 
 
+def _apply_on_axes(values: np.ndarray, matrices: dict[int, np.ndarray]) -> np.ndarray:
+    """Apply each matrix to values along its axis (as mat @ v on that axis)."""
+    for axis, mat in matrices.items():
+        values = np.moveaxis(np.tensordot(mat, np.moveaxis(values, axis, 0), axes=(1, 0)), 0, axis)
+    return values
+
+
 def weight_kernel_tensor(
     values: np.ndarray,
     table: ModeTable,
@@ -222,14 +227,11 @@ def weight_kernel_tensor(
     values = np.asarray(values, dtype=np.complex128)
     if axis_species is None:
         axis_species = {a: a for a in range(values.ndim)}
-    out = values
-    for axis, species in axis_species.items():
-        power = float(exponents.get(species, 0.0))
-        if power == 0.0:
-            continue
-        mat = species_regularity_basis(table, species).power_matrix(power)
-        out = np.moveaxis(np.tensordot(mat, np.moveaxis(out, axis, 0), axes=(1, 0)), 0, axis)
-    return out
+    powers = {axis: float(exponents.get(species, 0.0)) for axis, species in axis_species.items()}
+    return _apply_on_axes(values, {
+        axis: species_regularity_basis(table, axis_species[axis]).power_matrix(power)
+        for axis, power in powers.items() if power != 0.0
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +522,7 @@ class SliceProfiles:
 
     def norm_at(self, k: np.ndarray) -> np.ndarray:
         k = np.atleast_2d(np.asarray(k, dtype=float))
-        out = np.ones(k.shape[0])
-        for j in range(3):
-            out = out * np.interp(k[:, j], self.a_grid, self.values)
-        return out
+        return np.prod(np.interp(k, self.a_grid, self.values), axis=1)
 
     def grad_norm_at(self, k: np.ndarray) -> np.ndarray:
         """Euclidean norm over the three coordinate derivatives."""
@@ -575,19 +574,12 @@ def separable_slice_profiles(
             coords[i] = axis.nodes.reshape((-1,) + (1,) * (len(others) - 1 - pos))
         return spec._coordinate_factor(coords)
 
-    base = factor(a_grid)
-    deriv = (factor(a_grid + delta) - factor(a_grid - delta)) / (2.0 * delta)
-    for pos, i in enumerate(others):
-        power = float(exponents.get(i, 0.0))
-        if power == 0.0:
-            continue
-        mat = axis.power_matrix(power)
-        base = np.moveaxis(
-            np.tensordot(mat, np.moveaxis(base, 1 + pos, 0), axes=(1, 0)), 0, 1 + pos
-        )
-        deriv = np.moveaxis(
-            np.tensordot(mat, np.moveaxis(deriv, 1 + pos, 0), axes=(1, 0)), 0, 1 + pos
-        )
+    powers = {1 + pos: float(exponents.get(i, 0.0)) for pos, i in enumerate(others)}
+    weights = {a: axis.power_matrix(power) for a, power in powers.items() if power != 0.0}
+    base = _apply_on_axes(factor(a_grid), weights)
+    deriv = _apply_on_axes(
+        (factor(a_grid + delta) - factor(a_grid - delta)) / (2.0 * delta), weights
+    )
     # quadrature cell weights for the remaining axes (these are L2 norms)
     w_nd = np.ones(())
     for _ in others:
@@ -713,19 +705,17 @@ def infrared_report(
         )
         dir_w = np.repeat(cos_w, phi.shape[0]) * phi_w
 
-        def radial(rho: np.ndarray) -> np.ndarray:
-            out = np.empty(rho.shape[0])
-            for idx, r_val in enumerate(rho):
-                norms = profiles.norm_at(r_val * dirs)
-                out[idx] = float(np.sum(dir_w * norms**r))
-            return out * rho**2 * rho ** (-2.0 * r)
+        def angular_average(norm_at, power: float):
+            """rho -> rho^(2 - power) times the sphere integral of norm_at^r."""
 
-        def radial_grad(rho: np.ndarray) -> np.ndarray:
-            out = np.empty(rho.shape[0])
-            for idx, r_val in enumerate(rho):
-                norms = profiles.grad_norm_at(r_val * dirs)
-                out[idx] = float(np.sum(dir_w * norms**r))
-            return out * rho**2 * rho ** (-r)
+            def integrand(rho: np.ndarray) -> np.ndarray:
+                out = np.array([np.sum(dir_w * norm_at(r_val * dirs) ** r) for r_val in rho])
+                return out * rho**2 * rho ** (-power)
+
+            return integrand
+
+        radial = angular_average(profiles.norm_at, 2.0 * r)
+        radial_grad = angular_average(profiles.grad_norm_at, r)
 
     elif spec.kind == "power":
         prof = RadialProfile(spec.nus[slice_species], spec.lam)

@@ -120,11 +120,12 @@ def ground_state(
     """Lowest eigenpair of a hermitian sparse matrix.
 
     Dense up to dimension dense_cap; above it seeded Lanczos (eigsh), with a
-    dense eigenvalue cross-check when the dimension still allows one.
+    dense eigenvalue cross-check when the dimension still allows one. ARPACK
+    needs k < dim - 1, so dimensions up to 2 are always dense.
     """
     h = sp.csr_matrix(h)
     dim = h.shape[0]
-    if dim <= dense_cap:
+    if dim <= max(dense_cap, 2):
         energy, vec, degeneracy = _dense_ground(h)
         method = "dense"
         cross = None
@@ -164,10 +165,11 @@ def ground_state(
 
 
 def low_spectrum(h: sp.spmatrix, count: int, dense_cap: int = DENSE_CAP_DEFAULT, seed: int = 7) -> np.ndarray:
-    """Lowest `count` eigenvalues, ascending."""
+    """Lowest `count` eigenvalues, ascending; from the blocks when dim is at most
+    dense_cap or too small for ARPACK (it needs count < dim - 1)."""
     h = sp.csr_matrix(h)
     dim = h.shape[0]
-    if dim <= dense_cap:
+    if dim <= dense_cap or count >= dim - 1:
         return _block_eigvalsh(h)[:count]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
@@ -249,9 +251,9 @@ class MassCurve:
     cross_energies: np.ndarray
     overlaps: np.ndarray
     limit_overlap: float
-    vectors: tuple[np.ndarray, ...] = field(repr=False, default=())
-    limit_vector: np.ndarray | None = field(repr=False, default=None)
-    bundles: tuple[HamiltonianBundle, ...] = field(repr=False, default=())
+    vectors: tuple[np.ndarray, ...] = field(repr=False)
+    limit_vector: np.ndarray = field(repr=False)
+    bundles: tuple[HamiltonianBundle, ...] = field(repr=False)
 
     def monotonicity_violation(self) -> float:
         """Largest increase of energy as the mass decreases (should be <= 0)."""
@@ -273,7 +275,6 @@ def mass_sweep(
     masses: Sequence[float],
     dense_cap: int = DENSE_CAP_DEFAULT,
     seed: int = 7,
-    keep_vectors: bool = True,
 ) -> MassCurve:
     """Solve the ground problem along a decreasing mass grid plus the limit.
 
@@ -315,8 +316,8 @@ def mass_sweep(
         cross_energies=cross,
         overlaps=overlaps,
         limit_overlap=limit_overlap,
-        vectors=tuple(r.vector for r in results) if keep_vectors else (),
-        limit_vector=limit_result.vector if keep_vectors else None,
+        vectors=tuple(r.vector for r in results),
+        limit_vector=limit_result.vector,
         bundles=tuple(bundles),
     )
 

@@ -252,7 +252,7 @@ def test_criterion_05_toy_energy_and_mass_curve():
     assert abs(result.energy - (1.0 - sqrt(2.0))) <= TOY_TOL
 
     masses = [1.0, 0.6, 0.3, 0.1, 0.01]
-    curve = mass_sweep(bundle, 0, masses, keep_vectors=False)
+    curve = mass_sweep(bundle, 0, masses)
     for m, energy in zip(curve.masses, curve.energies):
         want = ((1.0 + m) - sqrt((1.0 + m) ** 2 + 4.0)) / 2.0
         assert abs(energy - want) <= CURVE_TOL, m

@@ -245,6 +245,101 @@ def test_cli_rejects_kernel_nus_of_wrong_length(tmp_path, capsys, nus):
     assert "one nus entry per species" in err[0]
 
 
+def _drop(path):
+    """Config mutation: delete the key at path (a tuple of keys and indices)."""
+    def mutate(cfg):
+        *parents, key = path
+        for step in parents:
+            cfg = cfg[step]
+        del cfg[key]
+    return mutate
+
+
+def _gaussian_without_alpha(cfg):
+    cfg["kernels"] = [{"kind": "gaussian", "created": [0, 1]}]
+
+
+def _grid_without_extent(cfg):
+    cfg["species"][0] = {"mass": 1.0, "grid": {"shape": [2, 1, 1]}, "spins": [0.5]}
+
+
+def _infrared_without_slice_species(cfg):
+    cfg["infrared"] = {"r": 1.9}
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (_drop(("species", 0, "mass")), "mass"),
+        (_drop(("species", 1, "points")), "points"),
+        (_drop(("kernels", 0, "kind")), "kind"),
+        (_gaussian_without_alpha, "alpha"),
+        (_grid_without_extent, "extent"),
+        (_drop(("mass_grid", 0, "species")), "species"),
+        (_infrared_without_slice_species, "slice_species"),
+    ],
+    ids=["species.mass", "species.points", "kernel.kind", "gaussian.alpha", "grid.extent",
+         "mass_grid.species", "infrared.slice_species"],
+)
+def test_cli_missing_required_key_exits_2_naming_it(tmp_path, capsys, mutate, key):
+    cfg = toy_config()
+    cfg["mass_grid"] = [{"species": 0, "values": [0.5, 0.2]}]
+    mutate(cfg)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "masslimit", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and f"'{key}'" in err[0]
+
+
+def test_cli_infrared_suite_names_a_missing_mass(tmp_path, capsys):
+    cfg = sweep_config()
+    del cfg["species"][0]["mass"]
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "infrared", "--config", cfg_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'mass'" in err[0]
+
+
+@pytest.mark.parametrize("exempt", [-1, 2, 7])
+def test_exempt_species_out_of_range_is_rejected(tmp_path, capsys, exempt):
+    cfg = toy_config()
+    cfg["exponents"] = {"exempt_species": exempt}
+    with pytest.raises(ValueError, match="exempt_species"):
+        normalize_config(cfg)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "bounds", "--config", cfg_path]
+    assert main(argv) == 2
+    assert "exempt_species" in capsys.readouterr().err
+
+
+def test_cli_groundstate_above_dense_cap_on_a_tiny_problem(tmp_path, capsys):
+    """Dimension 8 with dense cap 4: Lanczos takes the ground state, but ARPACK
+    cannot return the 8-value spectrum, which then comes from the blocks."""
+    cfg = toy_config()
+    cfg["species"][0]["points"] = [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]
+    cfg["species"][0]["weights"] = [1.0, 1.0]
+    cfg["kernels"][0] = {"kind": "gaussian", "alpha": 0.5, "created": [0, 1]}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "4", "--config", cfg_path]
+    assert main(argv) == 0
+    capsys.readouterr()
+    dense = tmp_path / "dense"
+    assert main(["--report-dir", str(dense), "groundstate", "--config", cfg_path]) == 0
+
+    def energies(report_dir):
+        rows = (report_dir / "spectrum.csv").read_text().splitlines()[1:]
+        return [float(row.split(",")[1]) for row in rows]
+
+    assert len(energies(out)) == 8
+    np.testing.assert_allclose(energies(out), energies(dense), atol=1e-12)
+
+
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     """Two five-mode species (dimension 1024): the form bound's spectral edges
     come from ARPACK, and its non-convergence ends the run with one line."""

@@ -57,6 +57,13 @@ def test_truncated_basis_counts():
         assert bin(int(state) & 0b011000).count("1") <= 2
 
 
+@pytest.mark.parametrize("truncation", [(-1, 0), (1, -2)])
+def test_negative_truncation_caps_are_rejected(truncation):
+    table = random_table(1, (1.0, 0.5), (3, 2), (1, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_basis(table, truncation=truncation)
+
+
 def test_creation_matrices_single_species():
     """Two modes: frozen 4x4 matrices fix the sign convention."""
     pts = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]])

@@ -15,7 +15,6 @@ from fermifock.hamiltonian import (
     commutator_with_annihilator,
     enumerate_processes,
     kernel_slice,
-    parity_identity_check,
     sample_kernel_tensor,
 )
 from fermifock.kernels import (
@@ -26,6 +25,7 @@ from fermifock.kernels import (
     separable_kernel,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
+from fermifock.verify import check_parity_identity
 
 ASSEMBLY_TOL = 1e-13
 GROUND_PULL_TOL = 1e-8
@@ -275,16 +275,16 @@ def test_parity_identity_odd_species():
     basis = enumerate_basis(table)
     tensors = [random_tensor(table, ProcessSignature(3, (0, 1), (2,)), 29)]
     bundle = assemble_total(table, basis, tensors, 0.7)
-    res = parity_identity_check(bundle)
-    assert res.matrix_deviation <= 1e-12
-    assert res.spectrum_deviation <= 1e-9
+    res = check_parity_identity(bundle)
+    assert res.details["matrix_deviation"] <= 1e-12
+    assert res.details["spectrum_deviation"] <= 1e-9
     assert res.passed
 
 
 def test_parity_identity_rejects_even_species():
     bundle = toy_bundle()
     with pytest.raises(ValueError, match="odd"):
-        parity_identity_check(bundle)
+        check_parity_identity(bundle)
 
 
 def test_commutator_decomposition_on_toy():

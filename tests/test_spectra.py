@@ -117,6 +117,18 @@ def test_toy_gap_and_spectrum():
     assert spectral_gap(h) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+def test_tiny_problems_above_dense_cap_use_the_blocks():
+    """ARPACK needs k < dim - 1; below that the dense block path answers."""
+    h = toy_bundle().h_total  # dimension 4
+    exact = [1.0 - np.sqrt(2.0), 1.0, 1.0, 1.0 + np.sqrt(2.0)]
+    for count in (3, 4):
+        np.testing.assert_allclose(low_spectrum(h, count, dense_cap=1), exact[:count], atol=1e-12)
+    two = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=np.complex128))
+    result = ground_state(two, dense_cap=1)
+    assert result.method == "dense"
+    assert result.energy == pytest.approx(-np.sqrt(1.25), abs=1e-12)
+
+
 def test_variational_upper_bound():
     h = toy_bundle().h_total
     result = ground_state(h)
@@ -305,13 +317,6 @@ def test_mass_sweep_validates_grid():
         mass_sweep(bundle, 0, [0.1, 0.5])
     with pytest.raises(ValueError, match="positive"):
         mass_sweep(bundle, 0, [0.5, 0.0])
-
-
-def test_mass_sweep_without_vectors():
-    curve = mass_sweep(toy_bundle(), 0, [1.0, 0.5], keep_vectors=False)
-    assert curve.vectors == ()
-    assert curve.limit_vector is None
-    assert len(curve.bundles) == 3  # two masses plus the limit
 
 
 def test_quadratic_gap_fit_recovers_exact_quadratic():

@@ -10,7 +10,7 @@ from test_acceptance import pair_instance, triple_parts
 
 import fermifock.verify
 
-from fermifock.fock import enumerate_basis, monomial_operator
+from fermifock.fock import enumerate_basis, monomial_operator, parity_diagonal
 from fermifock.hamiltonian import (
     KernelTensor,
     ProcessSignature,
@@ -456,6 +456,67 @@ def test_parity_identity_wrapper():
     assert report.details["matrix_deviation"] <= 1e-12
 
 
+def dense_parity_identity_check(bundle):
+    """Oracle: the parity identity on dense dim x dim arrays, with full-space
+    eigvalsh for the spectrum half. Returns (matrix, spectrum) deviations."""
+    p = parity_diagonal(bundle.basis)
+    h = bundle.h_total.toarray()
+    flipped = p[:, None] * h * p[None, :]
+    target = h - 2.0 * bundle.coupling * bundle.h_int.toarray()
+    matrix_dev = float(np.max(np.abs(flipped - target))) if h.size else 0.0
+    ev_flip = np.linalg.eigvalsh(flipped)
+    ev_target = np.linalg.eigvalsh(target)
+    spec_dev = float(np.max(np.abs(ev_flip - ev_target)))
+    return matrix_dev, spec_dev
+
+
+def random_odd_bundle(seed=41):
+    """Three species with 2, 1 and 2 modes and a complex random c01a2 kernel."""
+    rng = np.random.default_rng(seed)
+    species = [
+        SpeciesConfig(
+            mass=rng.uniform(0.5, 1.5),
+            points=rng.uniform(-1.0, 1.0, size=(n, 3)),
+            weights=rng.uniform(0.5, 1.5, size=n),
+            spins=(0.5,),
+        )
+        for n in (2, 1, 2)
+    ]
+    table = build_mode_table(species)
+    vals = rng.normal(size=(2, 1, 2)) + 1j * rng.normal(size=(2, 1, 2))
+    tensor = KernelTensor(signature=ProcessSignature(3, (0, 1), (2,)), values=vals)
+    return assemble_total(table, enumerate_basis(table), [tensor], 0.8)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: assemble_total(*triple_parts()), random_odd_bundle], ids=["triple", "random"]
+)
+def test_parity_identity_matches_dense_oracle(make):
+    bundle = make()
+    report = check_parity_identity(bundle)
+    matrix_dev, spec_dev = dense_parity_identity_check(bundle)
+    assert report.details["matrix_deviation"] == matrix_dev
+    assert report.details["spectrum_deviation"] <= 1e-9
+    assert spec_dev <= 1e-9
+    assert report.passed
+
+
+def test_parity_identity_runs_no_full_space_eigensolve(monkeypatch):
+    bundle = assemble_total(*triple_parts())
+    dim = bundle.basis.dimension
+    assert dim >= 256
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    assert check_parity_identity(bundle).passed
+    assert sizes and max(sizes) < dim
+
+
 # ---------------------------------------------------------------------------
 # number and gradient estimates along mass sweeps
 # ---------------------------------------------------------------------------
@@ -512,22 +573,6 @@ def test_gradient_estimate_needs_chains():
     curve = mass_sweep(assemble_total(table, basis, tensors, 1.0), 0, [1.0, 0.5])
     with pytest.raises(ValueError, match="chains"):
         check_gradient_estimate(curve, target=1)
-
-
-def test_estimates_require_kept_vectors():
-    curve = chain_sweep()
-    stripped = type(curve)(
-        species=curve.species,
-        masses=curve.masses,
-        energies=curve.energies,
-        limit_energy=curve.limit_energy,
-        cross_energies=curve.cross_energies,
-        overlaps=curve.overlaps,
-        limit_overlap=curve.limit_overlap,
-        bundles=curve.bundles,
-    )
-    with pytest.raises(ValueError, match="keep_vectors"):
-        check_number_estimate(stripped, target=1)
 
 
 def test_singular_value_checks_repeat_exactly_above_dense_size():
