@@ -37,7 +37,7 @@ from .kernels import (
     separable_slice_profiles,
 )
 from .modes import SpeciesConfig, build_mode_table
-from .spectra import ground_state, low_spectrum, mass_sweep, observables
+from .spectra import ground_state, mass_sweep, observables
 from . import verify as vf
 
 
@@ -261,13 +261,10 @@ def cmd_groundstate(args) -> int:
     bundle = cfgmod.build_bundle(cfg)
     out = _report_dir(args)
     result = ground_state(
-        bundle.h_total, dense_cap=int(cfg["solver"]["dense_cap"]), seed=seed
+        bundle.h_total, dense_cap=int(cfg["solver"]["dense_cap"]), seed=seed,
+        count=min(bundle.basis.dimension, 8),
     )
-    count = min(bundle.basis.dimension, 8)
-    spectrum = low_spectrum(
-        bundle.h_total, count, dense_cap=int(cfg["solver"]["dense_cap"]), seed=seed
-    )
-    rows = [[i, float(v)] for i, v in enumerate(spectrum)]
+    rows = [[i, float(v)] for i, v in enumerate(result.spectrum)]
     _write_csv(os.path.join(out, "spectrum.csv"), ["index", "energy"], rows)
     obs_rows = []
     payload_obs = []

@@ -60,14 +60,20 @@ def normalize_config(raw: dict) -> dict:
     exps = dict(DEFAULTS["exponents"])
     exps.update(cfg.get("exponents", {}))
     cfg["exponents"] = exps
-    exempt, n_species = int(exps["exempt_species"]), len(cfg["species"])
-    if not 0 <= exempt < n_species:
-        raise ValueError(f"exempt_species {exempt} is outside [0, {n_species})")
+    n_species = len(cfg["species"])
+    _species_index(exps["exempt_species"], "exempt_species", n_species)
     if "infrared" in cfg:
-        _required(cfg["infrared"], "slice_species", "infrared section")
+        slice_species = _required(cfg["infrared"], "slice_species", "infrared section")
+        _species_index(slice_species, "infrared.slice_species", n_species)
+    # log-convexity is claimed only at interior theta
+    thetas = exps["theta_grid"]
+    if any(not 0 < float(t) < 1 for t in thetas):
+        raise ValueError(f"exponents.theta_grid entries must lie in (0, 1), got {thetas}")
     solver = dict(DEFAULTS["solver"])
     solver.update(cfg.get("solver", {}))
     cfg["solver"] = solver
+    if int(solver["trials"]) < 1:
+        raise ValueError(f"solver.trials must be at least 1, got {solver['trials']}")
     cfg.setdefault("truncation", None)
     return cfg
 
@@ -76,6 +82,11 @@ def config_digest(cfg: dict) -> str:
     """Stable digest of the normalized config for manifests."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _species_index(value: Any, key: str, n_species: int) -> None:
+    if not 0 <= int(value) < n_species:
+        raise ValueError(f"{key} {int(value)} is outside [0, {n_species})")
 
 
 def _required(entry: dict, key: str, what: str) -> Any:

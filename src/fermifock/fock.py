@@ -61,7 +61,7 @@ def enumerate_basis(
 ) -> FockBasis:
     """Enumerate occupation states, optionally capping particles per species.
 
-    truncation, when given, holds one non-negative cap per species; states
+    truncation, when given, holds one non-negative integer cap per species; states
     with more than that many occupied modes in the species' block are dropped.
     """
     m = table.total_modes
@@ -71,8 +71,10 @@ def enumerate_basis(
     if truncation is not None:
         if len(truncation) != table.n_species:
             raise ValueError("need one truncation cap per species")
-        if any(cap < 0 for cap in truncation):
-            raise ValueError(f"truncation caps must be non-negative, got {list(truncation)}")
+        if any(not isinstance(cap, (int, np.integer)) or cap < 0 for cap in truncation):
+            raise ValueError(
+                f"truncation caps must be non-negative integers, got {list(truncation)}"
+            )
         keep = np.ones(states.shape[0], dtype=bool)
         for i, cap in enumerate(truncation):
             block_mask = np.int64(sum(1 << mode for mode in table.block(i)))

@@ -1,8 +1,10 @@
-"""Ground states, low spectra, mass sweeps and simple observables.
+"""Ground states with their low spectra, mass sweeps and simple observables.
 
-Dense LAPACK diagonalization is authoritative below a dimension cap; above it
-a seeded Lanczos run takes over and, below a cross-check cap, both are run and
-compared. Every dense solve runs per block of H, one per connected component
+One call, ground_state, answers the ground problem and the low spectrum above
+it. Dense LAPACK diagonalization is authoritative below a dimension cap and on
+problems too small for ARPACK; above it one seeded Lanczos run takes over and,
+below a cross-check cap, the block spectrum is computed too, compared and
+reported. Every dense solve runs per block of H, one per connected component
 of its sparsity pattern (every term changes each species' particle number by
 one, so these are conserved sectors); the blocks' spectra together are exactly
 H's, and the largest block sets the cost. Degenerate ground spaces, counted
@@ -35,11 +37,8 @@ class GroundStateResult:
     residual: float
     method: str
     degeneracy: int
+    spectrum: np.ndarray  # the lowest eigenvalues, ascending
     cross_check_gap: float | None = None
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.shape[0]
 
 
 def _row_sum_bound(h: sp.spmatrix) -> float:
@@ -88,7 +87,7 @@ def _in_ground_space(vals: np.ndarray, energy: float) -> np.ndarray:
     return vals - energy <= DEGENERACY_TOL * max(1.0, abs(energy))
 
 
-def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int]:
+def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]:
     solved = [(s, b, None) if b.ndim == 1 else (s, *np.linalg.eigh(b)) for s, b in _blocks(h)]
     energy = float(min(vals.min() for _, vals, _ in solved))
     degeneracy = 0
@@ -109,45 +108,51 @@ def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int]:
     _, states, projection = min(offers, key=lambda offer: offer[0])
     rep = np.zeros(h.shape[0], dtype=np.complex128)
     rep[states] = projection
-    return energy, _fix_phase(rep), degeneracy
+    spectrum = np.sort(np.concatenate([vals for _, vals, _ in solved]))
+    return energy, _fix_phase(rep), degeneracy, spectrum
 
 
 def ground_state(
     h: sp.spmatrix,
     dense_cap: int = DENSE_CAP_DEFAULT,
     seed: int = 7,
+    count: int = 1,
 ) -> GroundStateResult:
-    """Lowest eigenpair of a hermitian sparse matrix.
+    """Lowest eigenpair of a hermitian sparse matrix and its `count` lowest
+    eigenvalues.
 
-    Dense up to dimension dense_cap; above it seeded Lanczos (eigsh), with a
-    dense eigenvalue cross-check when the dimension still allows one. ARPACK
-    needs k < dim - 1, so dimensions up to 2 are always dense.
+    Dense up to dimension dense_cap, and whenever ARPACK cannot return `count`
+    values (it needs count < dim - 1). Otherwise one seeded Lanczos run (eigsh,
+    k=count) gives the ground pair from its lowest Ritz value, with a dense
+    eigenvalue cross-check when the dimension still allows one. The spectrum
+    comes from the blocks whenever they were solved, else from the Ritz values.
     """
     h = sp.csr_matrix(h)
     dim = h.shape[0]
-    if dim <= max(dense_cap, 2):
-        energy, vec, degeneracy = _dense_ground(h)
+    cross = None
+    if dim <= dense_cap or count >= dim - 1:
+        energy, vec, degeneracy, spectrum = _dense_ground(h)
         method = "dense"
-        cross = None
     else:
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim)
         v0 /= np.linalg.norm(v0)
         # flip the spectrum around a Gershgorin upper bound: the smallest
-        # algebraic eigenvalue becomes the largest-magnitude one, which
-        # Lanczos resolves much more reliably than a raw "SA" run
+        # algebraic eigenvalues become the largest-magnitude ones, which
+        # Lanczos resolves much more reliably than a raw "smallest" run
         shift = 1.0 + _row_sum_bound(h)
         flipped = (sp.identity(dim, dtype=h.dtype, format="csr") * shift) - h
-        vals, vecs = spla.eigsh(flipped, k=1, which="LA", v0=v0, maxiter=10000)
-        energy = float(shift - vals[0])
-        vec = _fix_phase(vecs[:, 0].astype(np.complex128))
+        vals, vecs = spla.eigsh(flipped, k=count, which="LA", v0=v0, maxiter=10000)
+        order = np.argsort(-vals)  # the lowest Ritz values of h first
+        spectrum = shift - vals[order]
+        energy = float(spectrum[0])
+        vec = _fix_phase(vecs[:, order[0]].astype(np.complex128))
         degeneracy = 1
         method = "lanczos"
-        cross = None
         if dim <= 4 * dense_cap:
-            vals = _block_eigvalsh(h)
-            dense_energy = float(vals[0])
-            degeneracy = int(_in_ground_space(vals, dense_energy).sum())
+            spectrum = _block_eigvalsh(h)
+            dense_energy = float(spectrum[0])
+            degeneracy = int(_in_ground_space(spectrum, dense_energy).sum())
             cross = abs(dense_energy - energy)
             if cross > CROSS_CHECK_TOL * max(1.0, abs(energy)):
                 raise AssertionError(
@@ -160,26 +165,9 @@ def ground_state(
         residual=residual,
         method=method,
         degeneracy=degeneracy,
+        spectrum=spectrum[:count],
         cross_check_gap=cross,
     )
-
-
-def low_spectrum(h: sp.spmatrix, count: int, dense_cap: int = DENSE_CAP_DEFAULT, seed: int = 7) -> np.ndarray:
-    """Lowest `count` eigenvalues, ascending; from the blocks when dim is at most
-    dense_cap or too small for ARPACK (it needs count < dim - 1)."""
-    h = sp.csr_matrix(h)
-    dim = h.shape[0]
-    if dim <= dense_cap or count >= dim - 1:
-        return _block_eigvalsh(h)[:count]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    vals = spla.eigsh(h, k=count, which="SA", v0=v0 / np.linalg.norm(v0))[0]
-    return np.sort(vals)
-
-
-def spectral_gap(h: sp.spmatrix, dense_cap: int = DENSE_CAP_DEFAULT, seed: int = 7) -> float:
-    vals = low_spectrum(h, 2, dense_cap=dense_cap, seed=seed)
-    return float(vals[1] - vals[0])
 
 
 @dataclass(frozen=True)
@@ -265,9 +253,6 @@ class MassCurve:
         upper = np.max(self.cross_energies - self.energies)
         return float(max(lower, upper))
 
-    def limit_gap(self) -> float:
-        return float(self.energies[-1] - self.limit_energy)
-
 
 def mass_sweep(
     bundle: HamiltonianBundle,
@@ -321,28 +306,3 @@ def mass_sweep(
         bundles=tuple(bundles),
     )
 
-
-def coupling_gap_curve(
-    bundle: HamiltonianBundle,
-    couplings: Sequence[float],
-    dense_cap: int = DENSE_CAP_DEFAULT,
-    seed: int = 7,
-) -> np.ndarray:
-    """Spectral gap of H_free + g H_int for each g in couplings."""
-    gaps = []
-    for g in couplings:
-        gaps.append(spectral_gap(bundle.with_coupling(g).h_total, dense_cap, seed))
-    return np.asarray(gaps)
-
-
-def quadratic_gap_fit(
-    couplings: np.ndarray, gaps: np.ndarray, gap0: float
-) -> tuple[float, float]:
-    """Fit |gap(g) - gap(0)| = C g^2; returns (C, relative residual)."""
-    couplings = np.asarray(couplings, dtype=float)
-    deltas = np.abs(np.asarray(gaps, dtype=float) - gap0)
-    g2 = couplings**2
-    coeff = float(np.dot(deltas, g2) / np.dot(g2, g2))
-    resid = float(np.linalg.norm(deltas - coeff * g2))
-    scale = float(np.linalg.norm(deltas))
-    return coeff, resid / scale if scale > 0 else 0.0

@@ -318,8 +318,9 @@ def test_exempt_species_out_of_range_is_rejected(tmp_path, capsys, exempt):
 
 
 def test_cli_groundstate_above_dense_cap_on_a_tiny_problem(tmp_path, capsys):
-    """Dimension 8 with dense cap 4: Lanczos takes the ground state, but ARPACK
-    cannot return the 8-value spectrum, which then comes from the blocks."""
+    """Dimension 8 with dense cap 4: ARPACK cannot return the 8-value spectrum
+    (it needs count < dim - 1), so the dense block path answers the whole
+    ground problem, above the cap."""
     cfg = toy_config()
     cfg["species"][0]["points"] = [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]
     cfg["species"][0]["weights"] = [1.0, 1.0]
@@ -329,6 +330,7 @@ def test_cli_groundstate_above_dense_cap_on_a_tiny_problem(tmp_path, capsys):
     argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "4", "--config", cfg_path]
     assert main(argv) == 0
     capsys.readouterr()
+    assert json.loads((out / "groundstate.json").read_text())["method"] == "dense"
     dense = tmp_path / "dense"
     assert main(["--report-dir", str(dense), "groundstate", "--config", cfg_path]) == 0
 
@@ -338,6 +340,80 @@ def test_cli_groundstate_above_dense_cap_on_a_tiny_problem(tmp_path, capsys):
 
     assert len(energies(out)) == 8
     np.testing.assert_allclose(energies(out), energies(dense), atol=1e-12)
+
+
+def test_cli_groundstate_runs_one_eigensolve(tmp_path, monkeypatch):
+    """Dimension 16 with dense cap 8: one Lanczos run gives the ground state
+    and the 8-value spectrum, which is the cross-check's block spectrum."""
+    calls = []
+    eigsh = spla.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(fermifock.spectra.spla, "eigsh", counting_eigsh)
+    cfg_path = write_config(tmp_path, sweep_config())
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "8", "--config", cfg_path]
+    assert main(argv) == 0
+    assert calls == [8]
+    assert json.loads((out / "groundstate.json").read_text())["method"] == "lanczos"
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    want = fermifock.spectra._block_eigvalsh(build_bundle(load_config(cfg_path)).h_total)
+    assert [float(row.split(",")[1]) for row in rows] == list(want[:8])
+
+
+@pytest.mark.parametrize("caps", [[1.5, 1], ["1", 1]], ids=["fractional", "string"])
+def test_cli_rejects_non_integer_truncation_caps(tmp_path, capsys, caps):
+    cfg = toy_config()
+    cfg["truncation"] = caps
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "groundstate", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "truncation caps" in err[0]
+
+
+@pytest.mark.parametrize("slice_species", [-1, 2, 9])
+def test_infrared_slice_species_out_of_range_is_rejected(tmp_path, capsys, slice_species):
+    cfg = sweep_config()
+    cfg["infrared"]["slice_species"] = slice_species
+    with pytest.raises(ValueError, match="slice_species"):
+        normalize_config(cfg)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "infrared", "--config", cfg_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and "infrared.slice_species" in err[0]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("exponents", "theta_grid", [0.5, 1.5]),
+        ("exponents", "theta_grid", [0.0, 0.5]),
+        ("exponents", "theta_grid", [1.0]),
+        ("solver", "trials", 0),
+        ("solver", "trials", -3),
+    ],
+    ids=["theta-1.5", "theta-0", "theta-1", "trials-0", "trials-negative"],
+)
+def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key, value):
+    cfg = sweep_config()
+    cfg[section] = {key: value}
+    with pytest.raises(ValueError, match=f"{section}.{key}"):
+        normalize_config(cfg)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "all", "--config", cfg_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and f"{section}.{key}" in err[0]
 
 
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
-"""Every package module uses every name it imports.
+"""Every package module uses every name it imports, and every private
+top-level function is referenced somewhere in the package.
 
 No linter runs on this tree, and folding or deleting code tends to leave
-imports behind; this walks each module's syntax tree instead.
+imports and helpers behind; this walks each module's syntax tree instead.
 """
 
 import ast
@@ -11,9 +12,8 @@ import pytest
 
 import fermifock
 
-MODULES = sorted(
-    path for path in Path(fermifock.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(fermifock.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -32,3 +32,27 @@ def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported_names(tree) - used == set()
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read as `name` or `module.name`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_private_functions_are_referenced(path):
+    private = {
+        node.name
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = set().union(*(referenced_names(ast.parse(p.read_text())) for p in PACKAGE))
+    assert private - used == set()

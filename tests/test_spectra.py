@@ -9,16 +9,7 @@ from fermifock import spectra
 from fermifock.fock import enumerate_basis
 from fermifock.hamiltonian import KernelTensor, ProcessSignature, assemble_total
 from fermifock.modes import SpeciesConfig, build_mode_table
-from fermifock.spectra import (
-    DEGENERACY_TOL,
-    coupling_gap_curve,
-    ground_state,
-    low_spectrum,
-    mass_sweep,
-    observables,
-    quadratic_gap_fit,
-    spectral_gap,
-)
+from fermifock.spectra import DEGENERACY_TOL, ground_state, mass_sweep, observables
 
 TOY_ENERGY_TOL = 1e-10
 CURVE_TOL = 1e-9
@@ -109,12 +100,13 @@ def test_free_ground_state_is_vacuum():
 
 def test_toy_gap_and_spectrum():
     h = toy_bundle().h_total
+    spectrum = ground_state(h, count=4).spectrum
     np.testing.assert_allclose(
-        low_spectrum(h, 4),
+        spectrum,
         [1.0 - np.sqrt(2.0), 1.0, 1.0, 1.0 + np.sqrt(2.0)],
         atol=1e-12,
     )
-    assert spectral_gap(h) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert spectrum[1] - spectrum[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_tiny_problems_above_dense_cap_use_the_blocks():
@@ -122,7 +114,8 @@ def test_tiny_problems_above_dense_cap_use_the_blocks():
     h = toy_bundle().h_total  # dimension 4
     exact = [1.0 - np.sqrt(2.0), 1.0, 1.0, 1.0 + np.sqrt(2.0)]
     for count in (3, 4):
-        np.testing.assert_allclose(low_spectrum(h, count, dense_cap=1), exact[:count], atol=1e-12)
+        spectrum = ground_state(h, dense_cap=1, count=count).spectrum
+        np.testing.assert_allclose(spectrum, exact[:count], atol=1e-12)
     two = sp.csr_matrix(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=np.complex128))
     result = ground_state(two, dense_cap=1)
     assert result.method == "dense"
@@ -171,6 +164,33 @@ def test_lanczos_path_reports_degeneracy_across_blocks():
     assert lanczos.degeneracy == 2
     assert dense.degeneracy == 2
     assert abs(lanczos.energy - dense.energy) <= CROSS_METHOD_TOL
+
+
+def test_dense_path_spectrum_is_the_block_spectrum():
+    h = sp.csr_matrix(assemble_total(*triple_parts()).h_total)
+    result = ground_state(h, count=8)
+    assert result.method == "dense"
+    want = spectra._block_eigvalsh(h)[:8]
+    np.testing.assert_allclose(result.spectrum, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    assert result.energy == result.spectrum[0]
+
+
+def test_lanczos_path_reports_the_cross_checked_block_spectrum():
+    h = random_sparse_hermitian(200, seed=53)
+    result = ground_state(h, dense_cap=60, seed=3, count=6)
+    assert result.method == "lanczos" and result.cross_check_gap is not None
+    np.testing.assert_array_equal(result.spectrum, spectra._block_eigvalsh(h)[:6])
+
+
+def test_lanczos_path_above_the_cross_check_reports_ritz_values():
+    rng = np.random.default_rng(54)
+    blocks = [random_hermitian(20, rng) + shift * np.eye(20) for shift in (0.0, 0.5, 1.5)]
+    h = permuted_block_diagonal(blocks, rng)
+    result = ground_state(h, dense_cap=10, count=5)
+    assert result.method == "lanczos" and result.cross_check_gap is None
+    want = spectra._block_eigvalsh(h)[:5]
+    np.testing.assert_allclose(result.spectrum, want, rtol=1e-10)
+    assert result.energy == result.spectrum[0]
 
 
 def imaginary_coupling_matrix():
@@ -246,7 +266,7 @@ def ground_space_across_blocks(seed):
 def test_blockwise_dense_ground_matches_full_matrix(build, expected_degeneracy):
     h = sp.csr_matrix(build())
     want_energy, want_vector, want_degeneracy = full_dense_ground(h.toarray())
-    energy, vector, degeneracy = spectra._dense_ground(h)
+    energy, vector, degeneracy, _ = spectra._dense_ground(h)
     assert abs(energy - want_energy) <= 1e-12
     assert degeneracy == want_degeneracy == expected_degeneracy
     np.testing.assert_allclose(vector, want_vector, rtol=0, atol=1e-12)
@@ -274,7 +294,7 @@ def test_toy_mass_curve_matches_analytic():
     assert curve.sandwich_violation() <= CURVE_TOL
     assert np.all(curve.overlaps >= 0.99)
     assert curve.limit_overlap >= 0.99
-    assert curve.limit_gap() >= -CURVE_TOL
+    assert curve.energies[-1] - curve.limit_energy >= -CURVE_TOL
     # every point, the limit included, shares the one assembled interaction
     first = curve.bundles[0]
     assert len(curve.bundles) == len(masses) + 1
@@ -319,20 +339,12 @@ def test_mass_sweep_validates_grid():
         mass_sweep(bundle, 0, [0.5, 0.0])
 
 
-def test_quadratic_gap_fit_recovers_exact_quadratic():
-    gs = np.linspace(0.01, 0.1, 10)
-    gap0 = 0.8
-    gaps = gap0 + 1.7 * gs**2
-    coeff, resid = quadratic_gap_fit(gs, gaps, gap0)
-    assert coeff == pytest.approx(1.7, rel=1e-12)
-    assert resid <= 1e-12
-
-
 def test_toy_coupling_gap_curve():
     bundle = toy_bundle()
     gs = np.array([0.05, 0.1])
-    gaps = coupling_gap_curve(bundle, gs)
     # gap(g) = (sqrt(4g^2+4) - ... ) on the toy: E1 - E0 = sqrt(g^2+1) - 1 + ...
-    for g, gap in zip(gs, gaps):
+    for g in gs:
+        spectrum = ground_state(bundle.with_coupling(g).h_total, count=2).spectrum
+        gap = spectrum[1] - spectrum[0]
         want = 1.0 - (2.0 - np.sqrt(4.0 * g * g + 4.0)) / 2.0
         assert gap == pytest.approx(want, abs=1e-12)
