@@ -20,7 +20,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from . import config as cfgmod
 from .fock import enumerate_basis, save_triplets
@@ -37,7 +36,7 @@ from .kernels import (
     separable_slice_profiles,
 )
 from .modes import SpeciesConfig, build_mode_table
-from .spectra import ground_state, mass_sweep, observables
+from .spectra import ArpackNoConvergence, ground_state, mass_sweep, observables
 from . import verify as vf
 
 

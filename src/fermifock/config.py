@@ -61,7 +61,7 @@ def normalize_config(raw: dict) -> dict:
     exps.update(cfg.get("exponents", {}))
     cfg["exponents"] = exps
     n_species = len(cfg["species"])
-    _species_index(exps["exempt_species"], "exempt_species", n_species)
+    _species_index(exps["exempt_species"], "exponents.exempt_species", n_species)
     if "infrared" in cfg:
         slice_species = _required(cfg["infrared"], "slice_species", "infrared section")
         _species_index(slice_species, "infrared.slice_species", n_species)
@@ -84,9 +84,12 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _species_index(value: Any, key: str, n_species: int) -> None:
-    if not 0 <= int(value) < n_species:
-        raise ValueError(f"{key} {int(value)} is outside [0, {n_species})")
+def _species_index(value: Any, key: str, n_species: int) -> int:
+    # bool is an int subclass, but `true` is no species index
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and 0 <= value < n_species):
+        raise ValueError(f"{key} must be an integer in [0, {n_species}), got {value!r}")
+    return int(value)
 
 
 def _required(entry: dict, key: str, what: str) -> Any:
@@ -173,8 +176,10 @@ def build_bundle(cfg: dict) -> HamiltonianBundle:
     return assemble_total(table, basis, tensors, float(cfg["coupling"]))
 
 
-def _one_mass_grid(grid: dict) -> tuple[int, list[float]]:
-    species = int(_required(grid, "species", "mass_grid entry"))
+def _one_mass_grid(grid: dict, n_species: int) -> tuple[int, list[float]]:
+    species = _species_index(
+        _required(grid, "species", "mass_grid entry"), "mass_grid.species", n_species
+    )
     if "values" in grid:
         values = [float(v) for v in grid["values"]]
     else:
@@ -198,7 +203,7 @@ def mass_grid_entries(cfg: dict) -> list[tuple[int, list[float]]]:
     if grid is None:
         raise ValueError("config has no mass_grid section")
     entries = grid if isinstance(grid, list) else [grid]
-    pairs = [_one_mass_grid(g) for g in entries]
+    pairs = [_one_mass_grid(g, len(cfg["species"])) for g in entries]
     if len({s for s, _ in pairs}) != len(pairs):
         raise ValueError("mass_grid targets a species twice")
     return pairs

@@ -16,7 +16,7 @@ that weighted continuum integrals become plain tensor sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -182,9 +182,6 @@ class HamiltonianBundle:
         object.__setattr__(
             self, "h_total", (sp.diags(free_diag) + coupling * self.h_int).tocsr()
         )
-
-    def with_coupling(self, coupling: float) -> "HamiltonianBundle":
-        return replace(self, coupling=coupling)
 
 
 def assemble_total(

@@ -28,6 +28,8 @@ from .hamiltonian import HamiltonianBundle
 DENSE_CAP_DEFAULT = 2048
 CROSS_CHECK_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
+# what an unconverged Lanczos run raises; callers refuse the result on it
+ArpackNoConvergence = spla.ArpackNoConvergence
 
 
 @dataclass(frozen=True)

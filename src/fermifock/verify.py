@@ -4,7 +4,10 @@ Every checker returns a BoundReport: the checked inequality's worst ratio over
 random plus structured trial vectors (and, where the maximizer is computable,
 the exact supremum via an eigen- or singular-value problem), the tolerance it
 is held to, and enough detail to reproduce the numbers. Checkers never weaken
-an inequality to make it pass; constants are the ones the estimates prescribe.
+an inequality to make it pass; constants are the ones the estimates prescribe
+and tolerances are fixed. Exact suprema other than the interpolation constants
+come from spectra.ground_state: spectral edges are the ground states of op and
+-op, a top singular value is the root of the top eigenvalue of op* op.
 
 Conventions, fixed across the package:
 * form-type estimates (quadratic forms) are checked on the hermitized process
@@ -22,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fock import (
     annihilation,
@@ -49,11 +51,14 @@ from .kernels import (
     weighted_kernel_norm,
 )
 from .modes import ModeTable, weighted_norm
-from .spectra import MassCurve, _block_eigvalsh
+from .spectra import MassCurve, _block_eigvalsh, ground_state
 
 RATIO_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 LOG_CONVEXITY_TOL = 1e-6
+UNIFORMITY_FACTOR = 4.0  # largest spread max/min of a sweep's per-mass best constants
+COARSE_RATIO = 0.5  # relative single- vs double-spacing gradient gap that flags a chain
+RELATIVE_MUS = (0.5, 0.25, 0.1, 0.05)  # decreasing mu grid of the relative bound
 _TINY = 1e-300
 
 
@@ -100,38 +105,24 @@ def _with_structured(trials: np.ndarray, extras: list[np.ndarray]) -> np.ndarray
 
 def _form_values(op: sp.spmatrix, vectors: np.ndarray) -> np.ndarray:
     """|<v, op v>| for each row v."""
-    applied = op @ vectors.conj().T
-    return np.abs(np.einsum("id,di->i", vectors, applied))
+    return np.abs(np.einsum("id,di->i", vectors.conj(), op @ vectors.T))
 
 
-def _spectral_edges(op: sp.spmatrix, dim: int) -> tuple[float, list[np.ndarray]]:
+def _spectral_edges(op: sp.spmatrix) -> tuple[float, list[np.ndarray]]:
     """Exact supremum of |<v, op v>| over unit v for a hermitian sparse
     operator, with the eigenvectors at both spectral edges that attain it.
 
-    Above dimension 600 ARPACK finds them; its ArpackNoConvergence propagates,
-    since a missing edge would leave the exact supremum unproven.
+    The edges are the ground problems of op and -op, solved by ground_state;
+    its ArpackNoConvergence or cross-check failure propagates, since a missing
+    edge would leave the exact supremum unproven.
     """
-    if dim <= 600:
-        vals, vecs = np.linalg.eigh(op.toarray())
-        edges = [vecs[:, 0], vecs[:, -1]]
-    else:
-        v0 = np.ones(dim) / math.sqrt(dim)
-        edges = [
-            spla.eigsh(op, k=1, which=which, v0=v0, maxiter=2000)[1][:, 0]
-            for which in ("SA", "LA")
-        ]
-    sup = max(float(_form_values(op, (v / np.linalg.norm(v))[None, :])[0]) for v in edges)
-    return sup, edges
+    low, high = ground_state(op), ground_state(-op)
+    return max(abs(low.energy), abs(high.energy)), [low.vector, high.vector]
 
 
 def _top_singular_value(op: sp.spmatrix) -> float:
-    """Largest singular value: dense up to dimension 600, above it svds
-    started from a fixed vector so that reruns give the same digits."""
-    dim = min(op.shape)
-    if dim <= 600:
-        return float(np.linalg.norm(op.toarray(), 2))
-    v0 = np.ones(dim) / math.sqrt(dim)
-    return float(spla.svds(op, k=1, v0=v0, return_singular_vectors=False)[0])
+    """Largest singular value: the root of the top eigenvalue of op* op."""
+    return math.sqrt(-ground_state(-(op.conj().T @ op)).energy)
 
 
 def _hermitized(bundle: HamiltonianBundle, term_index: int) -> sp.csr_matrix:
@@ -150,7 +141,6 @@ def check_form_bound(
     exempt: int = 0,
     trials: int = 1000,
     seed: int = 11,
-    tol: float = RATIO_TOL,
 ) -> BoundReport:
     """Quadratic-form estimate with constant 1.
 
@@ -170,7 +160,7 @@ def check_form_bound(
 
     dim = bundle.basis.dimension
     scaled = sp.diags(1.0 / d) @ op @ sp.diags(1.0 / d)
-    exact, extremes = _spectral_edges(scaled.tocsr(), dim)
+    exact, extremes = _spectral_edges(scaled)
     structured = [sp.diags(1.0 / d) @ v for v in extremes]
 
     rng = np.random.default_rng(seed)
@@ -180,12 +170,12 @@ def check_form_bound(
     ratios = lhs / np.maximum(rhs, _TINY)
     max_ratio = float(np.max(ratios))
     exact_ratio = exact / kernel_norm if kernel_norm > 0 else 0.0
-    passed = max_ratio <= 1.0 + tol and exact_ratio <= 1.0 + tol
+    passed = max_ratio <= 1.0 + RATIO_TOL and exact_ratio <= 1.0 + RATIO_TOL
     return BoundReport(
         name="form_bound",
         passed=passed,
         max_ratio=max(max_ratio, exact_ratio),
-        tolerance=1.0 + tol,
+        tolerance=1.0 + RATIO_TOL,
         trials=vectors.shape[0],
         params={
             "term": tensor.signature.label(),
@@ -215,7 +205,6 @@ def check_refined_form_bound(
     exempt: int = 0,
     trials: int = 1000,
     seed: int = 13,
-    tol: float = RATIO_TOL,
 ) -> BoundReport:
     """Two-sided refinement with independent trial vectors.
 
@@ -256,8 +245,8 @@ def check_refined_form_bound(
     single_degenerate_ok = bool(np.all(single_lhs[~good] <= IDENTITY_TOL))
 
     passed = (
-        max_ratio <= 1.0 + tol
-        and single_max <= 1.0 + tol
+        max_ratio <= 1.0 + RATIO_TOL
+        and single_max <= 1.0 + RATIO_TOL
         and degenerate_ok
         and single_degenerate_ok
     )
@@ -265,7 +254,7 @@ def check_refined_form_bound(
         name="refined_form_bound",
         passed=passed,
         max_ratio=max(max_ratio, single_max),
-        tolerance=1.0 + tol,
+        tolerance=1.0 + RATIO_TOL,
         trials=trials,
         params={"term": sig.label(), "exempt": exempt, "kernel_norm": kernel_norm},
         details={
@@ -283,7 +272,6 @@ def check_hermite_bound(
     smoothness: float = 0.75,
     trials: int = 1000,
     seed: int = 17,
-    tol: float = RATIO_TOL,
 ) -> BoundReport:
     """Smoothing estimate: |<phi, (T + T*) phi>| <= C_s ||S_s G|| ||phi||^2.
 
@@ -304,7 +292,7 @@ def check_hermite_bound(
     rhs_scale = c_ref * weighted
 
     dim = bundle.basis.dimension
-    exact, extremes = _spectral_edges(op, dim)
+    exact, extremes = _spectral_edges(op)
     rng = np.random.default_rng(seed)
     vectors = _with_structured(_unit_rows(dim, trials, rng), extremes)
     lhs = _form_values(op, vectors)
@@ -312,16 +300,16 @@ def check_hermite_bound(
     exact_ratio = exact / max(rhs_scale, _TINY)
     disc_ratio = exact / max(c_disc * weighted, _TINY)
     passed = (
-        max_ratio <= 1.0 + tol
-        and exact_ratio <= 1.0 + tol
-        and disc_ratio <= 1.0 + tol
+        max_ratio <= 1.0 + RATIO_TOL
+        and exact_ratio <= 1.0 + RATIO_TOL
+        and disc_ratio <= 1.0 + RATIO_TOL
         and c_disc <= c_ref * (1.0 + 1e-12)
     )
     return BoundReport(
         name="hermite_bound",
         passed=passed,
         max_ratio=max(max_ratio, exact_ratio),
-        tolerance=1.0 + tol,
+        tolerance=1.0 + RATIO_TOL,
         trials=vectors.shape[0],
         params={
             "term": tensor.signature.label(),
@@ -344,7 +332,6 @@ def check_operator_bound(
     exempt: int = 0,
     trials: int = 1000,
     seed: int = 19,
-    tol: float = RATIO_TOL,
 ) -> BoundReport:
     """Vector estimate for a single process term.
 
@@ -368,12 +355,12 @@ def check_operator_bound(
     rhs = kernel_norm * np.linalg.norm(d[None, :] * vectors, axis=1)
     max_ratio = float(np.max(lhs / np.maximum(rhs, _TINY)))
     exact_ratio = exact / max(kernel_norm, _TINY)
-    passed = max_ratio <= 1.0 + tol and exact_ratio <= 1.0 + tol
+    passed = max_ratio <= 1.0 + RATIO_TOL and exact_ratio <= 1.0 + RATIO_TOL
     return BoundReport(
         name="operator_bound",
         passed=passed,
         max_ratio=max(max_ratio, exact_ratio),
-        tolerance=1.0 + tol,
+        tolerance=1.0 + RATIO_TOL,
         trials=trials,
         params={"term": tensor.signature.label(), "exempt": exempt, "kernel_norm": kernel_norm},
         details={"exact_sup_ratio": exact_ratio},
@@ -393,7 +380,6 @@ def check_interpolation(
     thetas: Sequence[float] = (0.25, 0.5, 0.75),
     trials: int = 200,
     seed: int = 23,
-    tol: float = LOG_CONVEXITY_TOL,
 ) -> BoundReport:
     """Log-convexity of the best constant across the weight blend.
 
@@ -471,12 +457,12 @@ def check_interpolation(
             "log_excess": gap,
         }
         worst = max(worst, gap)
-    passed = worst <= tol and trial_ok
+    passed = worst <= LOG_CONVEXITY_TOL and trial_ok
     return BoundReport(
         name="interpolation",
         passed=passed,
         max_ratio=worst,
-        tolerance=tol,
+        tolerance=LOG_CONVEXITY_TOL,
         trials=trials * len(theta_grid),
         params={
             "term": sig.label(),
@@ -499,7 +485,6 @@ def check_interpolation(
 def check_relative_bound_zero(
     bundle: HamiltonianBundle,
     margin: float = 0.05,
-    mus: Sequence[float] = (0.5, 0.25, 0.1, 0.05),
     trials: int = 300,
     seed: int = 29,
 ) -> BoundReport:
@@ -518,9 +503,8 @@ def check_relative_bound_zero(
     h_int = bundle.h_int.tocsc()
     col_norms = np.sqrt(np.asarray(h_int.multiply(h_int.conj()).sum(axis=0)).real).ravel()
     free = bundle.free_diag
-    mus = sorted((float(m) for m in mus), reverse=True)
     c_grid = []
-    for mu in mus:
+    for mu in RELATIVE_MUS:
         c_grid.append(float(np.max(np.maximum(col_norms - mu * np.abs(free), 0.0))))
     monotone = bool(np.all(np.diff(c_grid) >= -1e-12))
 
@@ -533,7 +517,7 @@ def check_relative_bound_zero(
     scalar_ok = True
     worst = 0.0
     scalar_constants = {}
-    for mu in mus:
+    for mu in RELATIVE_MUS:
         c_scalar = float(np.max(np.maximum((free + 1.0) ** (1.0 - margin) - mu * free, 0.0)))
         scalar_constants[mu] = c_scalar
         rhs = mu * free_norms + c_scalar
@@ -547,10 +531,10 @@ def check_relative_bound_zero(
         passed=passed,
         max_ratio=worst,
         tolerance=1.0 + RATIO_TOL,
-        trials=vectors.shape[0] * len(mus),
-        params={"margin": margin, "mus": list(mus)},
+        trials=vectors.shape[0] * len(RELATIVE_MUS),
+        params={"margin": margin, "mus": list(RELATIVE_MUS)},
         details={
-            "interaction_constants": dict(zip((str(m) for m in mus), c_grid)),
+            "interaction_constants": dict(zip((str(m) for m in RELATIVE_MUS), c_grid)),
             "scalar_constants": {str(k): v for k, v in scalar_constants.items()},
             "constants_monotone": monotone,
         },
@@ -562,7 +546,7 @@ def check_relative_bound_zero(
 # ---------------------------------------------------------------------------
 
 
-def check_car_relations(bundle: HamiltonianBundle, tol: float = IDENTITY_TOL) -> BoundReport:
+def check_car_relations(bundle: HamiltonianBundle) -> BoundReport:
     """Anticommutators on the full mode set: {b_i, b*_j} = delta, others vanish."""
     table, basis = bundle.table, bundle.basis
     dim = basis.dimension
@@ -587,15 +571,15 @@ def check_car_relations(bundle: HamiltonianBundle, tol: float = IDENTITY_TOL) ->
             worst = max(worst, _max_abs(dev))
     return BoundReport(
         name="car_relations",
-        passed=worst <= tol,
+        passed=worst <= IDENTITY_TOL,
         max_ratio=worst,
-        tolerance=tol,
+        tolerance=IDENTITY_TOL,
         params={"modes": table.total_modes, "truncated": truncated},
     )
 
 
 def check_smeared_norms(
-    bundle: HamiltonianBundle, trials: int = 5, seed: int = 31, tol: float = 1e-9
+    bundle: HamiltonianBundle, trials: int = 5, seed: int = 31
 ) -> BoundReport:
     """||b#(f)|| equals the weighted l2 norm of f, for random f per species."""
     table, basis = bundle.table, bundle.basis
@@ -611,27 +595,24 @@ def check_smeared_norms(
             worst = max(worst, abs(got - target) / max(target, _TINY))
     return BoundReport(
         name="smeared_norms",
-        passed=worst <= tol,
+        passed=worst <= IDENTITY_TOL,
         max_ratio=worst,
-        tolerance=tol,
+        tolerance=IDENTITY_TOL,
         trials=trials * table.n_species,
     )
 
 
-def check_pull_through(
-    bundle: HamiltonianBundle, modes: Sequence[int] | None = None, tol: float = IDENTITY_TOL
-) -> BoundReport:
+def check_pull_through(bundle: HamiltonianBundle) -> BoundReport:
     """Commutator decomposition against the direct commutator, all structure on.
 
-    For each probed mode: [b_m, g H_int] from the structured decomposition
+    For the first mode of each species: [b_m, g H_int] from the structured decomposition
     (kernel slices plus parity tail) must match b_m H - H b_m - omega_m b_m,
     and for an eigenvector Phi of H with eigenvalue E,
     (H - E + omega_m) b_m Phi + [b_m, g H_int] Phi = 0 follows; the first is
     checked as operators, which implies the second.
     """
     table, basis = bundle.table, bundle.basis
-    if modes is None:
-        modes = [table.block(i)[0] for i in range(table.n_species)]
+    modes = [table.block(i)[0] for i in range(table.n_species)]
     h = bundle.h_total
     worst = 0.0
     for m in modes:
@@ -643,9 +624,9 @@ def check_pull_through(
         worst = max(worst, _max_abs(direct - parts.total))
     return BoundReport(
         name="pull_through",
-        passed=worst <= tol,
+        passed=worst <= IDENTITY_TOL,
         max_ratio=worst,
-        tolerance=tol,
+        tolerance=IDENTITY_TOL,
         params={"modes": list(int(m) for m in modes)},
     )
 
@@ -674,10 +655,10 @@ def check_parity_identity(bundle: HamiltonianBundle) -> BoundReport:
     )
 
 
-def check_hermiticity(bundle: HamiltonianBundle, tol: float = IDENTITY_TOL) -> BoundReport:
+def check_hermiticity(bundle: HamiltonianBundle) -> BoundReport:
     dev = _max_abs(bundle.h_total - bundle.h_total.conj().T)
     return BoundReport(
-        name="hermiticity", passed=dev <= tol, max_ratio=dev, tolerance=tol
+        name="hermiticity", passed=dev <= IDENTITY_TOL, max_ratio=dev, tolerance=IDENTITY_TOL
     )
 
 
@@ -746,12 +727,11 @@ def _uniformity_report(
     name: str,
     vanishing: str,
     sup_constants: list[float],
-    uniformity_factor: float,
     params: dict,
     details: dict,
     ok: bool = True,
 ) -> BoundReport:
-    """Spread max/min of the per-mass best constants against the factor; a
+    """Spread max/min of the per-mass best constants against UNIFORMITY_FACTOR; a
     pass with a note when all of them vanish (zero left sides at this coupling)."""
     top = float(np.max(sup_constants))
     if top < 1e-12:
@@ -759,15 +739,15 @@ def _uniformity_report(
             name=name,
             passed=True,
             max_ratio=0.0,
-            tolerance=uniformity_factor,
+            tolerance=UNIFORMITY_FACTOR,
             params={"target": params["target"], "note": f"{vanishing} vanish at this coupling"},
         )
     spread = top / max(float(np.min(sup_constants)), _TINY)
     return BoundReport(
         name=name,
-        passed=spread <= uniformity_factor and ok,
+        passed=spread <= UNIFORMITY_FACTOR and ok,
         max_ratio=spread,
-        tolerance=uniformity_factor,
+        tolerance=UNIFORMITY_FACTOR,
         params=params,
         details={"per_mass_constants": [float(c) for c in sup_constants], **details},
     )
@@ -778,7 +758,6 @@ def check_number_estimate(
     target: int,
     exempt: int = 0,
     margin: float = 0.05,
-    uniformity_factor: float = 4.0,
 ) -> BoundReport:
     """Mode-amplitude estimate, uniform across the mass grid.
 
@@ -813,7 +792,6 @@ def check_number_estimate(
         "number_estimate",
         "amplitudes",
         sup_constants,
-        uniformity_factor,
         params={"target": target, "exempt": exempt, "margin": margin},
         details={"masses": [float(m) for m in curve.masses] + [0.0]},
     )
@@ -829,8 +807,6 @@ def check_gradient_estimate(
     target: int,
     exempt: int = 0,
     margin: float = 0.05,
-    uniformity_factor: float = 4.0,
-    coarse_ratio: float = 0.5,
 ) -> BoundReport:
     """Finite-difference gradient estimate along the target species' chains.
 
@@ -872,7 +848,7 @@ def check_gradient_estimate(
                             psi[locals_[pos + 2]] - psi[locals_[pos - 2]]
                         ) / (4.0 * spacing)
                         denom = max(grad, _TINY)
-                        coarse_flags.append(abs(grad - wide) / denom > coarse_ratio)
+                        coarse_flags.append(abs(grad - wide) / denom > COARSE_RATIO)
                     slice_total = _slice_norm_sum(table, target, slices[mid], exponents)
                     dslices = [
                         (v_hi - v_lo) / (2.0 * spacing)
@@ -889,7 +865,6 @@ def check_gradient_estimate(
         "gradient_estimate",
         "gradients",
         sup_constants,
-        uniformity_factor,
         params={"target": target, "exempt": exempt, "margin": margin},
         details={"coarse_spacing_flagged": coarse},
         ok=not coarse,

@@ -8,6 +8,7 @@ the two timed criteria assert their own budgets.
 
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -169,12 +170,13 @@ def test_criterion_01_exact_identity_suite():
         assert bundle.basis.dimension <= 4096
         assert bundle.h_int.nnz > 0, bundle.table.n_species
         for report in (
-            vf.check_car_relations(bundle, tol=IDENTITY_TOL),
-            vf.check_smeared_norms(bundle, tol=IDENTITY_TOL),
-            vf.check_pull_through(bundle, tol=IDENTITY_TOL),
-            vf.check_hermiticity(bundle, tol=IDENTITY_TOL),
+            vf.check_car_relations(bundle),
+            vf.check_smeared_norms(bundle),
+            vf.check_pull_through(bundle),
+            vf.check_hermiticity(bundle),
         ):
             assert report.passed, (report.name, bundle.basis.dimension, report.max_ratio)
+            assert report.tolerance == IDENTITY_TOL, report.name
     odd = next(b for b in bundles if b.table.n_species == 3)
     parity = vf.check_parity_identity(odd)
     assert parity.passed
@@ -296,7 +298,7 @@ def test_criterion_09_weak_coupling_gap_is_quadratic():
     assert not any(s.is_massless for s in bundle.table.species)
 
     def gap(g):
-        spectrum = ground_state(bundle.with_coupling(g).h_total, count=2).spectrum
+        spectrum = ground_state(replace(bundle, coupling=g).h_total, count=2).spectrum
         return spectrum[1] - spectrum[0]
 
     gap0 = gap(0.0)

@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 
 import fermifock.hamiltonian
 import fermifock.spectra
-import fermifock.verify
 
 from fermifock.cli import main
 from fermifock.config import (
@@ -147,15 +146,20 @@ def test_kernel_spec_kinds_and_default_annihilated():
         build_kernel_spec({"kind": "cubic"}, 2)
 
 
+def grid_config(grid):
+    """A mass_grid section on the two toy species, the range its indices are held to."""
+    return {"species": toy_config()["species"], "mass_grid": grid}
+
+
 def test_mass_grid_entries_single_and_multi():
-    cfg = {"mass_grid": {"species": 0, "values": [1.0, 0.5]}}
+    cfg = grid_config({"species": 0, "values": [1.0, 0.5]})
     assert mass_grid_entries(cfg) == [(0, [1.0, 0.5])]
-    cfg = {
-        "mass_grid": [
+    cfg = grid_config(
+        [
             {"species": 1, "values": [0.5, 0.2]},
             {"species": 0, "start": 1.0, "stop": 0.001, "count": 6},
         ]
-    }
+    )
     pairs = mass_grid_entries(cfg)
     assert pairs[0] == (1, [0.5, 0.2])
     species, values = pairs[1]
@@ -169,13 +173,13 @@ def test_mass_grid_entries_rejections():
         mass_grid_entries({})
     with pytest.raises(ValueError, match="twice"):
         mass_grid_entries(
-            {"mass_grid": [{"species": 0, "values": [1.0, 0.5]},
-                           {"species": 0, "values": [0.4, 0.2]}]}
+            grid_config([{"species": 0, "values": [1.0, 0.5]},
+                         {"species": 0, "values": [0.4, 0.2]}])
         )
     with pytest.raises(ValueError, match="strictly decreasing"):
-        mass_grid_entries({"mass_grid": {"species": 0, "values": [0.5, 1.0]}})
+        mass_grid_entries(grid_config({"species": 0, "values": [0.5, 1.0]}))
     with pytest.raises(ValueError, match="positive stop"):
-        mass_grid_entries({"mass_grid": {"species": 0, "start": 0.5, "stop": 1.0, "count": 4}})
+        mass_grid_entries(grid_config({"species": 0, "start": 0.5, "stop": 1.0, "count": 4}))
 
 
 def test_build_bundle_toy():
@@ -391,6 +395,48 @@ def test_infrared_slice_species_out_of_range_is_rejected(tmp_path, capsys, slice
     assert err[0].startswith("error:") and "infrared.slice_species" in err[0]
 
 
+def _set_exempt(cfg, value):
+    cfg["exponents"] = {"exempt_species": value}
+
+
+def _set_slice(cfg, value):
+    cfg["infrared"]["slice_species"] = value
+
+
+def _set_grid_species(cfg, value):
+    cfg["mass_grid"][0]["species"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value, key",
+    [
+        (_set_exempt, 1.5, "exponents.exempt_species"),
+        (_set_exempt, True, "exponents.exempt_species"),
+        (_set_slice, 1.5, "infrared.slice_species"),
+        (_set_slice, "1", "infrared.slice_species"),
+        (_set_grid_species, 1.5, "mass_grid.species"),
+        (_set_grid_species, 2, "mass_grid.species"),
+        (_set_grid_species, -1, "mass_grid.species"),
+    ],
+    ids=["exempt-1.5", "exempt-true", "slice-1.5", "slice-str", "grid-1.5", "grid-2", "grid-neg"],
+)
+def test_cli_species_index_must_be_an_integer_in_range(tmp_path, capsys, mutate, value, key):
+    """A species index is an integer in [0, n_species): a fractional one is
+    not truncated to a species, and an out-of-range mass_grid target does not
+    reach the sweep."""
+    cfg = sweep_config()
+    mutate(cfg, value)
+    with pytest.raises(ValueError, match=key):
+        mass_grid_entries(normalize_config(cfg))
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "masslimit", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and key in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -417,26 +463,30 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
 
 
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
-    """Two five-mode species (dimension 1024): the form bound's spectral edges
-    come from ARPACK, and its non-convergence ends the run with one line."""
+    """Two six-mode species (dimension 4096, above DENSE_CAP_DEFAULT): the
+    form bound's spectral edges come from ARPACK, and its non-convergence ends
+    the run with one line."""
     cfg = toy_config()
     cfg["species"] = [
-        {"mass": m, "grid": {"extent": 1.0, "shape": [5, 1, 1]}, "spins": [0.5]}
+        {"mass": m, "grid": {"extent": 1.0, "shape": [6, 1, 1]}, "spins": [0.5]}
         for m in (1.0, 0.7)
     ]
     cfg["solver"] = {"trials": 5}
     cfg_path = write_config(tmp_path, cfg)
+    calls = []
 
     def no_convergence(op, **kwargs):
+        calls.append(op.shape)
         raise spla.ArpackNoConvergence(
-            "No convergence (2000 iterations, 0/1 eigenvectors converged)",
+            "No convergence (10000 iterations, 0/1 eigenvectors converged)",
             np.empty(0), np.empty((op.shape[0], 0)),
         )
 
-    monkeypatch.setattr(fermifock.verify.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(fermifock.spectra.spla, "eigsh", no_convergence)
     out = tmp_path / "reports"
     argv = ["--report-dir", str(out), "verify", "--suite", "bounds", "--config", cfg_path]
     assert main(argv) == 2
+    assert calls == [(4096, 4096)]
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "No convergence" in err[0]

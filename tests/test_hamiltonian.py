@@ -1,5 +1,6 @@
 """Process enumeration, interaction assembly and structural identities."""
 
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -248,8 +249,9 @@ def test_toy_spectrum():
 
 
 def test_with_coupling_rescales_interaction():
+    """A coupling change is a dataclasses.replace; h_total follows it."""
     bundle = toy_bundle(coupling=1.0)
-    half = bundle.with_coupling(0.5)
+    half = replace(bundle, coupling=0.5)
     dev = half.h_total - (sp.diags(bundle.free_diag) + 0.5 * bundle.h_int)
     assert (np.max(np.abs(dev.toarray())) if dev.nnz else 0.0) == 0.0
 

@@ -56,3 +56,29 @@ def test_private_functions_are_referenced(path):
     }
     used = set().union(*(referenced_names(ast.parse(p.read_text())) for p in PACKAGE))
     assert private - used == set()
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Dotted names of the modules and members an import statement reaches."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def test_only_spectra_imports_the_sparse_eigensolvers():
+    """One eigensolver policy: every ARPACK run goes through spectra.ground_state,
+    so no other module may import scipy.sparse.linalg or a name from it."""
+    importers = {
+        path.name
+        for path in PACKAGE
+        if any(
+            name == "scipy.sparse.linalg" or name.startswith("scipy.sparse.linalg.")
+            for name in imported_modules(ast.parse(path.read_text()))
+        )
+    }
+    assert importers == {"spectra.py"}

@@ -1,5 +1,7 @@
 """Eigensolvers, mass sweeps and ground-state observables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -344,7 +346,7 @@ def test_toy_coupling_gap_curve():
     gs = np.array([0.05, 0.1])
     # gap(g) = (sqrt(4g^2+4) - ... ) on the toy: E1 - E0 = sqrt(g^2+1) - 1 + ...
     for g in gs:
-        spectrum = ground_state(bundle.with_coupling(g).h_total, count=2).spectrum
+        spectrum = ground_state(replace(bundle, coupling=g).h_total, count=2).spectrum
         gap = spectrum[1] - spectrum[0]
         want = 1.0 - (2.0 - np.sqrt(4.0 * g * g + 4.0)) / 2.0
         assert gap == pytest.approx(want, abs=1e-12)

@@ -8,9 +8,14 @@ import pytest
 import scipy.sparse.linalg as spla
 from test_acceptance import pair_instance, triple_parts
 
-import fermifock.verify
+import fermifock.spectra
 
-from fermifock.fock import enumerate_basis, monomial_operator, parity_diagonal
+from fermifock.fock import (
+    enumerate_basis,
+    free_hamiltonian_diagonal,
+    monomial_operator,
+    parity_diagonal,
+)
 from fermifock.hamiltonian import (
     KernelTensor,
     ProcessSignature,
@@ -26,7 +31,7 @@ from fermifock.kernels import (
     species_regularity_basis,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
-from fermifock.spectra import mass_sweep
+from fermifock.spectra import DENSE_CAP_DEFAULT, mass_sweep
 from fermifock.verify import (
     BoundReport,
     check_car_relations,
@@ -78,20 +83,21 @@ def two_point_bundle(seed=5, coupling=0.8):
     return assemble_total(table, basis, [tensor], coupling)
 
 
-def large_bundle(seed=9, coupling=0.7):
-    """Two five-mode species, random kernel: dimension 1024, above the
-    dense cutoff of the singular-value checks."""
+def c0a1_bundle(modes, seed=9, coupling=0.7):
+    """Two spinless species of `modes` modes each and a random complex c0a1
+    kernel: dimension 4**modes. At six modes (4096) it lies above
+    DENSE_CAP_DEFAULT, so the exact suprema come from seeded Lanczos runs."""
     rng = np.random.default_rng(seed)
     species = [
         SpeciesConfig(
-            mass=m, points=rng.uniform(-1.0, 1.0, size=(5, 3)),
-            weights=rng.uniform(0.5, 1.5, size=5), spins=(0.5,),
+            mass=m, points=rng.uniform(-1.0, 1.0, size=(modes, 3)),
+            weights=rng.uniform(0.5, 1.5, size=modes), spins=(0.5,),
         )
         for m in (1.0, 0.7)
     ]
     table = build_mode_table(species)
     basis = enumerate_basis(table)
-    vals = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    vals = rng.normal(size=(modes, modes)) + 1j * rng.normal(size=(modes, modes))
     tensor = KernelTensor(signature=ProcessSignature(2, (0,), (1,)), values=vals)
     return assemble_total(table, basis, [tensor], coupling)
 
@@ -184,6 +190,32 @@ def test_operator_bound_exact_ratio_on_toy():
     # (1 + omega^(-1/2)) |G| = 2, so the exact ratio is 1/2
     assert abs(report.params["kernel_norm"] - 2.0) <= EXACT_TOL
     assert abs(report.details["exact_sup_ratio"] - 0.5) <= EXACT_TOL
+
+
+def test_complex_kernel_suprema_match_dense_eigvalsh():
+    """Form and Hermite suprema for a complex kernel against the dense
+    spectrum. The structured edge rows attain them only if the form is taken
+    as <v, op v>, not at conj(v)."""
+    bundle = c0a1_bundle(4)
+    assert bundle.basis.dimension == 256
+    assert np.abs(bundle.tensors[0].values.imag).max() > 0
+    herm = (bundle.terms[0] + bundle.terms[0].conj().T).toarray()
+
+    form = check_form_bound(bundle, trials=50)
+    # n = 2 and species 0 is exempt: D = (H_free,1 + 1)^(1/2)
+    d = np.sqrt(free_hamiltonian_diagonal(bundle.table, bundle.basis, [1]) + 1.0)
+    scaled = herm / np.outer(d, d)
+    want = np.abs(np.linalg.eigvalsh(scaled)).max() / form.params["kernel_norm"]
+    assert form.passed
+    for got in (form.details["exact_sup_ratio"], form.details["trial_max_ratio"], form.max_ratio):
+        assert got == pytest.approx(want, rel=1e-12)
+
+    hermite = check_hermite_bound(bundle, trials=50)
+    scale = hermite.details["reference_constant"] * hermite.params["weighted_kernel_norm"]
+    want = np.abs(np.linalg.eigvalsh(herm)).max() / scale
+    assert hermite.passed
+    for got in (hermite.details["exact_sup_ratio"], hermite.max_ratio):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_bounds_hold_on_a_random_instance():
@@ -576,8 +608,8 @@ def test_gradient_estimate_needs_chains():
 
 
 def test_singular_value_checks_repeat_exactly_above_dense_size():
-    bundle = large_bundle()
-    assert bundle.basis.dimension > 600
+    bundle = c0a1_bundle(6)
+    assert bundle.basis.dimension > DENSE_CAP_DEFAULT
     op_1, op_2 = (check_operator_bound(bundle, trials=20, seed=3) for _ in range(2))
     norms_1, norms_2 = (check_smeared_norms(bundle, trials=2) for _ in range(2))
     assert op_1.passed and norms_1.passed
@@ -588,18 +620,21 @@ def test_singular_value_checks_repeat_exactly_above_dense_size():
 
 def test_form_bound_raises_when_an_edge_does_not_converge(monkeypatch):
     """A spectral edge ARPACK could not find must not pass as an exact supremum."""
-    bundle = large_bundle()
-    assert bundle.basis.dimension > 600
+    bundle = c0a1_bundle(6)
+    assert bundle.basis.dimension > DENSE_CAP_DEFAULT
+    calls = []
 
     def no_convergence(op, **kwargs):
+        calls.append(op.shape)
         raise spla.ArpackNoConvergence(
-            "No convergence (2000 iterations, 0/1 eigenvectors converged)",
+            "No convergence (10000 iterations, 0/1 eigenvectors converged)",
             np.empty(0), np.empty((op.shape[0], 0)),
         )
 
-    monkeypatch.setattr(fermifock.verify.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(fermifock.spectra.spla, "eigsh", no_convergence)
     with pytest.raises(spla.ArpackNoConvergence):
         check_form_bound(bundle, trials=5)
+    assert calls == [(4096, 4096)]
 
 
 # ---------------------------------------------------------------------------
