@@ -218,24 +218,3 @@ def save_triplets(op: sp.spmatrix, path: str) -> None:
         for r, c, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n")
 
-
-def load_triplets(path: str) -> sp.csr_matrix:
-    """Inverse of save_triplets."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("malformed triplet header")
-        dim, nnz = int(header[0]), int(header[1])
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.complex128)
-        for idx in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 4:
-                raise ValueError("malformed triplet line")
-            rows[idx] = int(parts[0])
-            cols[idx] = int(parts[1])
-            data[idx] = float(parts[2]) + 1j * float(parts[3])
-    op = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-    op.sum_duplicates()
-    return op

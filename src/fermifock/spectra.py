@@ -10,6 +10,12 @@ one, so these are conserved sectors); the blocks' spectra together are exactly
 H's, and the largest block sets the cost. Degenerate ground spaces, counted
 across blocks, get a deterministic representative: the projection of the first
 basis vector with nonvanishing component, with a fixed phase convention.
+
+The arithmetic is decided once, by _solver_arithmetic: an H that stores no
+nonzero imaginary part (any kernel with a real value gives one) is real
+symmetric and is solved as h.real, so Lanczos runs ARPACK's dsaupd and the
+block solves run real LAPACK, at a fraction of the complex cost. A complex
+kernel value keeps the complex solvers. The ground vector is complex either way.
 """
 
 from __future__ import annotations
@@ -56,13 +62,21 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+def _solver_arithmetic(h: sp.csr_matrix) -> sp.csr_matrix:
+    """h.real (contiguous) when h stores no nonzero imaginary part, else h."""
+    if np.iscomplexobj(h.data) and not h.data.imag.any():
+        return sp.csr_matrix((h.data.real.copy(), h.indices, h.indptr), shape=h.shape)
+    return h
+
+
 def _blocks(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """(states, dense block of h) for each connected component of h's pattern.
 
     states are ascending basis indices. One-state components share a single
     pair whose block is the 1-D array of their diagonal entries, so a diagonal
-    h costs no per-state work.
+    h costs no per-state work. The blocks are real when h has no imaginary part.
     """
+    h = _solver_arithmetic(h)
     # the graph is the stored pattern, not h: csgraph would cast complex data
     # to real (a ComplexWarning) and weigh a purely imaginary coupling as zero
     pattern = sp.csr_matrix((np.ones(h.nnz, np.int8), h.indices, h.indptr), shape=h.shape)
@@ -129,7 +143,7 @@ def ground_state(
     eigenvalue cross-check when the dimension still allows one. The spectrum
     comes from the blocks whenever they were solved, else from the Ritz values.
     """
-    h = sp.csr_matrix(h)
+    h = _solver_arithmetic(sp.csr_matrix(h))
     dim = h.shape[0]
     cross = None
     if dim <= dense_cap or count >= dim - 1:

@@ -21,7 +21,7 @@ from fermifock.config import (
     normalize_config,
     to_jsonable,
 )
-from fermifock.fock import load_triplets
+from test_fock import load_triplets
 
 TOY_ENERGY = 1.0 - math.sqrt(2.0)
 

@@ -12,7 +12,6 @@ from fermifock.fock import (
     diagonal_second_quantized,
     enumerate_basis,
     free_hamiltonian_diagonal,
-    load_triplets,
     parity_diagonal,
     save_triplets,
     smeared,
@@ -22,6 +21,26 @@ from fermifock.modes import SpeciesConfig, build_mode_table, weighted_norm
 CAR_TOL = 1e-14
 NORM_TOL = 1e-10
 PULL_TOL = 1e-12
+
+
+def load_triplets(path):
+    """Read back what `save_triplets` wrote: the export format's inverse."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError("malformed triplet header")
+        dim, nnz = int(header[0]), int(header[1])
+        rows, cols, data = [], [], []
+        for _ in range(nnz):
+            parts = fh.readline().split()
+            if len(parts) != 4:
+                raise ValueError("malformed triplet line")
+            rows.append(int(parts[0]))
+            cols.append(int(parts[1]))
+            data.append(float(parts[2]) + 1j * float(parts[3]))
+    op = sp.csr_matrix((np.array(data, dtype=np.complex128), (rows, cols)), shape=(dim, dim))
+    op.sum_duplicates()
+    return op
 
 
 def random_table(seed, masses, points_per, spins_per):

@@ -1,11 +1,16 @@
 """Eigensolvers, mass sweeps and ground-state observables."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from test_acceptance import grid_instance, pair_instance, quad_instance, triple_parts
+from test_verify import c0a1_bundle
 
 from fermifock import spectra
 from fermifock.fock import enumerate_basis
@@ -272,6 +277,105 @@ def test_blockwise_dense_ground_matches_full_matrix(build, expected_degeneracy):
     assert abs(energy - want_energy) <= 1e-12
     assert degeneracy == want_degeneracy == expected_degeneracy
     np.testing.assert_allclose(vector, want_vector, rtol=0, atol=1e-12)
+
+
+def record_eigsh_dtypes(monkeypatch):
+    """The dtype of every operator spectra hands to ARPACK, in call order."""
+    dtypes = []
+    eigsh = spectra.spla.eigsh
+
+    def recording_eigsh(op, *args, **kwargs):
+        dtypes.append(op.dtype)
+        return eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectra.spla, "eigsh", recording_eigsh)
+    return dtypes
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: pair_instance().h_total, np.float64),
+        (lambda: c0a1_bundle(3).h_total, np.complex128),
+    ],
+    ids=["gaussian", "complex-c0a1"],
+)
+def test_lanczos_runs_in_the_arithmetic_of_the_entries(monkeypatch, build, want):
+    h = build()
+    assert h.dtype == np.complex128
+    dtypes = record_eigsh_dtypes(monkeypatch)
+    result = ground_state(h, dense_cap=h.shape[0] // 4)
+    assert result.method == "lanczos" and result.cross_check_gap is not None
+    assert dtypes == [want]
+    assert result.vector.dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "build, dense_cap, method",
+    [
+        (lambda: assemble_total(*triple_parts()).h_total, 2048, "dense"),
+        (lambda: pair_instance().h_total, 64, "lanczos"),
+    ],
+    ids=["triple-dense", "pair-lanczos"],
+)
+def test_real_arithmetic_matches_the_complex_dense_oracle(build, dense_cap, method):
+    h = sp.csr_matrix(build())
+    assert not np.any(h.data.imag)
+    vals, vecs = np.linalg.eigh(h.toarray())  # complex LAPACK on the full matrix
+    members = np.nonzero(vals - vals[0] <= DEGENERACY_TOL * max(1.0, abs(vals[0])))[0]
+    result = ground_state(h, dense_cap=dense_cap)
+    assert result.method == method
+    assert abs(result.energy - vals[0]) <= 1e-12
+    assert result.degeneracy == members.size
+    if members.size == 1:
+        assert abs(abs(np.vdot(result.vector, vecs[:, 0])) - 1.0) <= 1e-10
+
+
+def test_imaginary_couplings_keep_the_complex_solvers(monkeypatch):
+    """Its real part is diagonal, so solving h.real would give a wrong spectrum."""
+    h, _ = imaginary_coupling_matrix()
+    want = np.linalg.eigvalsh(h.toarray())
+    assert not np.allclose(want, np.sort(h.diagonal().real))
+    dtypes = record_eigsh_dtypes(monkeypatch)
+    lanczos = ground_state(h, dense_cap=2, count=4)
+    assert lanczos.method == "lanczos" and dtypes == [np.complex128]
+    np.testing.assert_allclose(lanczos.spectrum, want[:4], rtol=0, atol=1e-10)
+    dense = ground_state(h, count=12)
+    assert dense.method == "dense"
+    np.testing.assert_allclose(dense.spectrum, want, rtol=0, atol=1e-12)
+
+
+# A dim-300 block with real entries stored as complex, as an assembled H is.
+# Its real eigvalsh is threaded at two OpenBLAS threads and sums in another
+# order there, so the bytes may differ across thread counts, but not the values.
+BLOCK_SPECTRUM_CHILD = """
+import sys
+import numpy as np
+import scipy.sparse as sp
+from fermifock.spectra import _block_eigvalsh
+m = sp.random(300, 300, density=0.05, random_state=np.random.default_rng(5), format="csr")
+sys.stdout.write(" ".join(map(repr, _block_eigvalsh((m + m.T).astype(np.complex128)).tolist())))
+"""
+
+
+def block_spectrum_output(threads):
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", BLOCK_SPECTRUM_CHILD],
+        env=env, capture_output=True, check=True,
+    )
+    return run.stdout
+
+
+def test_block_spectrum_determinism_contract():
+    """Byte-identical at one thread count; equal to 1e-12 relative across two."""
+    one = [block_spectrum_output(1) for _ in range(2)]
+    two = [block_spectrum_output(2) for _ in range(2)]
+    assert one[0] == one[1]
+    assert two[0] == two[1]
+    a, b = (np.array([float(x) for x in out[0].split()]) for out in (one, two))
+    np.testing.assert_allclose(b, a, rtol=0, atol=1e-12 * np.max(np.abs(a)))
 
 
 def test_toy_observables():
