@@ -36,7 +36,8 @@ from .kernels import (
     separable_slice_profiles,
 )
 from .modes import SpeciesConfig, build_mode_table
-from .spectra import ArpackNoConvergence, ground_state, mass_sweep, observables
+from . import spectra
+from .spectra import ground_state, mass_sweep, observables
 from . import verify as vf
 
 
@@ -458,8 +459,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result
-    except (ValueError, OSError, ArpackNoConvergence, AssertionError) as exc:
+    # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result;
+    # the tuple is evaluated only when an exception arrives, so ARPACK is not loaded for it
+    except (ValueError, OSError, spectra.ArpackNoConvergence, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import zeta
 
 from .modes import ModeTable
 
@@ -243,6 +242,7 @@ def level_lattice_sum(s: float) -> float:
     """sum over l >= 0 of (2l+1)^(-2s), finite for s > 1/2."""
     if s <= 0.5:
         return math.inf
+    from scipy.special import zeta  # loaded by the one caller, verify's Hermite bound
     return float((1.0 - 2.0 ** (-2.0 * s)) * zeta(2.0 * s))
 
 

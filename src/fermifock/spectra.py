@@ -25,8 +25,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .fock import annihilation
 from .hamiltonian import HamiltonianBundle
@@ -34,8 +32,13 @@ from .hamiltonian import HamiltonianBundle
 DENSE_CAP_DEFAULT = 2048
 CROSS_CHECK_TOL = 1e-9
 DEGENERACY_TOL = 1e-10
-# what an unconverged Lanczos run raises; callers refuse the result on it
-ArpackNoConvergence = spla.ArpackNoConvergence
+
+
+def __getattr__(name: str):  # ARPACK loads with the first Lanczos run, its exception too
+    if name == "ArpackNoConvergence":  # what an unconverged run raises; callers refuse it
+        from scipy.sparse.linalg import ArpackNoConvergence
+        return ArpackNoConvergence
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -44,14 +47,13 @@ class GroundStateResult:
     vector: np.ndarray
     residual: float
     method: str
-    degeneracy: int
+    degeneracy: int | None  # None: Ritz values alone cannot count it
     spectrum: np.ndarray  # the lowest eigenvalues, ascending
     cross_check_gap: float | None = None
 
 
 def _row_sum_bound(h: sp.spmatrix) -> float:
     """Gershgorin-style upper bound on the spectrum: max row sum of |H|."""
-    h = sp.csr_matrix(h)
     return float(np.max(np.abs(h).sum(axis=1))) if h.nnz else 0.0
 
 
@@ -69,6 +71,19 @@ def _solver_arithmetic(h: sp.csr_matrix) -> sp.csr_matrix:
     return h
 
 
+def _component_labels(h: sp.csr_matrix) -> np.ndarray:
+    """Component of each state in h's stored pattern (a purely imaginary coupling
+    is an edge), numbered by least state as csgraph's connected_components numbers
+    them: min-label propagation with pointer jumping over pattern + pattern^T + I."""
+    pattern = sp.csr_matrix((np.ones(h.nnz, bool), h.indices, h.indptr), shape=h.shape)
+    graph = (pattern + pattern.T + sp.identity(h.shape[0], dtype=bool, format="csr")).tocsr()
+    labels, old = np.arange(h.shape[0]), None
+    while not np.array_equal(labels, old):  # each label a state of its component, never rising
+        old, labels = labels, np.minimum.reduceat(labels[graph.indices], graph.indptr[:-1])
+        labels = labels[labels]
+    return np.unique(labels, return_inverse=True)[1]
+
+
 def _blocks(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """(states, dense block of h) for each connected component of h's pattern.
 
@@ -77,11 +92,7 @@ def _blocks(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
     h costs no per-state work. The blocks are real when h has no imaginary part.
     """
     h = _solver_arithmetic(h)
-    # the graph is the stored pattern, not h: csgraph would cast complex data
-    # to real (a ComplexWarning) and weigh a purely imaginary coupling as zero
-    pattern = sp.csr_matrix((np.ones(h.nnz, np.int8), h.indices, h.indptr), shape=h.shape)
-    _, labels = connected_components(pattern, directed=False)
-    sizes = np.bincount(labels)
+    sizes = np.bincount(labels := _component_labels(h))
     lone = sizes[labels] == 1
     pairs = [(np.nonzero(lone)[0], h.diagonal()[lone].real)] if lone.any() else []
     order = np.argsort(labels, kind="stable")
@@ -150,20 +161,21 @@ def ground_state(
         energy, vec, degeneracy, spectrum = _dense_ground(h)
         method = "dense"
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
+        v0 = np.random.default_rng(seed).standard_normal(dim)
         v0 /= np.linalg.norm(v0)
         # flip the spectrum around a Gershgorin upper bound: the smallest
         # algebraic eigenvalues become the largest-magnitude ones, which
         # Lanczos resolves much more reliably than a raw "smallest" run
         shift = 1.0 + _row_sum_bound(h)
         flipped = (sp.identity(dim, dtype=h.dtype, format="csr") * shift) - h
+        import scipy.sparse.linalg as spla  # ARPACK, loaded by the first Lanczos run
         vals, vecs = spla.eigsh(flipped, k=count, which="LA", v0=v0, maxiter=10000)
         order = np.argsort(-vals)  # the lowest Ritz values of h first
         spectrum = shift - vals[order]
         energy = float(spectrum[0])
         vec = _fix_phase(vecs[:, order[0]].astype(np.complex128))
-        degeneracy = 1
+        # two Ritz values in the ground space: Lanczos alone cannot count it
+        degeneracy = 1 if _in_ground_space(spectrum, energy).sum() == 1 else None
         method = "lanczos"
         if dim <= 4 * dense_cap:
             spectrum = _block_eigvalsh(h)
@@ -177,7 +189,7 @@ def ground_state(
     residual = float(np.linalg.norm(h @ vec - energy * vec))
     return GroundStateResult(
         energy=energy,
-        vector=np.asarray(vec, dtype=np.complex128),
+        vector=vec,
         residual=residual,
         method=method,
         degeneracy=degeneracy,

@@ -356,7 +356,7 @@ def test_cli_groundstate_runs_one_eigensolve(tmp_path, monkeypatch):
         calls.append(kwargs.get("k"))
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(fermifock.spectra.spla, "eigsh", counting_eigsh)
+    monkeypatch.setattr(spla, "eigsh", counting_eigsh)
     cfg_path = write_config(tmp_path, sweep_config())
     out = tmp_path / "reports"
     argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "8", "--config", cfg_path]
@@ -366,6 +366,29 @@ def test_cli_groundstate_runs_one_eigensolve(tmp_path, monkeypatch):
     rows = (out / "spectrum.csv").read_text().splitlines()[1:]
     want = fermifock.spectra._block_eigvalsh(build_bundle(load_config(cfg_path)).h_total)
     assert [float(row.split(",")[1]) for row in rows] == list(want[:8])
+
+
+def test_cli_groundstate_writes_an_unresolved_degeneracy_as_null(tmp_path, monkeypatch):
+    """Dimension 16 with dense cap 2 runs Lanczos alone. When the two lowest
+    Ritz values coincide, as ARPACK returns a near-degenerate pair, the report
+    says the degeneracy is unknown instead of 1."""
+    eigsh = spla.eigsh
+
+    def coinciding_eigsh(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        top = np.argsort(-vals)  # the flipped operator's largest are h's lowest
+        vals[top[1]] = vals[top[0]]
+        return vals, vecs
+
+    cfg_path = write_config(tmp_path, sweep_config())
+    argv = ["groundstate", "--dense-cap", "2", "--config", cfg_path]
+    assert main(["--report-dir", str(tmp_path / "resolved"), *argv]) == 0
+    report = json.loads((tmp_path / "resolved" / "groundstate.json").read_text())
+    assert report["method"] == "lanczos" and report["degeneracy"] == 1
+    monkeypatch.setattr(spla, "eigsh", coinciding_eigsh)
+    assert main(["--report-dir", str(tmp_path / "unresolved"), *argv]) == 0
+    text = (tmp_path / "unresolved" / "groundstate.json").read_text()
+    assert json.loads(text)["degeneracy"] is None and '"degeneracy": null' in text
 
 
 @pytest.mark.parametrize("caps", [[1.5, 1], ["1", 1]], ids=["fractional", "string"])
@@ -482,7 +505,7 @@ def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
             np.empty(0), np.empty((op.shape[0], 0)),
         )
 
-    monkeypatch.setattr(fermifock.spectra.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     out = tmp_path / "reports"
     argv = ["--report-dir", str(out), "verify", "--suite", "bounds", "--config", cfg_path]
     assert main(argv) == 2

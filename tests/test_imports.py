@@ -1,11 +1,17 @@
 """Every package module uses every name it imports, and every private
-top-level function is referenced somewhere in the package.
+top-level function is referenced somewhere in the package. Start-up loads
+only what a run uses: no ARPACK, scipy.linalg, scipy.special or csgraph
+for the demo and the dense path.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +88,44 @@ def test_only_spectra_imports_the_sparse_eigensolvers():
         )
     }
     assert importers == {"spectra.py"}
+
+
+HEAVY = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.sparse.csgraph")
+STARTUP_CHILD = """
+import json, sys, tempfile
+import numpy as np, scipy.sparse as sp
+import fermifock.cli
+from fermifock import cli, spectra
+
+heavy = sys.argv[1:]
+with tempfile.TemporaryDirectory() as out:
+    demo_exit = cli.main(["--report-dir", out, "fermi-demo", "--variant", "regular"])
+chain = sp.diags([np.full(29, 0.5), np.linspace(-1.0, 1.0, 30), np.full(29, 0.5)], [-1, 0, 1])
+dense = spectra.ground_state(chain.tocsr())
+after_dense = [name for name in heavy if name in sys.modules]
+fermifock_modules = sorted(name for name in sys.modules if name.startswith("fermifock."))
+lanczos = spectra.ground_state(sp.diags(np.arange(64.0)).tocsr(), dense_cap=8)
+print(json.dumps({
+    "demo_exit": demo_exit, "methods": [dense.method, lanczos.method],
+    "after_dense": after_dense, "fermifock": fermifock_modules,
+    "arpack_after_lanczos": "scipy.sparse.linalg" in sys.modules,
+}))
+"""
+
+
+def test_demo_and_dense_runs_load_no_eigensolver_modules():
+    """One child imports the CLI, runs fermi-demo and a dense ground solve, and
+    must not have loaded ARPACK, scipy.linalg, scipy.special or csgraph; its
+    Lanczos solve then loads ARPACK. The CLI import still loads every module."""
+    src = str(Path(fermifock.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, *HEAVY],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["demo_exit"] == 0
+    assert got["methods"] == ["dense", "lanczos"]
+    assert got["after_dense"] == []
+    assert got["fermifock"] == [f"fermifock.{path.stem}" for path in MODULES]
+    assert got["arpack_after_lanczos"]

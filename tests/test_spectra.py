@@ -9,6 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components  # the oracle for the block labels
 from test_acceptance import grid_instance, pair_instance, quad_instance, triple_parts
 from test_verify import c0a1_bundle
 
@@ -200,6 +204,20 @@ def test_lanczos_path_above_the_cross_check_reports_ritz_values():
     assert result.energy == result.spectrum[0]
 
 
+def test_lanczos_alone_leaves_a_near_degenerate_ground_space_unresolved():
+    """Above the cross-check cap two Ritz values 1e-12 apart cannot be counted:
+    the degeneracy is None. A gapped ground state keeps degeneracy 1."""
+    diag = np.linspace(0.0, 5.0, 64)
+    diag[:2] = -1.0, -1.0 * (1.0 - 1e-12)
+    result = ground_state(sp.diags(diag).tocsr(), dense_cap=8, count=2)
+    assert result.method == "lanczos" and result.cross_check_gap is None
+    assert result.degeneracy is None
+    diag[1] = -0.5
+    result = ground_state(sp.diags(diag).tocsr(), dense_cap=8, count=2)
+    assert result.method == "lanczos" and result.cross_check_gap is None
+    assert result.degeneracy == 1
+
+
 def imaginary_coupling_matrix():
     """Only purely imaginary off-diagonal couplings; components listed below."""
     components = [(0, 5, 7), (1, 2), (3, 4, 8, 11)]
@@ -211,7 +229,7 @@ def imaginary_coupling_matrix():
     return h.tocsr(), components
 
 
-@pytest.mark.parametrize(
+BLOCK_INSTANCES = pytest.mark.parametrize(
     "build",
     [
         lambda: grid_instance().h_total,
@@ -222,6 +240,9 @@ def imaginary_coupling_matrix():
     ],
     ids=["grid", "pair", "triple", "quad", "imaginary"],
 )
+
+
+@BLOCK_INSTANCES
 def test_block_spectrum_equals_full_spectrum(build):
     h = sp.csr_matrix(build())
     full = h.toarray()
@@ -232,7 +253,7 @@ def test_block_spectrum_equals_full_spectrum(build):
     )
 
 
-@pytest.mark.filterwarnings("error")  # csgraph warns when it casts complex data
+@pytest.mark.filterwarnings("error")  # no complex-to-real cast may warn
 def test_blocks_follow_imaginary_couplings():
     h, components = imaginary_coupling_matrix()
     blocks = spectra._blocks(h)
@@ -243,6 +264,48 @@ def test_blocks_follow_imaginary_couplings():
     for states, block in blocks:
         if block.ndim == 2:
             np.testing.assert_array_equal(block, h[states][:, states].toarray())
+
+
+def csgraph_labels(h):
+    """The components csgraph finds on h's stored pattern, as _blocks once took them."""
+    pattern = sp.csr_matrix((np.ones(h.nnz, np.int8), h.indices, h.indptr), shape=h.shape)
+    return connected_components(pattern, directed=False)[1]
+
+
+@st.composite
+def one_sided_matrices(draw):
+    """Complex matrices whose entries are stored where drawn and never mirrored,
+    so most couplings sit on one side only; some are purely imaginary, and there
+    are empty rows and isolated states."""
+    dim = draw(st.integers(1, 30))
+    index = st.integers(0, dim - 1)
+    value = st.sampled_from([1.0, -0.5, 0.7j, -2j, 0.3 + 0.4j])
+    entries = draw(st.lists(st.tuples(index, index, value), max_size=2 * dim))
+    rows = np.array([r for r, _, _ in entries], dtype=np.int64)
+    cols = np.array([c for _, c, _ in entries], dtype=np.int64)
+    vals = np.array([v for _, _, v in entries], dtype=np.complex128)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+@seed(2026)
+@settings(max_examples=300, deadline=None)
+@given(h=one_sided_matrices())
+def test_component_labels_match_csgraph(h):
+    np.testing.assert_array_equal(spectra._component_labels(h), csgraph_labels(h))
+
+
+@BLOCK_INSTANCES
+def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
+    """The same (states, block) pairs, in the same order, as with csgraph's labels."""
+    h = sp.csr_matrix(build())
+    got = spectra._blocks(h)
+    monkeypatch.setattr(spectra, "_component_labels", csgraph_labels)
+    want = spectra._blocks(h)
+    assert len(got) == len(want)
+    for (states, block), (want_states, want_block) in zip(got, want):
+        np.testing.assert_array_equal(states, want_states)
+        np.testing.assert_array_equal(block, want_block)
+        assert block.dtype == want_block.dtype
 
 
 def ground_space_across_blocks(seed):
@@ -282,13 +345,13 @@ def test_blockwise_dense_ground_matches_full_matrix(build, expected_degeneracy):
 def record_eigsh_dtypes(monkeypatch):
     """The dtype of every operator spectra hands to ARPACK, in call order."""
     dtypes = []
-    eigsh = spectra.spla.eigsh
+    eigsh = spla.eigsh
 
     def recording_eigsh(op, *args, **kwargs):
         dtypes.append(op.dtype)
         return eigsh(op, *args, **kwargs)
 
-    monkeypatch.setattr(spectra.spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     return dtypes
 
 

@@ -8,8 +8,6 @@ import pytest
 import scipy.sparse.linalg as spla
 from test_acceptance import pair_instance, triple_parts
 
-import fermifock.spectra
-
 from fermifock.fock import (
     enumerate_basis,
     free_hamiltonian_diagonal,
@@ -631,7 +629,7 @@ def test_form_bound_raises_when_an_edge_does_not_converge(monkeypatch):
             np.empty(0), np.empty((op.shape[0], 0)),
         )
 
-    monkeypatch.setattr(fermifock.spectra.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(spla.ArpackNoConvergence):
         check_form_bound(bundle, trials=5)
     assert calls == [(4096, 4096)]
