@@ -460,8 +460,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result;
-    # the tuple is evaluated only when an exception arrives, so ARPACK is not loaded for it
-    except (ValueError, OSError, spectra.ArpackNoConvergence, AssertionError) as exc:
+    # TypeError: a config value of the wrong JSON type (null, a number for a list) refuses the
+    # config; the tuple is evaluated only when an exception arrives, so ARPACK is not loaded for it
+    except (ValueError, TypeError, OSError, spectra.ArpackNoConvergence, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

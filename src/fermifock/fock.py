@@ -57,7 +57,6 @@ class FockBasis:
 def enumerate_basis(
     table: ModeTable,
     truncation: list[int] | tuple[int, ...] | None = None,
-    max_states: int = MAX_BASIS_STATES,
 ) -> FockBasis:
     """Enumerate occupation states, optionally capping particles per species.
 
@@ -65,7 +64,7 @@ def enumerate_basis(
     with more than that many occupied modes in the species' block are dropped.
     """
     m = table.total_modes
-    if 2**m > max_states and truncation is None:
+    if 2**m > MAX_BASIS_STATES and truncation is None:
         raise ValueError("basis too large; truncate or reduce the mode count")
     states = np.arange(2**m, dtype=np.int64)
     if truncation is not None:
@@ -80,7 +79,7 @@ def enumerate_basis(
             block_mask = np.int64(sum(1 << mode for mode in table.block(i)))
             keep &= np.bitwise_count(states & block_mask) <= cap
         states = states[keep]
-    if states.shape[0] > max_states:
+    if states.shape[0] > MAX_BASIS_STATES:
         raise ValueError("basis too large; tighten truncation")
     return FockBasis(states=states, truncation=tuple(truncation) if truncation else None)
 

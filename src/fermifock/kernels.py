@@ -114,6 +114,7 @@ class RegularityBasis:
 
 
 _BASIS_CACHE: dict[tuple, RegularityBasis] = {}
+_BASIS_TOL = 1e-9  # relative residual below which a candidate counts as dependent
 
 
 def _graded_levels(l_cap: int) -> list[tuple[int, int, int]]:
@@ -127,9 +128,7 @@ def _graded_levels(l_cap: int) -> list[tuple[int, int, int]]:
     return levels
 
 
-def species_regularity_basis(
-    table: ModeTable, species: int, tol: float = 1e-9
-) -> RegularityBasis:
+def species_regularity_basis(table: ModeTable, species: int) -> RegularityBasis:
     """Gram-Schmidt oscillator basis for one species' modes.
 
     Candidates e_l1 e_l2 e_l3 are taken in graded level order (by the product
@@ -139,12 +138,7 @@ def species_regularity_basis(
     produce degenerate copies. Results are cached by the species' geometry.
     """
     cfg = table.species[species]
-    key = (
-        cfg.points.tobytes(),
-        cfg.weights.tobytes(),
-        cfg.spins,
-        round(math.log10(tol), 6),
-    )
+    key = (cfg.points.tobytes(), cfg.weights.tobytes(), cfg.spins)
     hit = _BASIS_CACHE.get(key)
     if hit is not None:
         return hit
@@ -174,7 +168,7 @@ def species_regularity_basis(
                 for prev in accepted:
                     vec -= np.dot(prev, vec) * prev
             resid = np.linalg.norm(vec)
-            if resid <= tol * norm0:
+            if resid <= _BASIS_TOL * norm0:
                 continue
             accepted.append(vec / resid)
             accepted_levels.append(
@@ -367,10 +361,13 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def plateau_cutoff(rho: np.ndarray, lam: float, edge: float = 0.8) -> np.ndarray:
-    """Smooth radial cutoff: 1 on [0, edge*lam], 0 beyond lam."""
+_PLATEAU_EDGE = 0.8
+
+
+def plateau_cutoff(rho: np.ndarray, lam: float) -> np.ndarray:
+    """Smooth radial cutoff: 1 on [0, _PLATEAU_EDGE*lam], 0 beyond lam."""
     rho = np.asarray(rho, dtype=float)
-    return 1.0 - _smooth_step((rho - edge * lam) / ((1.0 - edge) * lam))
+    return 1.0 - _smooth_step((rho - _PLATEAU_EDGE * lam) / ((1.0 - _PLATEAU_EDGE) * lam))
 
 
 @dataclass(frozen=True)
@@ -487,14 +484,17 @@ def separable_kernel(
     )
 
 
-def fermi_demo_spec(nu_massless: float, lam: float = 1.0, sigma: float = 0.35) -> KernelSpec:
+_DEMO_LAM, _DEMO_SIGMA = 1.0, 0.35  # fermi-demo cutoff radius and conservation width
+
+
+def fermi_demo_spec(nu_massless: float) -> KernelSpec:
     """Four-species decay-style kernel: two created, two annihilated, species 3
     massless with component exponent nu_massless / 3, gaussian momentum
     conservation."""
     return separable_kernel(
         nus=(0.0, 0.0, 0.0, nu_massless),
-        lam=lam,
-        conservation_sigma=sigma,
+        lam=_DEMO_LAM,
+        conservation_sigma=_DEMO_SIGMA,
         conservation_signs=(1, 1, -1, -1),
     )
 

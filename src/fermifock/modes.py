@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Default cap on the total number of modes across all species. 2^24 basis
+# Cap on the total number of modes across all species. 2^24 basis
 # states is already past what the dense solver path will accept, so this is a
 # guard against accidentally huge configurations, not a tuning knob.
 MAX_TOTAL_MODES = 24
@@ -193,23 +193,18 @@ class ModeTable:
         return float(np.linalg.norm(pts[1] - pts[0]))
 
 
-def build_mode_table(
-    species: list[SpeciesConfig] | tuple[SpeciesConfig, ...],
-    max_modes: int = MAX_TOTAL_MODES,
-) -> ModeTable:
+def build_mode_table(species: list[SpeciesConfig] | tuple[SpeciesConfig, ...]) -> ModeTable:
     """Validate species configs and assemble the global ModeTable.
 
     Raises ValueError when there are no species or the total mode count
-    exceeds max_modes.
+    exceeds MAX_TOTAL_MODES.
     """
     species = tuple(species)
     if not species:
         raise ValueError("need at least one species")
     table = ModeTable(species)
-    if table.total_modes > max_modes:
-        raise ValueError(
-            f"total mode count {table.total_modes} exceeds cap {max_modes}"
-        )
+    if table.total_modes > MAX_TOTAL_MODES:
+        raise ValueError(f"total mode count {table.total_modes} exceeds cap {MAX_TOTAL_MODES}")
     return table
 
 

@@ -9,6 +9,14 @@ and tolerances are fixed. Exact suprema other than the interpolation constants
 come from spectra.ground_state: spectral edges are the ground states of op and
 -op, a top singular value is the root of the top eigenvalue of op* op.
 
+The four constant-1 bounds (form, refined, Hermite, operator) share one
+scaffold. The form and Hermite bounds are one inequality,
+|<phi, (T + T*) phi>| <= C ||D phi||^2, with D an energy power or 1:
+_form_ratios takes its exact supremum from the spectral edges of
+D^-1 (T + T*) D^-1 and adds the edge vectors to the seeded trial rows. All four
+report through _bound_report: max_ratio is the larger of the trial maximum and
+the exact ratio, held to 1 + RATIO_TOL together with the check's own conditions.
+
 Conventions, fixed across the package:
 * form-type estimates (quadratic forms) are checked on the hermitized process
   term T + T*, which satisfies them with the same constant;
@@ -51,7 +59,7 @@ from .kernels import (
     weighted_kernel_norm,
 )
 from .modes import ModeTable, weighted_norm
-from .spectra import MassCurve, _block_eigvalsh, ground_state
+from .spectra import MassCurve, _block_eigvalsh, ground_state, observables
 
 RATIO_TOL = 1e-9
 IDENTITY_TOL = 1e-12
@@ -59,6 +67,7 @@ LOG_CONVEXITY_TOL = 1e-6
 UNIFORMITY_FACTOR = 4.0  # largest spread max/min of a sweep's per-mass best constants
 COARSE_RATIO = 0.5  # relative single- vs double-spacing gradient gap that flags a chain
 RELATIVE_MUS = (0.5, 0.25, 0.1, 0.05)  # decreasing mu grid of the relative bound
+RELATIVE_TRIALS = 300  # trial vectors of the relative bound's scalar route
 _TINY = 1e-300
 
 
@@ -85,39 +94,13 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# trial vectors and quadratic-form batches
+# constant-1 bound checks and their scaffold
 # ---------------------------------------------------------------------------
 
 
 def _unit_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _with_structured(trials: np.ndarray, extras: list[np.ndarray]) -> np.ndarray:
-    rows = [trials]
-    for vec in extras:
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            rows.append((vec / norm)[None, :])
-    return np.concatenate(rows, axis=0)
-
-
-def _form_values(op: sp.spmatrix, vectors: np.ndarray) -> np.ndarray:
-    """|<v, op v>| for each row v."""
-    return np.abs(np.einsum("id,di->i", vectors.conj(), op @ vectors.T))
-
-
-def _spectral_edges(op: sp.spmatrix) -> tuple[float, list[np.ndarray]]:
-    """Exact supremum of |<v, op v>| over unit v for a hermitian sparse
-    operator, with the eigenvectors at both spectral edges that attain it.
-
-    The edges are the ground problems of op and -op, solved by ground_state;
-    its ArpackNoConvergence or cross-check failure propagates, since a missing
-    edge would leave the exact supremum unproven.
-    """
-    low, high = ground_state(op), ground_state(-op)
-    return max(abs(low.energy), abs(high.energy)), [low.vector, high.vector]
 
 
 def _top_singular_value(op: sp.spmatrix) -> float:
@@ -130,9 +113,52 @@ def _hermitized(bundle: HamiltonianBundle, term_index: int) -> sp.csr_matrix:
     return (term + term.conj().T).tocsr()
 
 
-# ---------------------------------------------------------------------------
-# constant-1 bound checks
-# ---------------------------------------------------------------------------
+def _energy_weight(bundle: HamiltonianBundle, exempt: int) -> tuple[list[int], np.ndarray]:
+    """The non-exempt species and the diagonal of (their free parts + 1)^((n-1)/2)."""
+    n = bundle.table.n_species
+    subset = [i for i in range(n) if i != exempt]
+    energy = free_hamiltonian_diagonal(bundle.table, bundle.basis, subset) + 1.0
+    return subset, energy ** ((n - 1) / 2.0)
+
+
+def _form_ratios(
+    op: sp.spmatrix, d: np.ndarray, scale: float, trials: int, seed: int
+) -> tuple[float, float, int]:
+    """For hermitian op and a positive diagonal d: the largest trial ratio
+    |<v, op v>| / (scale ||d v||^2), the exact supremum of |<v, op v>| / ||d v||^2,
+    and the number of trial rows.
+
+    The supremum is the spectral radius of d^-1 op d^-1: its edges are the
+    ground problems of that operator and its negative, solved by ground_state,
+    whose ArpackNoConvergence or cross-check failure propagates, since a missing
+    edge would leave the supremum unproven. The edge vectors, mapped back by
+    d^-1 and normalized, follow the seeded unit rows, so the trials attain it.
+    """
+    d_inv = sp.diags(1.0 / d)
+    scaled = d_inv @ op @ d_inv
+    low, high = ground_state(scaled), ground_state(-scaled)
+    rows = [_unit_rows(op.shape[0], trials, np.random.default_rng(seed))]
+    for vec in (d_inv @ low.vector, d_inv @ high.vector):
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            rows.append((vec / norm)[None, :])
+    vectors = np.concatenate(rows, axis=0)
+    lhs = np.abs(np.einsum("id,di->i", vectors.conj(), op @ vectors.T))
+    rhs = scale * np.sum((d[None, :] ** 2) * np.abs(vectors) ** 2, axis=1)
+    trial = float(np.max(lhs / np.maximum(rhs, _TINY)))
+    return trial, max(abs(low.energy), abs(high.energy)), vectors.shape[0]
+
+
+def _bound_report(
+    name: str, trial: float, exact: float, trials: int, params: dict, details: dict, *extra: bool
+) -> BoundReport:
+    """The report rule of every constant-1 bound: max_ratio is the larger of
+    the trial maximum and the exact ratio (for the refined check, its
+    single-term maximum); the check passes when that is at most 1 + RATIO_TOL
+    and each of its extra conditions holds."""
+    max_ratio = max(trial, exact)
+    passed = max_ratio <= 1.0 + RATIO_TOL and all(extra)
+    return BoundReport(name, passed, max_ratio, 1.0 + RATIO_TOL, trials, params, details)
 
 
 def check_form_bound(
@@ -149,40 +175,19 @@ def check_form_bound(
     supremum of the ratio is also computed (spectral radius of the scaled
     form) and reported alongside the trial maximum.
     """
-    table = bundle.table
-    n = table.n_species
     tensor = bundle.tensors[term_index]
+    subset, d = _energy_weight(bundle, exempt)
+    kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset)
     op = _hermitized(bundle, term_index)
-    subset = [i for i in range(n) if i != exempt]
-    kernel_norm = weighted_kernel_norm(tensor.values, table, subset)
-    energy = free_hamiltonian_diagonal(table, bundle.basis, subset) + 1.0
-    d = energy ** ((n - 1) / 2.0)
-
-    dim = bundle.basis.dimension
-    scaled = sp.diags(1.0 / d) @ op @ sp.diags(1.0 / d)
-    exact, extremes = _spectral_edges(scaled)
-    structured = [sp.diags(1.0 / d) @ v for v in extremes]
-
-    rng = np.random.default_rng(seed)
-    vectors = _with_structured(_unit_rows(dim, trials, rng), structured)
-    lhs = _form_values(op, vectors)
-    rhs = kernel_norm * np.sum((d[None, :] ** 2) * np.abs(vectors) ** 2, axis=1)
-    ratios = lhs / np.maximum(rhs, _TINY)
-    max_ratio = float(np.max(ratios))
-    exact_ratio = exact / kernel_norm if kernel_norm > 0 else 0.0
-    passed = max_ratio <= 1.0 + RATIO_TOL and exact_ratio <= 1.0 + RATIO_TOL
-    return BoundReport(
-        name="form_bound",
-        passed=passed,
-        max_ratio=max(max_ratio, exact_ratio),
-        tolerance=1.0 + RATIO_TOL,
-        trials=vectors.shape[0],
-        params={
-            "term": tensor.signature.label(),
-            "exempt": exempt,
-            "kernel_norm": kernel_norm,
-        },
-        details={"trial_max_ratio": max_ratio, "exact_sup_ratio": exact_ratio},
+    trial, exact, rows = _form_ratios(op, d, kernel_norm, trials, seed)
+    exact /= max(kernel_norm, _TINY)
+    return _bound_report(
+        "form_bound",
+        trial,
+        exact,
+        rows,
+        {"term": tensor.signature.label(), "exempt": exempt, "kernel_norm": kernel_norm},
+        {"trial_max_ratio": trial, "exact_sup_ratio": exact},
     )
 
 
@@ -199,6 +204,14 @@ def _group_half_power_diag(
     return diag
 
 
+def _ratio_off_vanishing(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, bool]:
+    """Largest lhs/rhs where the right side does not vanish, and whether the
+    left side vanishes (to IDENTITY_TOL) wherever it does."""
+    good = rhs >= _TINY
+    top = float(np.max(lhs[good] / rhs[good])) if np.any(good) else 0.0
+    return top, bool(np.all(lhs[~good] <= IDENTITY_TOL))
+
+
 def check_refined_form_bound(
     bundle: HamiltonianBundle,
     term_index: int = 0,
@@ -213,12 +226,11 @@ def check_refined_form_bound(
     and B the annihilated species'. Vanishing right sides force a vanishing
     left side, checked separately at identity tolerance.
     """
-    table = bundle.table
     tensor = bundle.tensors[term_index]
     sig = tensor.signature
     op = _hermitized(bundle, term_index)
-    subset = [i for i in range(table.n_species) if i != exempt]
-    kernel_norm = weighted_kernel_norm(tensor.values, table, subset)
+    subset = [i for i in range(bundle.table.n_species) if i != exempt]
+    kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset)
     a_diag = _group_half_power_diag(bundle, sig.created, exempt)
     b_diag = _group_half_power_diag(bundle, sig.annihilated, exempt)
 
@@ -231,37 +243,22 @@ def check_refined_form_bound(
     b_phi = np.linalg.norm(b_diag[None, :] * phis, axis=1)
     a_psi = np.linalg.norm(a_diag[None, :] * psis, axis=1)
     b_psi = np.linalg.norm(b_diag[None, :] * psis, axis=1)
-    rhs = kernel_norm * (a_phi * b_psi + a_psi * b_phi)
-
-    degenerate = rhs < _TINY
-    max_ratio = float(np.max(lhs[~degenerate] / rhs[~degenerate])) if np.any(~degenerate) else 0.0
-    degenerate_ok = bool(np.all(lhs[degenerate] <= IDENTITY_TOL))
-
-    term = bundle.terms[term_index]
-    single_lhs = np.abs(np.einsum("id,di->i", phis.conj(), term @ psis.T))
-    single_rhs = kernel_norm * a_phi * b_psi
-    good = single_rhs >= _TINY
-    single_max = float(np.max(single_lhs[good] / single_rhs[good])) if np.any(good) else 0.0
-    single_degenerate_ok = bool(np.all(single_lhs[~good] <= IDENTITY_TOL))
-
-    passed = (
-        max_ratio <= 1.0 + RATIO_TOL
-        and single_max <= 1.0 + RATIO_TOL
-        and degenerate_ok
-        and single_degenerate_ok
-    )
-    return BoundReport(
-        name="refined_form_bound",
-        passed=passed,
-        max_ratio=max(max_ratio, single_max),
-        tolerance=1.0 + RATIO_TOL,
-        trials=trials,
-        params={"term": sig.label(), "exempt": exempt, "kernel_norm": kernel_norm},
-        details={
-            "pair_max_ratio": max_ratio,
+    pair_max, pair_ok = _ratio_off_vanishing(lhs, kernel_norm * (a_phi * b_psi + a_psi * b_phi))
+    single_lhs = np.abs(np.einsum("id,di->i", phis.conj(), bundle.terms[term_index] @ psis.T))
+    single_max, single_ok = _ratio_off_vanishing(single_lhs, kernel_norm * a_phi * b_psi)
+    return _bound_report(
+        "refined_form_bound",
+        pair_max,
+        single_max,
+        trials,
+        {"term": sig.label(), "exempt": exempt, "kernel_norm": kernel_norm},
+        {
+            "pair_max_ratio": pair_max,
             "single_term_max_ratio": single_max,
-            "degenerate_cases_vanish": degenerate_ok and single_degenerate_ok,
+            "degenerate_cases_vanish": pair_ok and single_ok,
         },
+        pair_ok,
+        single_ok,
     )
 
 
@@ -278,51 +275,39 @@ def check_hermite_bound(
     C_s is the reference constant (per species sqrt(n_spins * sigma(s)^3));
     the discrete level-sum constant, which is provably smaller, is reported
     too and the ordering asserted. The exact supremum is the spectral radius
-    of T + T*.
+    of T + T*: the form bound's scaffold with D = 1.
     """
     if smoothness <= 0.5:
         raise ValueError("smoothness must exceed 1/2")
     table = bundle.table
     tensor = bundle.tensors[term_index]
-    op = _hermitized(bundle, term_index)
     exponents = {i: smoothness for i in range(table.n_species) if i != exempt}
     weighted = float(np.linalg.norm(weight_kernel_tensor(tensor.values, table, exponents).ravel()))
     c_ref = hermite_bound_constant(table, exempt, smoothness)
     c_disc = discrete_bound_constant(table, exempt, smoothness)
-    rhs_scale = c_ref * weighted
-
-    dim = bundle.basis.dimension
-    exact, extremes = _spectral_edges(op)
-    rng = np.random.default_rng(seed)
-    vectors = _with_structured(_unit_rows(dim, trials, rng), extremes)
-    lhs = _form_values(op, vectors)
-    max_ratio = float(np.max(lhs)) / max(rhs_scale, _TINY)
-    exact_ratio = exact / max(rhs_scale, _TINY)
+    op = _hermitized(bundle, term_index)
+    trial, exact, rows = _form_ratios(op, np.ones(op.shape[0]), c_ref * weighted, trials, seed)
+    exact_ratio = exact / max(c_ref * weighted, _TINY)
     disc_ratio = exact / max(c_disc * weighted, _TINY)
-    passed = (
-        max_ratio <= 1.0 + RATIO_TOL
-        and exact_ratio <= 1.0 + RATIO_TOL
-        and disc_ratio <= 1.0 + RATIO_TOL
-        and c_disc <= c_ref * (1.0 + 1e-12)
-    )
-    return BoundReport(
-        name="hermite_bound",
-        passed=passed,
-        max_ratio=max(max_ratio, exact_ratio),
-        tolerance=1.0 + RATIO_TOL,
-        trials=vectors.shape[0],
-        params={
+    return _bound_report(
+        "hermite_bound",
+        trial,
+        exact_ratio,
+        rows,
+        {
             "term": tensor.signature.label(),
             "exempt": exempt,
             "smoothness": smoothness,
             "weighted_kernel_norm": weighted,
         },
-        details={
+        {
             "reference_constant": c_ref,
             "discrete_constant": c_disc,
             "exact_sup_ratio": exact_ratio,
             "ratio_vs_discrete_constant": disc_ratio,
         },
+        disc_ratio <= 1.0 + RATIO_TOL,
+        c_disc <= c_ref * (1.0 + 1e-12),
     )
 
 
@@ -339,31 +324,21 @@ def check_operator_bound(
     exempt species excluded from both products. The exact supremum is the top
     singular value of T D^(-1).
     """
-    table = bundle.table
-    n = table.n_species
     tensor = bundle.tensors[term_index]
     term = bundle.terms[term_index]
-    subset = [i for i in range(n) if i != exempt]
-    kernel_norm = weighted_kernel_norm(tensor.values, table, subset, one_plus=True)
-    d = (free_hamiltonian_diagonal(table, bundle.basis, subset) + 1.0) ** ((n - 1) / 2.0)
-    scaled = (term @ sp.diags(1.0 / d)).tocsr()
-    dim = bundle.basis.dimension
-    exact = _top_singular_value(scaled)
-    rng = np.random.default_rng(seed)
-    vectors = _unit_rows(dim, trials, rng)
+    subset, d = _energy_weight(bundle, exempt)
+    kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset, one_plus=True)
+    exact = _top_singular_value((term @ sp.diags(1.0 / d)).tocsr()) / max(kernel_norm, _TINY)
+    vectors = _unit_rows(bundle.basis.dimension, trials, np.random.default_rng(seed))
     lhs = np.linalg.norm(term @ vectors.T, axis=0)
     rhs = kernel_norm * np.linalg.norm(d[None, :] * vectors, axis=1)
-    max_ratio = float(np.max(lhs / np.maximum(rhs, _TINY)))
-    exact_ratio = exact / max(kernel_norm, _TINY)
-    passed = max_ratio <= 1.0 + RATIO_TOL and exact_ratio <= 1.0 + RATIO_TOL
-    return BoundReport(
-        name="operator_bound",
-        passed=passed,
-        max_ratio=max(max_ratio, exact_ratio),
-        tolerance=1.0 + RATIO_TOL,
-        trials=trials,
-        params={"term": tensor.signature.label(), "exempt": exempt, "kernel_norm": kernel_norm},
-        details={"exact_sup_ratio": exact_ratio},
+    return _bound_report(
+        "operator_bound",
+        float(np.max(lhs / np.maximum(rhs, _TINY))),
+        exact,
+        trials,
+        {"term": tensor.signature.label(), "exempt": exempt, "kernel_norm": kernel_norm},
+        {"exact_sup_ratio": exact},
     )
 
 
@@ -485,7 +460,6 @@ def check_interpolation(
 def check_relative_bound_zero(
     bundle: HamiltonianBundle,
     margin: float = 0.05,
-    trials: int = 300,
     seed: int = 29,
 ) -> BoundReport:
     """Infinitesimal relative bounds in the coupling-free playground.
@@ -508,9 +482,7 @@ def check_relative_bound_zero(
         c_grid.append(float(np.max(np.maximum(col_norms - mu * np.abs(free), 0.0))))
     monotone = bool(np.all(np.diff(c_grid) >= -1e-12))
 
-    dim = bundle.basis.dimension
-    rng = np.random.default_rng(seed)
-    vectors = _unit_rows(dim, min(trials, 1000), rng)
+    vectors = _unit_rows(bundle.basis.dimension, RELATIVE_TRIALS, np.random.default_rng(seed))
     power_diag = (free + 1.0) ** (1.0 - margin)
     lhs = np.linalg.norm(power_diag[None, :] * vectors, axis=1)
     free_norms = np.linalg.norm(free[None, :] * vectors, axis=1)
@@ -531,7 +503,7 @@ def check_relative_bound_zero(
         passed=passed,
         max_ratio=worst,
         tolerance=1.0 + RATIO_TOL,
-        trials=vectors.shape[0] * len(RELATIVE_MUS),
+        trials=RELATIVE_TRIALS * len(RELATIVE_MUS),
         params={"margin": margin, "mus": list(RELATIVE_MUS)},
         details={
             "interaction_constants": dict(zip((str(m) for m in RELATIVE_MUS), c_grid)),
@@ -775,12 +747,9 @@ def check_number_estimate(
         table = bundle.table
         target_massless = target == curve.species or table.species[target].is_massless
         exponents = _estimate_exponents(table, target, exempt, margin)
-        w = table.mode_weights(target)
+        amplitudes = observables(bundle, vector, target).amplitudes
         ratios = []
-        for local, mode in enumerate(table.block(target)):
-            amp = np.linalg.norm(
-                annihilation(table, bundle.basis, mode) @ vector
-            ) / math.sqrt(w[local])
+        for local, amp in enumerate(amplitudes):
             prefactor = 1.0 / _mode_scale(table, target, local, target_massless)
             slices = _slice_norm_sum(
                 table, target, _target_slices(bundle, target, local), exponents

@@ -485,6 +485,32 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
     assert err[0].startswith("error:") and f"{section}.{key}" in err[0]
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda cfg: cfg.update(coupling=None),
+        lambda cfg: cfg["solver"].update(dense_cap=None),
+        lambda cfg: cfg.update(kernels=[{"kind": "gaussian", "alpha": None, "created": [0, 1]}]),
+        lambda cfg: cfg.update(exponents={"theta_grid": 0.5}),
+        lambda cfg: cfg["species"][0].update(spins=0.5),
+        lambda cfg: cfg.update(truncation=1),
+    ],
+    ids=["coupling-null", "dense-cap-null", "alpha-null", "theta-number", "spins-number",
+         "truncation-number"],
+)
+def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate):
+    """A null where a number belongs, or a number where a list belongs, is a
+    refused config: exit 2 and one `error:` line, no traceback."""
+    cfg = sweep_config()
+    mutate(cfg)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "groundstate", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+
+
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     """Two six-mode species (dimension 4096, above DENSE_CAP_DEFAULT): the
     form bound's spectral edges come from ARPACK, and its non-convergence ends

@@ -1,7 +1,8 @@
-"""Every package module uses every name it imports, and every private
-top-level function is referenced somewhere in the package. Start-up loads
-only what a run uses: no ARPACK, scipy.linalg, scipy.special or csgraph
-for the demo and the dense path.
+"""Every package module uses every name it imports, every private
+top-level function is referenced somewhere in the package, and every
+parameter with a default is passed by some call in the package or its
+tests. Start-up loads only what a run uses: no ARPACK, scipy.linalg,
+scipy.special or csgraph for the demo and the dense path.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -129,3 +130,61 @@ def test_demo_and_dense_runs_load_no_eigensolver_modules():
     assert got["after_dense"] == []
     assert got["fermifock"] == [f"fermifock.{path.stem}" for path in MODULES]
     assert got["arpack_after_lanczos"]
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, int | None, str]]:
+    """(function name, position in a call or None when keyword-only, name)
+    of every parameter with a default; a method's `self` or `cls` takes no
+    position in a call."""
+    out = []
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = [a.arg for a in positional[:1]] in (["self"], ["cls"])
+            positional = positional[int(bound and isinstance(owner, ast.ClassDef)):]
+            first = len(positional) - len(args.defaults)
+            out.extend((node.name, i, positional[i].arg) for i in range(first, len(positional)))
+            out.extend(
+                (node.name, None, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            )
+    return out
+
+
+def passed_arguments(tree: ast.Module) -> dict[str, set]:
+    """Per called name, the positions and keywords some call passes; a
+    `*args` or `**kwargs` argument counts as passing everything."""
+    passed = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        got = passed.setdefault(name, set())
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            got.add("*")
+        got.update(range(len(node.args)))
+        got.update(k.arg for k in node.keywords if k.arg)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call in the package or its tests overrides is a
+    constant in disguise: it belongs in a module constant, not in a signature."""
+    calls = {}
+    for path in PACKAGE + sorted(Path(__file__).parent.glob("*.py")):
+        for name, got in passed_arguments(ast.parse(path.read_text())).items():
+            calls.setdefault(name, set()).update(got)
+    unused = [
+        f"{path.stem}.{function}({parameter})"
+        for path in PACKAGE
+        for function, position, parameter in defaulted_parameters(ast.parse(path.read_text()))
+        if not calls.get(function, set()) & {"*", parameter, position}
+    ]
+    assert unused == []

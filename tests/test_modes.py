@@ -87,7 +87,7 @@ def test_chain_validation():
 def test_mode_cap_enforced():
     cfg = uniform_grid_species(1.0, 1.0, (3, 3, 3), spins=(0.5,))
     with pytest.raises(ValueError, match="cap"):
-        build_mode_table([cfg, cfg], max_modes=24)
+        build_mode_table([cfg, cfg])
 
 
 def test_uniform_grid_species_weights():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +255,42 @@ def test_bounds_hold_for_every_process_class_odd_species():
             assert report.max_ratio <= RATIO_CAP
 
 
+FROZEN_REPORTS = Path(__file__).with_name("frozen_bound_reports.json")
+
+
+def assert_report_matches(got, want, where):
+    """Floats to 1e-12 relative, every other field exactly, types included."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (where, got, want)
+    else:
+        assert got == want, where
+
+
+def test_bound_reports_match_the_frozen_record():
+    """The four constant-1 checks at their default trials and seeds, on every
+    term of a real power kernel (triple, dimension 512) and of a complex c0a1
+    kernel (dimension 256). The record holds each report's as_dict() as the
+    checks gave it before they shared one scaffold."""
+    want = json.loads(FROZEN_REPORTS.read_text())
+    got = {}
+    for name, bundle in (("triple", assemble_total(*triple_parts())), ("c0a1", c0a1_bundle(4))):
+        for index in range(len(bundle.tensors)):
+            for check in (
+                check_form_bound, check_refined_form_bound, check_hermite_bound, check_operator_bound
+            ):
+                report = check(bundle, index)
+                got[f"{name}/{index}/{report.name}"] = report.as_dict()
+    got = json.loads(json.dumps(got, sort_keys=True))
+    assert list(got) == list(want)
+    for key in want:
+        assert_report_matches(got[key], want[key], key)
+
+
 # ---------------------------------------------------------------------------
 # interpolation and the vanishing relative bound
 # ---------------------------------------------------------------------------
@@ -419,7 +456,7 @@ def test_interpolation_above_the_old_dense_map_cap():
 def test_relative_bound_zero_frozen_constants():
     # the toy interaction column at the vacuum has norm 1 and free energy 0,
     # so every C_mu equals exactly 1
-    report = check_relative_bound_zero(toy_bundle(), trials=200)
+    report = check_relative_bound_zero(toy_bundle())
     assert report.name == "relative_bound_zero"
     assert report.passed
     assert report.details["constants_monotone"]
