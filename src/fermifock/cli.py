@@ -157,9 +157,7 @@ def _suite_number(bundle, cfg, seed):
     margin = float(exps["margin"])
     reports = []
     for species, curve in _sweeps(bundle, cfg, seed):
-        reports.append(vf.check_number_estimate(curve, species, exempt, margin))
-        if cfg["species"][species].get("chains"):
-            reports.append(vf.check_gradient_estimate(curve, species, exempt, margin))
+        reports.extend(vf.check_sweep_estimates(curve, species, exempt, margin))
     return reports
 
 
@@ -460,8 +458,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result;
-    # TypeError: a config value of the wrong JSON type (null, a number for a list) refuses the
-    # config; the tuple is evaluated only when an exception arrives, so ARPACK is not loaded for it
+    # TypeError: a wrong-typed config value that no key check names still refuses the config;
+    # the tuple is evaluated only when an exception arrives, so ARPACK is not loaded for it
     except (ValueError, TypeError, OSError, spectra.ArpackNoConvergence, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

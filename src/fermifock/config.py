@@ -60,6 +60,17 @@ def normalize_config(raw: dict) -> dict:
     exps = dict(DEFAULTS["exponents"])
     exps.update(cfg.get("exponents", {}))
     cfg["exponents"] = exps
+    solver = dict(DEFAULTS["solver"])
+    solver.update(cfg.get("solver", {}))
+    cfg["solver"] = solver
+    cfg.setdefault("truncation", None)
+    # a value of the wrong JSON type is refused by its key, before any use
+    _typed(cfg["coupling"], "coupling", float)
+    for section in ("exponents", "solver"):
+        for key, default in DEFAULTS[section].items():
+            _typed(cfg[section][key], f"{section}.{key}", type(default))
+    if cfg["truncation"] is not None:
+        _typed(cfg["truncation"], "truncation", list)
     n_species = len(cfg["species"])
     _species_index(exps["exempt_species"], "exponents.exempt_species", n_species)
     if "infrared" in cfg:
@@ -69,12 +80,8 @@ def normalize_config(raw: dict) -> dict:
     thetas = exps["theta_grid"]
     if any(not 0 < float(t) < 1 for t in thetas):
         raise ValueError(f"exponents.theta_grid entries must lie in (0, 1), got {thetas}")
-    solver = dict(DEFAULTS["solver"])
-    solver.update(cfg.get("solver", {}))
-    cfg["solver"] = solver
     if int(solver["trials"]) < 1:
         raise ValueError(f"solver.trials must be at least 1, got {solver['trials']}")
-    cfg.setdefault("truncation", None)
     return cfg
 
 
@@ -92,22 +99,36 @@ def _species_index(value: Any, key: str, n_species: int) -> int:
     return int(value)
 
 
-def _required(entry: dict, key: str, what: str) -> Any:
-    """entry[key]; a missing key is a config error that names it."""
+def _typed(value: Any, key: str, kind: type) -> Any:
+    """value when it has kind's JSON type (list: an array; int or float: a
+    number, not a bool); otherwise a config error that names the key."""
+    if kind is list:
+        ok = isinstance(value, (list, tuple))
+    else:
+        ok = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{key} must be a {'list' if kind is list else 'number'}, got {value!r}")
+    return value
+
+
+def _required(entry: dict, key: str, what: str, kind: type | None = None) -> Any:
+    """entry[key]; a missing key, or one whose value is not of kind, is a
+    config error that names it."""
     if key not in entry:
         raise ValueError(f"{what} is missing required key {key!r}")
-    return entry[key]
+    return entry[key] if kind is None else _typed(entry[key], f"{what} key {key!r}", kind)
 
 
 def build_species(entry: dict) -> SpeciesConfig:
-    mass = float(_required(entry, "mass", "species entry"))
-    spins = tuple(float(s) for s in entry.get("spins", [0.5, -0.5]))
+    mass = float(_required(entry, "mass", "species entry", float))
+    spins = _typed(entry.get("spins", [0.5, -0.5]), "species entry key 'spins'", list)
+    spins = tuple(float(s) for s in spins)
     chains = tuple(tuple(int(i) for i in c) for c in entry.get("chains", []))
     if "grid" in entry:
         grid = entry["grid"]
         cfg = uniform_grid_species(
             mass=mass,
-            extent=float(_required(grid, "extent", "species grid")),
+            extent=float(_required(grid, "extent", "species grid", float)),
             points_per_axis=tuple(int(n) for n in _required(grid, "shape", "species grid")),
             spins=spins,
             axis_offsets=tuple(float(v) for v in grid.get("offsets", (0.0, 0.0, 0.0))),
@@ -146,9 +167,9 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
     if kind == "constant":
         spec = constant_kernel(n_species, value)
     elif kind == "gaussian":
-        spec = gaussian_kernel(n_species, float(_required(entry, "alpha", what)), value)
+        spec = gaussian_kernel(n_species, float(_required(entry, "alpha", what, float)), value)
     elif kind == "power":
-        spec = power_kernel(nus, float(_required(entry, "lam", what)), value)
+        spec = power_kernel(nus, float(_required(entry, "lam", what, float)), value)
     elif kind == "separable":
         signs = entry.get(
             "conservation_signs",
@@ -156,7 +177,7 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
         )
         spec = separable_kernel(
             nus=nus,
-            lam=float(_required(entry, "lam", what)),
+            lam=float(_required(entry, "lam", what, float)),
             conservation_sigma=float(entry.get("conservation_sigma", 0.0)),
             conservation_signs=signs,
             value=value,

@@ -222,28 +222,15 @@ def _max_abs(op: sp.spmatrix) -> float:
     return float(np.max(np.abs(op.data))) if op.nnz else 0.0
 
 
-@dataclass(frozen=True)
-class CommutatorParts:
-    """Structured decomposition of [b_mode, g * H_int].
+def commutator_with_annihilator(bundle: HamiltonianBundle, mode: int) -> sp.csr_matrix:
+    """[b_mode, g H_int] from its structured decomposition.
 
-    slice_sum collects the contraction remnants: for every monomial carrying a
-    creator of the mode's species, the monomial with that factor removed and
-    the kernel sliced at the mode, with the anticommutation sign. tail is
-    -2 g M b_mode summed over monomials of odd degree (zero when all degrees
-    are even). total = slice_sum + tail equals the commutator.
+    The slice sum collects the contraction remnants: for every monomial
+    carrying a creator of the mode's species, the monomial with that factor
+    removed and the kernel sliced at the mode, with the anticommutation sign.
+    The parity tail is -2 g M b_mode summed over monomials of odd degree (zero
+    when all degrees are even). Their sum is the commutator.
     """
-
-    mode: int
-    species: int
-    slice_sum: sp.csr_matrix
-    tail: sp.csr_matrix
-    total: sp.csr_matrix
-
-
-def commutator_with_annihilator(
-    bundle: HamiltonianBundle, mode: int
-) -> CommutatorParts:
-    """Decompose [b_mode, g H_int] into kernel-slice terms plus parity tail."""
     table = bundle.table
     basis = bundle.basis
     species, point, spin = table.locate(mode)
@@ -273,12 +260,7 @@ def commutator_with_annihilator(
             if len(factors) % 2 == 1:
                 tail = tail - 2.0 * (op @ b_op)
 
-    slice_sum = (g * slice_sum).tocsr()
-    tail = (g * tail).tocsr()
-    total = (slice_sum + tail).tocsr()
-    return CommutatorParts(
-        mode=mode, species=species, slice_sum=slice_sum, tail=tail, total=total
-    )
+    return (g * slice_sum + g * tail).tocsr()
 
 
 def _adjoint_factors(sig: ProcessSignature) -> tuple[tuple[int, bool], ...]:

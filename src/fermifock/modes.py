@@ -142,14 +142,9 @@ class ModeTable:
         """Global mode indices belonging to species i."""
         return range(self.offsets[i], self.offsets[i] + self.species[i].n_modes)
 
-    def global_index(self, i: int, point: int, spin: int) -> int:
-        cfg = self.species[i]
-        if not (0 <= point < cfg.n_points and 0 <= spin < len(cfg.spins)):
-            raise ValueError("point or spin index out of range")
-        return self.offsets[i] + point * len(cfg.spins) + spin
-
     def locate(self, mode: int) -> tuple[int, int, int]:
-        """Inverse of global_index: mode -> (species, point, spin)."""
+        """mode -> (species, point, spin), where mode = offsets[species] +
+        point * n_spins + spin."""
         if not (0 <= mode < self.total_modes):
             raise ValueError("mode index out of range")
         for i in reversed(range(self.n_species)):

@@ -202,14 +202,15 @@ def ground_state(
 class ObservableReport:
     """Ground-state occupation data for one species.
 
-    amplitudes[m] is the continuum-normalized annihilation amplitude
-    || b(xi_m) Phi || = || b_m Phi || / sqrt(w_m); their weighted squares sum
-    to the species' expected particle number.
+    vectors[m] is the continuum-normalized row b(xi_m) Phi = b_m Phi / sqrt(w_m),
+    and amplitudes[m] its norm || b_m Phi || / sqrt(w_m); their weighted squares
+    sum to the species' expected particle number.
     """
 
     species: int
     expected_number: float
     amplitudes: np.ndarray
+    vectors: np.ndarray = field(repr=False)
     chain_gradients: tuple[np.ndarray, ...] = ()
 
 
@@ -245,6 +246,7 @@ def observables(
         species=species,
         expected_number=number,
         amplitudes=amps,
+        vectors=np.array(psi_vectors),
         chain_gradients=tuple(gradients),
     )
 

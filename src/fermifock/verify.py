@@ -17,6 +17,12 @@ D^-1 (T + T*) D^-1 and adds the edge vectors to the seeded trial rows. All four
 report through _bound_report: max_ratio is the larger of the trial maximum and
 the exact ratio, held to 1 + RATIO_TOL together with the check's own conditions.
 
+The number and gradient estimates along a mass sweep are one check,
+check_sweep_estimates: one pass over the mass points reads the ground state's
+rows b(xi) Phi from spectra.observables, the only place they are formed, and
+takes each target mode's kernel slices and their weighted norms once for both
+reports.
+
 Conventions, fixed across the package:
 * form-type estimates (quadratic forms) are checked on the hermitized process
   term T + T*, which satisfies them with the same constant;
@@ -592,8 +598,7 @@ def check_pull_through(bundle: HamiltonianBundle) -> BoundReport:
         omega = table.mode_energies(species)[m - table.offsets[species]]
         b = annihilation(table, basis, m)
         direct = (b @ h - h @ b - omega * b).tocsr()
-        parts = commutator_with_annihilator(bundle, m)
-        worst = max(worst, _max_abs(direct - parts.total))
+        worst = max(worst, _max_abs(direct - commutator_with_annihilator(bundle, m)))
     return BoundReport(
         name="pull_through",
         passed=worst <= IDENTITY_TOL,
@@ -639,202 +644,106 @@ def check_hermiticity(bundle: HamiltonianBundle) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _target_slices(
-    bundle: HamiltonianBundle, target: int, local_mode: int
-) -> list[np.ndarray]:
-    """Each term's kernel slice at one target mode, as a term creating it.
-
-    A term that annihilates the target creates it through its hermitian
-    conjugate, so its slice is taken from the conjugated tensor.
-    """
-    out = []
-    for tensor in bundle.tensors:
-        if target in tensor.signature.annihilated:
-            tensor = KernelTensor(
-                signature=tensor.signature, values=np.conj(tensor.values)
-            )
-        out.append(kernel_slice(tensor, bundle.table, target, local_mode))
-    return out
-
-
 def _slice_norm_sum(
-    table: ModeTable,
-    target: int,
-    slices: Sequence[np.ndarray],
-    exponents: dict[int, float],
+    table: ModeTable, target: int, slices: Sequence[np.ndarray], exponents: dict[int, float]
 ) -> float:
     """Sum of the weighted norms of kernel slices taken at one target mode."""
-    others = [i for i in range(table.n_species) if i != target]
-    axis_species = {a: s for a, s in enumerate(others)}
+    axis_species = dict(enumerate(i for i in range(table.n_species) if i != target))
     return sum(
         float(np.linalg.norm(weight_kernel_tensor(values, table, exponents, axis_species).ravel()))
         for values in slices
     )
 
 
-def _estimate_exponents(
-    table: ModeTable, target: int, exempt: int, margin: float
-) -> dict[int, float]:
-    """Per-species weights for the remaining axes of a sliced kernel."""
-    n = table.n_species
-    massless = [i for i in range(n) if table.species[i].is_massless]
-    full = exponent_table(n, massless, margin, exempt)
-    return {
-        i: float(full[i]) for i in range(n) if i not in (target, exempt)
-    }
-
-
-def _mode_scale(table: ModeTable, target: int, local: int, massless: bool) -> float:
-    """|k| of a target mode when the target counts as massless (k = 0 refused,
-    its prefactors would be infinite), else omega."""
-    if not massless:
-        return float(table.mode_energies(target)[local])
-    kabs = float(np.linalg.norm(table.momenta(target)[local]))
-    if kabs == 0:
-        raise ValueError("massless target species may not hold a k = 0 mode")
-    return kabs
-
-
 def _uniformity_report(
-    name: str,
-    vanishing: str,
-    sup_constants: list[float],
-    params: dict,
-    details: dict,
-    ok: bool = True,
+    name: str, vanishing: str, sup_constants: list[float], params: dict, details: dict,
+    *extra: bool,
 ) -> BoundReport:
-    """Spread max/min of the per-mass best constants against UNIFORMITY_FACTOR; a
-    pass with a note when all of them vanish (zero left sides at this coupling)."""
+    """Spread max/min of the per-mass best constants against UNIFORMITY_FACTOR,
+    passed when it is within and each extra condition holds; a pass with a note
+    when all of them vanish (zero left sides at this coupling)."""
     top = float(np.max(sup_constants))
     if top < 1e-12:
-        return BoundReport(
-            name=name,
-            passed=True,
-            max_ratio=0.0,
-            tolerance=UNIFORMITY_FACTOR,
-            params={"target": params["target"], "note": f"{vanishing} vanish at this coupling"},
-        )
+        note = {"target": params["target"], "note": f"{vanishing} vanish at this coupling"}
+        return BoundReport(name, True, 0.0, UNIFORMITY_FACTOR, params=note)
     spread = top / max(float(np.min(sup_constants)), _TINY)
-    return BoundReport(
-        name=name,
-        passed=spread <= UNIFORMITY_FACTOR and ok,
-        max_ratio=spread,
-        tolerance=UNIFORMITY_FACTOR,
-        params=params,
-        details={"per_mass_constants": [float(c) for c in sup_constants], **details},
-    )
+    details = {"per_mass_constants": [float(c) for c in sup_constants], **details}
+    passed = spread <= UNIFORMITY_FACTOR and all(extra)
+    return BoundReport(name, passed, spread, UNIFORMITY_FACTOR, 0, dict(params), details)
 
 
-def check_number_estimate(
-    curve: MassCurve,
-    target: int,
-    exempt: int = 0,
-    margin: float = 0.05,
-) -> BoundReport:
-    """Mode-amplitude estimate, uniform across the mass grid.
+def check_sweep_estimates(
+    curve: MassCurve, target: int, exempt: int = 0, margin: float = 0.05
+) -> list[BoundReport]:
+    """Mode-amplitude and gradient estimates, uniform across the mass grid.
 
-    For each mass point's ground state, the continuum-normalized amplitude
-    || b(xi) Phi || must be controlled by
-    prefactor(xi) * |g| * sum of weighted kernel slice norms at xi. The swept
-    species always gets the prefactor 1/|k| (its constant must not degrade as
-    its mass vanishes, so the massless form is used on the whole grid); a
-    fixed massive target gets 1/omega. The per-mass best constants (sup of
-    the ratio over modes) must stay within the uniformity factor across the
-    grid including the limit point.
+    One pass over the mass points, the massless limit last. At each point the
+    ground state's rows b_m Phi / sqrt(w_m) come from spectra.observables, and
+    each target mode's kernel slices (a term annihilating the target creates
+    it through its conjugate, so that slice comes from the conjugated tensor),
+    their weighted norm sum S and the mode's scale are taken once. The scale is
+    |k| when the target counts as massless (k = 0 is refused: the prefactors
+    would be infinite), else omega; the swept species always counts as
+    massless, since its constant must not degrade as its mass vanishes.
+
+    number_estimate: || b(xi) Phi || <= C scale^-1 |g| S(xi). Then, when the
+    target declares chains, gradient_estimate: at interior chain modes the
+    central difference || grad b(xi) Phi || <= C |g| (scale^-2 S + scale^-1 S'),
+    with S' the weighted norm sum of the slices' central difference. Single-
+    and double-spacing differences that disagree by more than COARSE_RATIO
+    flag a chain as too coarse, which fails the report. Each report holds the
+    per-mass best constants C (sup over modes) within UNIFORMITY_FACTOR.
     """
-    sup_constants = []
-    for bundle, vector in _curve_points(curve):
+    chains = curve.bundles[0].table.species[target].chains
+    number_sups, gradient_sups, coarse_flags = [], [], []
+    for bundle, vector in zip(curve.bundles, (*curve.vectors, curve.limit_vector)):
         table = bundle.table
-        target_massless = target == curve.species or table.species[target].is_massless
-        exponents = _estimate_exponents(table, target, exempt, margin)
-        amplitudes = observables(bundle, vector, target).amplitudes
-        ratios = []
-        for local, amp in enumerate(amplitudes):
-            prefactor = 1.0 / _mode_scale(table, target, local, target_massless)
-            slices = _slice_norm_sum(
-                table, target, _target_slices(bundle, target, local), exponents
-            )
-            rhs = prefactor * abs(bundle.coupling) * slices
-            ratios.append(amp / max(rhs, _TINY))
-        sup_constants.append(float(np.max(ratios)))
-    return _uniformity_report(
-        "number_estimate",
-        "amplitudes",
-        sup_constants,
-        params={"target": target, "exempt": exempt, "margin": margin},
-        details={"masses": [float(m) for m in curve.masses] + [0.0]},
-    )
-
-
-def _curve_points(curve: MassCurve):
-    """(bundle, ground vector) per mass point, the massless limit last."""
-    return zip(curve.bundles, (*curve.vectors, curve.limit_vector))
-
-
-def check_gradient_estimate(
-    curve: MassCurve,
-    target: int,
-    exempt: int = 0,
-    margin: float = 0.05,
-) -> BoundReport:
-    """Finite-difference gradient estimate along the target species' chains.
-
-    For interior chain modes, || grad (b(xi) Phi) || (central difference) is
-    compared against prefactor2 * sum ||S slice|| + prefactor1 * sum ||S d slice||
-    where d slice is the central difference of the kernel slice, prefactor2 is
-    |k|^-2 (massless) or omega^-2 (massive) and prefactor1 one power less. A
-    Richardson-style comparison of the single- and double-spacing differences
-    flags chains whose spacing is too coarse.
-    """
-    sup_constants = []
-    coarse_flags = []
-    for bundle, vector in _curve_points(curve):
-        table = bundle.table
-        cfg = table.species[target]
-        if not cfg.chains:
-            raise ValueError("gradient estimate needs declared chains")
-        target_massless = target == curve.species or cfg.is_massless
-        exponents = _estimate_exponents(table, target, exempt, margin)
-        n_spins = len(cfg.spins)
-        w = table.mode_weights(target)
-        ratios = []
-        for chain in cfg.chains:
+        n, g = table.n_species, abs(bundle.coupling)
+        massless = [i for i in range(n) if table.species[i].is_massless]
+        full = exponent_table(n, massless, margin, exempt)
+        exponents = {i: float(full[i]) for i in range(n) if i not in (target, exempt)}
+        if target == curve.species or table.species[target].is_massless:
+            scales = [float(np.linalg.norm(k)) for k in table.momenta(target)]
+            if 0.0 in scales:
+                raise ValueError("massless target species may not hold a k = 0 mode")
+        else:
+            scales = [float(e) for e in table.mode_energies(target)]
+        creating = [
+            KernelTensor(t.signature, np.conj(t.values)) if target in t.signature.annihilated else t
+            for t in bundle.tensors
+        ]
+        slices = [[kernel_slice(t, table, target, m) for t in creating] for m in range(len(scales))]
+        sums = [_slice_norm_sum(table, target, s, exponents) for s in slices]
+        obs = observables(bundle, vector, target)
+        number_sups.append(float(np.max([
+            amp / max(1.0 / scale * g * total, _TINY)
+            for amp, scale, total in zip(obs.amplitudes, scales, sums)
+        ])))
+        rows, n_spins, ratios = obs.vectors, len(table.species[target].spins), []
+        for chain in chains:
             spacing = table.chain_spacing(target, chain)
-            for s_idx in range(n_spins):
-                locals_ = [p * n_spins + s_idx for p in chain]
-                psi = {}
-                for loc in locals_:
-                    mode = table.offsets[target] + loc
-                    psi[loc] = (
-                        annihilation(table, bundle.basis, mode) @ vector
-                    ) / math.sqrt(w[loc])
-                slices = {loc: _target_slices(bundle, target, loc) for loc in locals_}
+            for spin in range(n_spins):
+                modes = [p * n_spins + spin for p in chain]
                 for pos in range(1, len(chain) - 1):
-                    mid, lo, hi = locals_[pos], locals_[pos - 1], locals_[pos + 1]
-                    grad = np.linalg.norm(psi[hi] - psi[lo]) / (2.0 * spacing)
+                    mid, lo, hi = modes[pos], modes[pos - 1], modes[pos + 1]
+                    grad = np.linalg.norm(rows[hi] - rows[lo]) / (2.0 * spacing)
                     if 2 <= pos < len(chain) - 2:
-                        wide = np.linalg.norm(
-                            psi[locals_[pos + 2]] - psi[locals_[pos - 2]]
-                        ) / (4.0 * spacing)
-                        denom = max(grad, _TINY)
-                        coarse_flags.append(abs(grad - wide) / denom > COARSE_RATIO)
-                    slice_total = _slice_norm_sum(table, target, slices[mid], exponents)
-                    dslices = [
-                        (v_hi - v_lo) / (2.0 * spacing)
-                        for v_lo, v_hi in zip(slices[lo], slices[hi])
-                    ]
-                    dslice_total = _slice_norm_sum(table, target, dslices, exponents)
-                    scale = _mode_scale(table, target, mid, target_massless)
-                    pref2, pref1 = scale**-2.0, scale**-1.0
-                    rhs = abs(bundle.coupling) * (pref2 * slice_total + pref1 * dslice_total)
+                        wide = np.linalg.norm(rows[modes[pos + 2]] - rows[modes[pos - 2]])
+                        wide /= 4.0 * spacing
+                        coarse_flags.append(abs(grad - wide) / max(grad, _TINY) > COARSE_RATIO)
+                    diffs = [(b - a) / (2.0 * spacing) for a, b in zip(slices[lo], slices[hi])]
+                    dtotal = _slice_norm_sum(table, target, diffs, exponents)
+                    rhs = g * (scales[mid] ** -2.0 * sums[mid] + scales[mid] ** -1.0 * dtotal)
                     ratios.append(grad / max(rhs, _TINY))
-        sup_constants.append(float(np.max(ratios)))
-    coarse = any(coarse_flags)
-    return _uniformity_report(
-        "gradient_estimate",
-        "gradients",
-        sup_constants,
-        params={"target": target, "exempt": exempt, "margin": margin},
-        details={"coarse_spacing_flagged": coarse},
-        ok=not coarse,
-    )
+        if chains:
+            gradient_sups.append(float(np.max(ratios)))
+    params = {"target": target, "exempt": exempt, "margin": margin}
+    masses = {"masses": [float(m) for m in curve.masses] + [0.0]}
+    reports = [_uniformity_report("number_estimate", "amplitudes", number_sups, params, masses)]
+    if chains:
+        coarse = any(coarse_flags)
+        flag = {"coarse_spacing_flagged": coarse}
+        reports.append(_uniformity_report(
+            "gradient_estimate", "gradients", gradient_sups, params, flag, not coarse
+        ))
+    return reports

@@ -275,10 +275,10 @@ def test_criterion_07_number_gradient_uniform_when_infrared_finite():
     assert infrared_report(spec, 1, 1.9, exponents).verdict == "finite"
 
     curve = limit_curve()
-    number = vf.check_number_estimate(curve, target=1)
+    number, gradient = vf.check_sweep_estimates(curve, target=1)
     assert number.passed
     assert number.max_ratio <= UNIFORMITY_FACTOR
-    gradient = vf.check_gradient_estimate(curve, target=1)
+    assert gradient.name == "gradient_estimate"
     assert gradient.passed
     assert gradient.max_ratio <= UNIFORMITY_FACTOR
 

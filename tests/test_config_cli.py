@@ -486,21 +486,27 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate,key",
     [
-        lambda cfg: cfg.update(coupling=None),
-        lambda cfg: cfg["solver"].update(dense_cap=None),
-        lambda cfg: cfg.update(kernels=[{"kind": "gaussian", "alpha": None, "created": [0, 1]}]),
-        lambda cfg: cfg.update(exponents={"theta_grid": 0.5}),
-        lambda cfg: cfg["species"][0].update(spins=0.5),
-        lambda cfg: cfg.update(truncation=1),
+        (lambda cfg: cfg.update(coupling=None), "coupling"),
+        (lambda cfg: cfg["solver"].update(dense_cap=None), "solver.dense_cap"),
+        (
+            lambda cfg: cfg.update(
+                kernels=[{"kind": "gaussian", "alpha": None, "created": [0, 1]}]
+            ),
+            "alpha",
+        ),
+        (lambda cfg: cfg.update(exponents={"theta_grid": 0.5}), "exponents.theta_grid"),
+        (lambda cfg: cfg["species"][0].update(spins=0.5), "spins"),
+        (lambda cfg: cfg.update(truncation=1), "truncation"),
     ],
     ids=["coupling-null", "dense-cap-null", "alpha-null", "theta-number", "spins-number",
          "truncation-number"],
 )
-def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate):
+def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate, key):
     """A null where a number belongs, or a number where a list belongs, is a
-    refused config: exit 2 and one `error:` line, no traceback."""
+    refused config: exit 2 and one `error:` line that names the key, no
+    traceback."""
     cfg = sweep_config()
     mutate(cfg)
     cfg_path = write_config(tmp_path, cfg)
@@ -508,7 +514,7 @@ def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate):
     assert main(["--report-dir", str(out), "groundstate", "--config", cfg_path]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error:")
+    assert err[0].startswith("error:") and key in err[0]
 
 
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):

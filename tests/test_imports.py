@@ -1,8 +1,9 @@
 """Every package module uses every name it imports, every private
-top-level function is referenced somewhere in the package, and every
-parameter with a default is passed by some call in the package or its
-tests. Start-up loads only what a run uses: no ARPACK, scipy.linalg,
-scipy.special or csgraph for the demo and the dense path.
+top-level function and every public function, class and method is
+referenced somewhere in the package, and every parameter with a default is
+passed by some call in the package or its tests. Start-up loads only what a
+run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo and
+the dense path.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -63,6 +64,36 @@ def test_private_functions_are_referenced(path):
     }
     used = set().union(*(referenced_names(ast.parse(p.read_text())) for p in PACKAGE))
     assert private - used == set()
+
+
+def test_public_names_are_referenced():
+    """Every public top-level function and class of a module, and every public
+    method of its classes, is referenced in the package: as a name, an
+    attribute or a `from ... import`, so a re-export in __init__ counts."""
+    used = set()
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        used |= referenced_names(tree)
+        used |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+    defined = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+    unused = [label for label, name in defined if not name.startswith("_") and name not in used]
+    assert unused == []
 
 
 def imported_modules(tree: ast.Module) -> set[str]:

@@ -45,11 +45,18 @@ def test_dispersion_dominates_mass_and_momentum():
         assert np.all(e >= np.linalg.norm(k, axis=-1) - IDENTITY_TOL)
 
 
-def test_global_index_roundtrip():
+def test_locate_follows_the_species_major_layout():
     table = small_table()
-    for mode in range(table.total_modes):
-        i, p, s = table.locate(mode)
-        assert table.global_index(i, p, s) == mode
+    located = [table.locate(mode) for mode in range(table.total_modes)]
+    layout = [
+        (i, point, spin)
+        for i, cfg in enumerate(table.species)
+        for point in range(cfg.n_points)
+        for spin in range(len(cfg.spins))
+    ]
+    assert located == layout
+    for mode, (i, point, spin) in enumerate(located):
+        assert mode == table.offsets[i] + point * len(table.species[i].spins) + spin
 
 
 def test_block_layout_is_species_major():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from test_acceptance import pair_instance, triple_parts
+from test_acceptance import limit_curve, pair_instance, triple_parts
 
 from fermifock.fock import (
     enumerate_basis,
@@ -35,17 +35,16 @@ from fermifock.verify import (
     BoundReport,
     check_car_relations,
     check_form_bound,
-    check_gradient_estimate,
     check_hermite_bound,
     check_hermiticity,
     check_interpolation,
-    check_number_estimate,
     check_operator_bound,
     check_parity_identity,
     check_pull_through,
     check_refined_form_bound,
     check_relative_bound_zero,
     check_smeared_norms,
+    check_sweep_estimates,
 )
 
 EXACT_TOL = 1e-12
@@ -101,8 +100,9 @@ def c0a1_bundle(modes, seed=9, coupling=0.7):
     return assemble_total(table, basis, [tensor], coupling)
 
 
-def chain_sweep(coupling=0.6, masses=(0.5, 0.1)):
-    """Sweep a chain-carrying species to its massless limit, keeping vectors."""
+def chain_sweep(coupling=0.6, masses=(0.5, 0.1), profile=None):
+    """Sweep a chain-carrying species to its massless limit, keeping vectors.
+    profile, when given, replaces the smooth kernel values along the chain."""
     s0 = SpeciesConfig(
         mass=1.0, points=np.array([[0.3, 0.0, 0.0]]), weights=np.ones(1), spins=(0.5,)
     )
@@ -118,7 +118,8 @@ def chain_sweep(coupling=0.6, masses=(0.5, 0.1)):
     basis = enumerate_basis(table)
     # smooth along the chain, otherwise the coarse-spacing detector fires
     x = pts[:, 0]
-    vals = ((1.0 + 0.3 * x) * np.exp(-0.8 * x)).reshape(1, 5).astype(np.complex128)
+    vals = (1.0 + 0.3 * x) * np.exp(-0.8 * x) if profile is None else np.asarray(profile)
+    vals = vals.reshape(1, 5).astype(np.complex128)
     tensors = [KernelTensor(signature=ProcessSignature(2, (0, 1), ()), values=vals)]
     return mass_sweep(assemble_total(table, basis, tensors, coupling), 1, list(masses))
 
@@ -589,8 +590,7 @@ def test_parity_identity_runs_no_full_space_eigensolve(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_number_estimate_vanishes_at_zero_coupling():
-    curve = chain_sweep(coupling=0.0)
-    report = check_number_estimate(curve, target=1)
+    report, _ = check_sweep_estimates(chain_sweep(coupling=0.0), target=1)
     assert report.name == "number_estimate"
     assert report.passed
     assert report.max_ratio == 0.0
@@ -598,8 +598,7 @@ def test_number_estimate_vanishes_at_zero_coupling():
 
 
 def test_estimates_uniform_along_chain_sweep():
-    curve = chain_sweep()
-    number = check_number_estimate(curve, target=1)
+    number, gradient = check_sweep_estimates(chain_sweep(), target=1)
     assert number.passed
     assert number.max_ratio <= number.tolerance
     constants = number.details["per_mass_constants"]
@@ -607,7 +606,6 @@ def test_estimates_uniform_along_chain_sweep():
     assert all(c > 0.0 for c in constants)
     assert number.details["masses"][-1] == 0.0
 
-    gradient = check_gradient_estimate(curve, target=1)
     assert gradient.name == "gradient_estimate"
     assert gradient.passed
     assert not gradient.details["coarse_spacing_flagged"]
@@ -625,10 +623,11 @@ def test_number_estimate_rejects_momentum_origin_on_massless_target():
     ]
     curve = mass_sweep(assemble_total(table, basis, tensors, 1.0), 0, [1.0, 0.5])
     with pytest.raises(ValueError, match="k = 0"):
-        check_number_estimate(curve, target=0)
+        check_sweep_estimates(curve, target=0)
 
 
 def test_gradient_estimate_needs_chains():
+    """A target without declared chains gets the number report only."""
     point = np.zeros((1, 3))
     s0 = SpeciesConfig(mass=1.0, points=point, weights=np.ones(1), spins=(0.5,))
     s1 = SpeciesConfig(mass=1.0, points=point, weights=np.ones(1), spins=(0.5,))
@@ -638,8 +637,48 @@ def test_gradient_estimate_needs_chains():
         KernelTensor(signature=ProcessSignature(2, (0, 1), ()), values=np.ones((1, 1)))
     ]
     curve = mass_sweep(assemble_total(table, basis, tensors, 1.0), 0, [1.0, 0.5])
-    with pytest.raises(ValueError, match="chains"):
-        check_gradient_estimate(curve, target=1)
+    assert [r.name for r in check_sweep_estimates(curve, target=1)] == ["number_estimate"]
+
+
+def test_sweep_estimates_form_no_amplitudes_of_their_own(monkeypatch):
+    """b(xi) Phi comes from spectra.observables only: the sweep estimates run
+    with verify's own annihilation unavailable."""
+    def refused(*args):
+        raise AssertionError("annihilation called from verify")
+
+    curve = chain_sweep()
+    monkeypatch.setattr("fermifock.verify.annihilation", refused)
+    assert [r.name for r in check_sweep_estimates(curve, target=1)] == [
+        "number_estimate", "gradient_estimate"
+    ]
+
+
+FROZEN_SWEEPS = Path(__file__).with_name("frozen_sweep_reports.json")
+
+
+def test_sweep_estimates_match_the_frozen_record():
+    """The number and gradient reports on four curves, as the two separate
+    checks gave them before the sweep estimates became one pass: the smooth
+    chain sweep, the same sweep uncoupled (the "vanish" notes), a chain whose
+    kernel alternates 1.0, 0.2 (coarse spacing flagged, gradient failed) and
+    the acceptance limit curve."""
+    curves = {
+        "chain": chain_sweep(),
+        "chain_uncoupled": chain_sweep(coupling=0.0),
+        "coarse_chain": chain_sweep(profile=[1.0, 0.2, 1.0, 0.2, 1.0]),
+        "limit": limit_curve(),
+    }
+    got = {
+        f"{name}/{report.name}": report.as_dict()
+        for name, curve in curves.items()
+        for report in check_sweep_estimates(curve, target=1)
+    }
+    want = json.loads(FROZEN_SWEEPS.read_text())
+    got = json.loads(json.dumps(got, sort_keys=True))
+    assert list(got) == list(want)
+    assert not want["coarse_chain/gradient_estimate"]["passed"]
+    for key in want:
+        assert_report_matches(got[key], want[key], key)
 
 
 def test_singular_value_checks_repeat_exactly_above_dense_size():
