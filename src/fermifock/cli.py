@@ -5,7 +5,9 @@ Subcommands:
   verify       run a verification suite and write its reports
   groundstate  solve the ground problem, write spectrum and observables
   masslimit    run the decreasing-mass sweep with its checks
-  fermi-demo   bundled four-fermion decay demo (physical and regular variants)
+  fermi-demo   bundled four-fermion decay demo (physical and regular variants):
+               one config per variant, run through the same infrared loop and
+               config.build_bundle as the other subcommands
 
 All outputs are deterministic for a fixed config and seed: reports are
 sort-keyed JSON and CSVs are written with repr floats, no timestamps.
@@ -15,27 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import config as cfgmod
-from .fock import enumerate_basis, save_triplets
-from .hamiltonian import (
-    ProcessSignature,
-    assemble_total,
-    sample_kernel_tensor,
-)
-from .kernels import (
-    exponent_table,
-    fermi_demo_spec,
-    infrared_report,
-    power_counting_verdict,
-    separable_slice_profiles,
-)
-from .modes import SpeciesConfig, build_mode_table
+from .fock import save_triplets
+from .kernels import exponent_table, infrared_report, power_counting_verdict
 from . import spectra
 from .spectra import ground_state, mass_sweep, observables
 from . import verify as vf
@@ -161,44 +150,47 @@ def _suite_number(bundle, cfg, seed):
     return reports
 
 
-def _suite_infrared(cfg, seed):
+def _infrared_runs(cfg):
+    """Per kernel entry, for the config's infrared section: (entry, infrared
+    report, the section's `expect`, whether the verdict is that expectation)."""
     section = cfg.get("infrared")
     if section is None:
         raise ValueError("config has no infrared section")
-    reports = []
     n = len(cfg["species"])
     massless = [i for i, e in enumerate(cfg["species"]) if cfgmod.build_species(e).is_massless]
     exps = cfg["exponents"]
     slice_species = int(section["slice_species"])
     r = float(section.get("r", 1.9))
     expect = section.get("expect")
+    runs = []
     for entry in cfg["kernels"]:
-        signature, spec = cfgmod.build_kernel_spec(entry, n)
+        _, spec = cfgmod.build_kernel_spec(entry, n)
         exponents = exponent_table(
             n, massless, float(exps["margin"]), int(exps["exempt_species"])
         )
-        exponents = {
-            i: float(v) for i, v in exponents.items() if i != slice_species
-        }
+        exponents = {i: float(v) for i, v in exponents.items() if i != slice_species}
         ir = infrared_report(spec, slice_species, r, exponents)
-        annotated = expect is not None and ir.verdict == expect
-        passed = ir.verdict == "finite" or annotated
-        reports.append(
-            vf.BoundReport(
-                name="infrared",
-                passed=passed,
-                max_ratio=ir.decay_ratio,
-                tolerance=0.9,
-                params={
-                    "kernel": entry["kind"],
-                    "r": r,
-                    "slice_species": slice_species,
-                    "expected": expect,
-                },
-                details=dict(ir.as_dict(), annotated_expected=annotated),
-            )
+        runs.append((entry, ir, expect, expect is not None and ir.verdict == expect))
+    return runs
+
+
+def _suite_infrared(cfg, seed):
+    return [
+        vf.BoundReport(
+            name="infrared",
+            passed=ir.verdict == "finite" or annotated,
+            max_ratio=ir.decay_ratio,
+            tolerance=0.9,
+            params={
+                "kernel": entry["kind"],
+                "r": ir.r,
+                "slice_species": ir.slice_species,
+                "expected": expect,
+            },
+            details=dict(ir.as_dict(), annotated_expected=annotated),
         )
-    return reports
+        for entry, ir, expect, annotated in _infrared_runs(cfg)
+    ]
 
 
 _BUNDLE_SUITES = {
@@ -214,8 +206,12 @@ def _load_config(args) -> tuple[dict, int]:
     cfg = cfgmod.load_config(args.config)
     if args.dense_cap is not None:
         cfg["solver"]["dense_cap"] = args.dense_cap
-    seed = args.seed if args.seed is not None else int(cfg["solver"]["seed"])
-    return cfg, seed
+    return cfg, _seed(args, cfg)
+
+
+def _seed(args, cfg: dict) -> int:
+    """--seed when given, else the config's solver.seed."""
+    return args.seed if args.seed is not None else int(cfg["solver"]["seed"])
 
 
 def cmd_verify(args) -> int:
@@ -343,69 +339,70 @@ _DEMO_VARIANTS = {
     "physical": (0.0, "divergent"),
     "regular": (0.5, "finite"),
 }
+_DEMO_MASSES = [1.0, 0.8, 0.5, 0.0]
+_DEMO_MARGIN = Fraction(1, 20)
+
+
+def _demo_config(variant: str, r: float) -> dict:
+    """The bundled four-fermion decay model: species 0 and 1 created, 2 and 3
+    annihilated, species 3 massless; one separable kernel whose massless
+    component exponent sets the variant, with gaussian momentum conservation."""
+    nu, expect = _DEMO_VARIANTS[variant]
+    species = {"points": [[0.3, 0.0, 0.0], [0.0, 0.45, 0.15]], "weights": [0.7, 0.6],
+               "spins": [0.5]}
+    return cfgmod.normalize_config({
+        "species": [dict(species, mass=m) for m in _DEMO_MASSES],
+        "kernels": [{"kind": "separable", "nus": [0.0, 0.0, 0.0, nu], "lam": 1.0,
+                     "created": [0, 1], "conservation_sigma": 0.35}],
+        "coupling": 0.4,
+        "exponents": {"margin": float(_DEMO_MARGIN), "exempt_species": 0},
+        "infrared": {"slice_species": 3, "r": r, "expect": expect},
+    })
 
 
 def cmd_fermi_demo(args) -> int:
     out = _report_dir(args)
-    n = 4
-    massless_index = 3
-    masses = [1.0, 0.8, 0.5, 0.0]
-    margin = Fraction(1, 20)
-    exempt = 0
-    exact = exponent_table(n, [massless_index], margin, exempt)
-    failures = 0
+    exact = exponent_table(len(_DEMO_MASSES), [3], _DEMO_MARGIN, 0)
     payload = {
-        "species_masses": masses,
-        "exempt_species": exempt,
-        "margin": str(margin),
+        "species_masses": _DEMO_MASSES,
+        "exempt_species": 0,
+        "margin": str(_DEMO_MARGIN),
         "exponents": {str(i): str(v) for i, v in exact.items()},
+        "variants": {},
     }
-    variants = {}
+    failures = 0
     for name in args.variant:
         nu, expect = _DEMO_VARIANTS[name]
-        spec = fermi_demo_spec(nu)
-        float_exps = {
-            i: float(v) for i, v in exact.items() if i != massless_index
-        }
-        ir = infrared_report(spec, massless_index, args.r, float_exps)
-        annotated = ir.verdict == expect
+        ((_, ir, _, annotated),) = _infrared_runs(_demo_config(name, args.r))
         if not annotated:
             failures += 1
-        profiles = separable_slice_profiles(spec, massless_index, float_exps, n_grid=41)
-        finite_norm = np.all(np.isfinite(profiles.values))
-        oracle = power_counting_verdict(nu, args.r)
-        variants[name] = {
+        payload["variants"][name] = {
             "massless_exponent": nu,
             "infrared": ir.as_dict(),
             "expected_verdict": expect,
             "verdict_as_expected": annotated,
-            "power_counting_oracle": oracle,
-            "slice_profiles_finite": bool(finite_norm),
+            "power_counting_oracle": power_counting_verdict(nu, args.r),
+            "slice_profiles_finite": all(math.isfinite(v) for v in ir.profiles.values),
         }
         print(f"fermi-demo[{name}]: infrared {ir.verdict} "
               f"(expected {expect}), gradient {ir.gradient_verdict}")
-    payload["variants"] = variants
 
-    # small Fock-side ground problem with the same structure
-    spec = fermi_demo_spec(_DEMO_VARIANTS["regular"][0])
-    pts = np.array([[0.3, 0.0, 0.0], [0.0, 0.45, 0.15]])
-    species = [
-        SpeciesConfig(mass=m, points=pts, weights=np.array([0.7, 0.6]), spins=(0.5,))
-        for m in masses
+    # small Fock-side ground problem of the regular variant
+    cfg = _demo_config("regular", args.r)
+    bundle = cfgmod.build_bundle(cfg)
+    result = ground_state(
+        bundle.h_total, dense_cap=int(cfg["solver"]["dense_cap"]), seed=_seed(args, cfg)
+    )
+    numbers = [
+        observables(bundle, result.vector, i).expected_number
+        for i in range(bundle.table.n_species)
     ]
-    table = build_mode_table(species)
-    basis = enumerate_basis(table)
-    signature = ProcessSignature(n, (0, 1), (2, 3))
-    tensor = sample_kernel_tensor(table, signature, spec.amplitude)
-    bundle = assemble_total(table, basis, [tensor], coupling=0.4)
-    result = ground_state(bundle.h_total, seed=args.seed or 7)
-    numbers = [observables(bundle, result.vector, i).expected_number for i in range(n)]
     payload["fock_demo"] = {
-        "dimension": basis.dimension,
+        "dimension": bundle.basis.dimension,
         "energy": result.energy,
         "expected_numbers": numbers,
     }
-    print(f"fermi-demo: Fock dim {basis.dimension}, E = {result.energy!r}")
+    print(f"fermi-demo: Fock dim {bundle.basis.dimension}, E = {result.energy!r}")
     _write_json(os.path.join(out, "fermi_demo.json"), payload)
     return 1 if failures else 0
 

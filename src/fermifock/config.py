@@ -23,13 +23,7 @@ from .hamiltonian import (
     assemble_total,
     sample_kernel_tensor,
 )
-from .kernels import (
-    KernelSpec,
-    constant_kernel,
-    gaussian_kernel,
-    power_kernel,
-    separable_kernel,
-)
+from .kernels import KernelSpec
 from .modes import SpeciesConfig, build_mode_table, uniform_grid_species
 
 DEFAULTS = {
@@ -76,6 +70,7 @@ def normalize_config(raw: dict) -> dict:
     if "infrared" in cfg:
         slice_species = _required(cfg["infrared"], "slice_species", "infrared section")
         _species_index(slice_species, "infrared.slice_species", n_species)
+        _typed(cfg["infrared"].get("r", 1.9), "infrared.r", float)
     # log-convexity is claimed only at interior theta
     thetas = exps["theta_grid"]
     if any(not 0 < float(t) < 1 for t in thetas):
@@ -91,10 +86,16 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def _integer(value: Any, key: str) -> int:
+    """value when it is a JSON integer; a fraction, a bool (an int subclass in
+    Python) or a string is a config error that names the key."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _species_index(value: Any, key: str, n_species: int) -> int:
-    # bool is an int subclass, but `true` is no species index
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and 0 <= value < n_species):
+    if not 0 <= _integer(value, key) < n_species:
         raise ValueError(f"{key} must be an integer in [0, {n_species}), got {value!r}")
     return int(value)
 
@@ -123,13 +124,19 @@ def build_species(entry: dict) -> SpeciesConfig:
     mass = float(_required(entry, "mass", "species entry", float))
     spins = _typed(entry.get("spins", [0.5, -0.5]), "species entry key 'spins'", list)
     spins = tuple(float(s) for s in spins)
-    chains = tuple(tuple(int(i) for i in c) for c in entry.get("chains", []))
+    chains = tuple(
+        tuple(_integer(i, "species entry key 'chains'") for i in c)
+        for c in entry.get("chains", [])
+    )
     if "grid" in entry:
         grid = entry["grid"]
         cfg = uniform_grid_species(
             mass=mass,
             extent=float(_required(grid, "extent", "species grid", float)),
-            points_per_axis=tuple(int(n) for n in _required(grid, "shape", "species grid")),
+            points_per_axis=tuple(
+                _integer(n, "species grid key 'shape'")
+                for n in _required(grid, "shape", "species grid")
+            ),
             spins=spins,
             axis_offsets=tuple(float(v) for v in grid.get("offsets", (0.0, 0.0, 0.0))),
         )
@@ -157,33 +164,19 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
     signature = ProcessSignature(n_species, created, annihilated)
     kind = _required(entry, "kind", "kernel entry")
     what = f"{kind} kernel"
-    value = complex(entry.get("value", 1.0))
+    fields = {}
+    if kind == "gaussian":
+        fields["alpha"] = float(_required(entry, "alpha", what, float))
     if kind in ("power", "separable"):
-        nus = [float(v) for v in _required(entry, "nus", what)]
-        if len(nus) != n_species:
-            raise ValueError(
-                f"{what} needs one nus entry per species ({n_species}), got {len(nus)}"
-            )
-    if kind == "constant":
-        spec = constant_kernel(n_species, value)
-    elif kind == "gaussian":
-        spec = gaussian_kernel(n_species, float(_required(entry, "alpha", what, float)), value)
-    elif kind == "power":
-        spec = power_kernel(nus, float(_required(entry, "lam", what, float)), value)
-    elif kind == "separable":
-        signs = entry.get(
-            "conservation_signs",
-            [1 if i in created else -1 for i in range(n_species)],
+        fields["nus"] = _required(entry, "nus", what, list)
+        fields["lam"] = float(_required(entry, "lam", what, float))
+    if kind == "separable":
+        sigma = entry.get("conservation_sigma", 0.0)
+        fields["conservation_sigma"] = _typed(sigma, f"{what} key 'conservation_sigma'", float)
+        fields["conservation_signs"] = entry.get(
+            "conservation_signs", [1 if i in created else -1 for i in range(n_species)]
         )
-        spec = separable_kernel(
-            nus=nus,
-            lam=float(_required(entry, "lam", what, float)),
-            conservation_sigma=float(entry.get("conservation_sigma", 0.0)),
-            conservation_signs=signs,
-            value=value,
-        )
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    spec = KernelSpec(n_species, kind, complex(entry.get("value", 1.0)), **fields)
     return signature, spec
 
 
@@ -207,7 +200,7 @@ def _one_mass_grid(grid: dict, n_species: int) -> tuple[int, list[float]]:
         start, stop, count = (
             float(_required(grid, "start", "mass_grid entry")),
             float(_required(grid, "stop", "mass_grid entry")),
-            int(_required(grid, "count", "mass_grid entry")),
+            _integer(_required(grid, "count", "mass_grid entry"), "mass_grid.count"),
         )
         if start <= stop or stop <= 0:
             raise ValueError("mass_grid must decrease toward a positive stop")

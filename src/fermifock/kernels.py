@@ -13,9 +13,11 @@ Three related jobs live here:
 
 * Kernel specs. Amplitude families (constant, gaussian, per-species radial
   powers, component-separable products with a momentum conservation
-  regularizer). KernelSpec.amplitude is the one evaluation of a kernel: it
-  takes one momentum array per species and broadcasts, so a kernel tensor or
-  a slice-profile grid is a single call on per-species coordinate views.
+  regularizer). A KernelSpec checks and normalizes its own fields, and
+  config.build_kernel_spec is the one place that makes one. KernelSpec.amplitude
+  is the one evaluation of a kernel: it takes one momentum array per species
+  and broadcasts, so a kernel tensor or a slice-profile grid is a single call
+  on per-species coordinate views.
 
 * Infrared diagnostics. Radial integrals of |k|^(-2r) ||S G slice||^r (and the
   gradient variant) over shrinking inner cutoffs, with a geometric-decay
@@ -25,7 +27,7 @@ Three related jobs live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -411,6 +413,23 @@ class KernelSpec:
     conservation_sigma: float = 0.0
     conservation_signs: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("constant", "gaussian", "power", "separable"):
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        # frozen: the normalized fields are set through object.__setattr__
+        object.__setattr__(self, "nus", tuple(float(v) for v in self.nus))
+        object.__setattr__(self, "conservation_sigma", float(self.conservation_sigma))
+        object.__setattr__(
+            self, "conservation_signs", tuple(int(s) for s in self.conservation_signs)
+        )
+        if self.kind in ("power", "separable") and len(self.nus) != self.n_species:
+            raise ValueError(
+                f"{self.kind} kernel needs one nus entry per species ({self.n_species}), "
+                f"got {len(self.nus)}"
+            )
+        if self.kind == "separable" and len(self.conservation_signs) != self.n_species:
+            raise ValueError("need one conservation sign per species")
+
     def amplitude(self, ks: Sequence[np.ndarray]) -> np.ndarray:
         """The kernel on momenta: ks[i] holds species i's momenta, shape (..., 3).
 
@@ -427,12 +446,10 @@ class KernelSpec:
             for nu, k in zip(self.nus, ks):
                 value = value * RadialProfile(nu, self.lam)(np.linalg.norm(k, axis=-1))
             return value
-        if self.kind == "separable":
-            value = self.constant
-            for j in range(3):
-                value = value * self._coordinate_factor([k[..., j] for k in ks])
-            return value
-        raise ValueError(f"unknown kernel kind {self.kind!r}")
+        value = self.constant  # separable
+        for j in range(3):
+            value = value * self._coordinate_factor([k[..., j] for k in ks])
+        return value
 
     def _coordinate_factor(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """The separable coordinate factor u; coords[i] holds species i's values
@@ -444,59 +461,6 @@ class KernelSpec:
             total = sum(s * c for s, c in zip(self.conservation_signs, coords))
             out = out * np.exp(-(total**2) / (4.0 * self.conservation_sigma**2))
         return out
-
-
-def constant_kernel(n_species: int, value: complex = 1.0) -> KernelSpec:
-    return KernelSpec(n_species=n_species, kind="constant", constant=value)
-
-
-def gaussian_kernel(n_species: int, alpha: float, value: complex = 1.0) -> KernelSpec:
-    return KernelSpec(n_species=n_species, kind="gaussian", constant=value, alpha=alpha)
-
-
-def power_kernel(nus: Sequence[float], lam: float, value: complex = 1.0) -> KernelSpec:
-    return KernelSpec(
-        n_species=len(nus),
-        kind="power",
-        constant=value,
-        nus=tuple(float(v) for v in nus),
-        lam=lam,
-    )
-
-
-def separable_kernel(
-    nus: Sequence[float],
-    lam: float,
-    conservation_sigma: float,
-    conservation_signs: Sequence[int],
-    value: complex = 1.0,
-) -> KernelSpec:
-    if len(conservation_signs) != len(nus):
-        raise ValueError("need one conservation sign per species")
-    return KernelSpec(
-        n_species=len(nus),
-        kind="separable",
-        constant=value,
-        nus=tuple(float(v) for v in nus),
-        lam=lam,
-        conservation_sigma=float(conservation_sigma),
-        conservation_signs=tuple(int(s) for s in conservation_signs),
-    )
-
-
-_DEMO_LAM, _DEMO_SIGMA = 1.0, 0.35  # fermi-demo cutoff radius and conservation width
-
-
-def fermi_demo_spec(nu_massless: float) -> KernelSpec:
-    """Four-species decay-style kernel: two created, two annihilated, species 3
-    massless with component exponent nu_massless / 3, gaussian momentum
-    conservation."""
-    return separable_kernel(
-        nus=(0.0, 0.0, 0.0, nu_massless),
-        lam=_DEMO_LAM,
-        conservation_sigma=_DEMO_SIGMA,
-        conservation_signs=(1, 1, -1, -1),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +503,10 @@ class SliceProfiles:
         return np.sqrt(total)
 
 
-# Gauss-Hermite nodes per remaining species axis, and the half-width of the
-# slice grid in units of lam (the cutoff support ends at lam)
+# Gauss-Hermite nodes per remaining species axis, points of the slice grid,
+# and its half-width in units of lam (the cutoff support ends at lam)
 _SLICE_QUAD_NODES = 24
+_SLICE_GRID_POINTS = 161
 _SLICE_GRID_MARGIN = 1.05
 
 
@@ -549,7 +514,6 @@ def separable_slice_profiles(
     spec: KernelSpec,
     slice_species: int,
     exponents: dict[int, float],
-    n_grid: int = 161,
 ) -> SliceProfiles:
     """Tabulate the weighted coordinate slice norms of a separable kernel.
 
@@ -563,7 +527,7 @@ def separable_slice_profiles(
     others = [i for i in range(spec.n_species) if i != slice_species]
     axis = hermite_axis(_SLICE_QUAD_NODES)
     span = _SLICE_GRID_MARGIN * spec.lam
-    a_grid = np.linspace(-span, span, n_grid)
+    a_grid = np.linspace(-span, span, _SLICE_GRID_POINTS)
     delta = 1e-4 * spec.lam
 
     def factor(a_values: np.ndarray) -> np.ndarray:
@@ -607,6 +571,9 @@ def power_counting_verdict(nu: float, r: float) -> str:
 
 @dataclass(frozen=True)
 class InfraredReport:
+    """Level integrals and verdicts; profiles is the separable kernel's slice
+    table the integrals used (None for a power kernel), kept out of as_dict."""
+
     r: float
     slice_species: int
     levels: tuple[float, ...]
@@ -615,6 +582,7 @@ class InfraredReport:
     gradient_verdict: str
     decay_ratio: float
     gradient_decay_ratio: float
+    profiles: SliceProfiles | None = field(compare=False, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -718,6 +686,7 @@ def infrared_report(
         radial_grad = angular_average(profiles.grad_norm_at, r)
 
     elif spec.kind == "power":
+        profiles = None
         prof = RadialProfile(spec.nus[slice_species], spec.lam)
         # other species' factors only contribute a constant; scale-free verdicts
         # do not depend on it, so use 1.
@@ -746,4 +715,5 @@ def infrared_report(
         gradient_verdict=gverdict,
         decay_ratio=ratio,
         gradient_decay_ratio=gratio,
+        profiles=profiles,
     )

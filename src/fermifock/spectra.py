@@ -237,10 +237,8 @@ def observables(
             locals_ = [p * n_spins + s_idx for p in chain]
             grads = np.zeros(len(chain) - 2)
             for pos in range(1, len(chain) - 1):
-                diff = (
-                    psi_vectors[locals_[pos + 1]] - psi_vectors[locals_[pos - 1]]
-                ) / (2.0 * spacing)
-                grads[pos - 1] = np.linalg.norm(diff)
+                diff = psi_vectors[locals_[pos + 1]] - psi_vectors[locals_[pos - 1]]
+                grads[pos - 1] = np.linalg.norm(diff) / (2.0 * spacing)
             gradients.append(grads)
     return ObservableReport(
         species=species,

@@ -678,8 +678,8 @@ def check_sweep_estimates(
     """Mode-amplitude and gradient estimates, uniform across the mass grid.
 
     One pass over the mass points, the massless limit last. At each point the
-    ground state's rows b_m Phi / sqrt(w_m) come from spectra.observables, and
-    each target mode's kernel slices (a term annihilating the target creates
+    ground state's rows b_m Phi / sqrt(w_m) and their chain differences come
+    from spectra.observables, and each target mode's kernel slices (a term annihilating the target creates
     it through its conjugate, so that slice comes from the conjugated tensor),
     their weighted norm sum S and the mode's scale are taken once. The scale is
     |k| when the target counts as massless (k = 0 is refused: the prefactors
@@ -720,21 +720,21 @@ def check_sweep_estimates(
             for amp, scale, total in zip(obs.amplitudes, scales, sums)
         ])))
         rows, n_spins, ratios = obs.vectors, len(table.species[target].spins), []
-        for chain in chains:
+        # observables' chain_gradients run over the chains, then their spins
+        pairs = [(chain, spin) for chain in chains for spin in range(n_spins)]
+        for (chain, spin), grads in zip(pairs, obs.chain_gradients):
             spacing = table.chain_spacing(target, chain)
-            for spin in range(n_spins):
-                modes = [p * n_spins + spin for p in chain]
-                for pos in range(1, len(chain) - 1):
-                    mid, lo, hi = modes[pos], modes[pos - 1], modes[pos + 1]
-                    grad = np.linalg.norm(rows[hi] - rows[lo]) / (2.0 * spacing)
-                    if 2 <= pos < len(chain) - 2:
-                        wide = np.linalg.norm(rows[modes[pos + 2]] - rows[modes[pos - 2]])
-                        wide /= 4.0 * spacing
-                        coarse_flags.append(abs(grad - wide) / max(grad, _TINY) > COARSE_RATIO)
-                    diffs = [(b - a) / (2.0 * spacing) for a, b in zip(slices[lo], slices[hi])]
-                    dtotal = _slice_norm_sum(table, target, diffs, exponents)
-                    rhs = g * (scales[mid] ** -2.0 * sums[mid] + scales[mid] ** -1.0 * dtotal)
-                    ratios.append(grad / max(rhs, _TINY))
+            modes = [p * n_spins + spin for p in chain]
+            for pos in range(1, len(chain) - 1):
+                mid, lo, hi, grad = modes[pos], modes[pos - 1], modes[pos + 1], grads[pos - 1]
+                if 2 <= pos < len(chain) - 2:
+                    wide = np.linalg.norm(rows[modes[pos + 2]] - rows[modes[pos - 2]])
+                    wide /= 4.0 * spacing
+                    coarse_flags.append(abs(grad - wide) / max(grad, _TINY) > COARSE_RATIO)
+                diffs = [(b - a) / (2.0 * spacing) for a, b in zip(slices[lo], slices[hi])]
+                dtotal = _slice_norm_sum(table, target, diffs, exponents)
+                rhs = g * (scales[mid] ** -2.0 * sums[mid] + scales[mid] ** -1.0 * dtotal)
+                ratios.append(grad / max(rhs, _TINY))
         if chains:
             gradient_sups.append(float(np.max(ratios)))
     params = {"target": target, "exempt": exempt, "margin": margin}

@@ -26,12 +26,10 @@ from fermifock.hamiltonian import (
     sample_kernel_tensor,
 )
 from fermifock.kernels import (
+    KernelSpec,
     exponent_table,
-    gaussian_kernel,
     infrared_report,
     power_counting_verdict,
-    power_kernel,
-    separable_kernel,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table, uniform_grid_species
 from fermifock.spectra import ground_state, mass_sweep
@@ -78,7 +76,7 @@ def pair_instance(spec=None, coupling=0.7):
     s1 = SpeciesConfig(mass=0.8, points=pts1, weights=np.full(4, 0.8), spins=(0.5,))
     table = build_mode_table([s0, s1])
     basis = enumerate_basis(table)
-    spec = spec if spec is not None else gaussian_kernel(2, 0.25)
+    spec = spec if spec is not None else KernelSpec(2, "gaussian", alpha=0.25)
     tensor = sample_kernel_tensor(table, ProcessSignature(2, (0, 1), ()), spec.amplitude)
     return assemble_total(table, basis, [tensor], coupling)
 
@@ -107,7 +105,7 @@ def triple_parts():
     )
     table = build_mode_table([s0, s1, s2])
     basis = enumerate_basis(table)
-    spec = power_kernel((0.6, 0.5, 0.7), 2.5)
+    spec = KernelSpec(3, "power", nus=(0.6, 0.5, 0.7), lam=2.5)
     tensors = [
         sample_kernel_tensor(table, ProcessSignature(3, (0, 1, 2), ()), spec.amplitude),
         sample_kernel_tensor(table, ProcessSignature(3, (0,), (1, 2)), spec.amplitude),
@@ -126,7 +124,8 @@ def quad_instance():
     ]
     table = build_mode_table(species)
     basis = enumerate_basis(table)
-    spec = separable_kernel((0.0, 0.0, 0.0, 0.5), 1.0, 0.35, (1, 1, -1, -1))
+    spec = KernelSpec(4, "separable", nus=(0.0, 0.0, 0.0, 0.5), lam=1.0,
+                      conservation_sigma=0.35, conservation_signs=(1, 1, -1, -1))
     tensor = sample_kernel_tensor(
         table, ProcessSignature(4, (0, 1), (2, 3)), spec.amplitude
     )
@@ -139,7 +138,7 @@ def grid_instance():
     g1 = uniform_grid_species(0.6, 0.8, (1, 3, 1), spins=(0.5, -0.5))
     table = build_mode_table([g0, g1])
     basis = enumerate_basis(table)
-    spec = gaussian_kernel(2, 0.3)
+    spec = KernelSpec(2, "gaussian", alpha=0.3)
     tensor = sample_kernel_tensor(table, ProcessSignature(2, (0, 1), ()), spec.amplitude)
     return assemble_total(table, basis, [tensor], 0.7)
 
@@ -200,9 +199,10 @@ def test_criterion_02_constant_one_bounds():
 
 def test_criterion_03_interpolation_log_convexity():
     families = (
-        gaussian_kernel(2, 0.25),
-        power_kernel((0.6, 0.5), 2.5),
-        separable_kernel((0.5, 0.7), 2.0, 0.25, (1, -1)),
+        KernelSpec(2, "gaussian", alpha=0.25),
+        KernelSpec(2, "power", nus=(0.6, 0.5), lam=2.5),
+        KernelSpec(2, "separable", nus=(0.5, 0.7), lam=2.0,
+                   conservation_sigma=0.25, conservation_signs=(1, -1)),
     )
     # the best constants are norms over the whole kernel space, so the report
     # depends on the term's signature and the table, not on the sampled kernel
@@ -266,7 +266,7 @@ def test_criterion_06_mass_limit_program():
 
 
 def test_criterion_07_number_gradient_uniform_when_infrared_finite():
-    spec = power_kernel((0.6, 0.5, 0.7), 2.5)
+    spec = KernelSpec(3, "power", nus=(0.6, 0.5, 0.7), lam=2.5)
     exponents = {
         i: float(v)
         for i, v in exponent_table(3, [1], 0.05, 0).items()
@@ -284,12 +284,15 @@ def test_criterion_07_number_gradient_uniform_when_infrared_finite():
 
 
 def test_criterion_08_infrared_detector_matches_power_counting():
+    def spec(nu):
+        return KernelSpec(2, "power", nus=(0.6, nu), lam=2.5)
+
     for nu, want in ((0.5, "finite"), (0.0, "divergent")):
-        report = infrared_report(power_kernel((0.6, nu), 2.5), 1, 1.9, {0: 0.0})
+        report = infrared_report(spec(nu), 1, 1.9, {0: 0.0})
         assert report.verdict == want, nu
     for nu in (-0.25, 0.0, 0.25, 0.5, 1.0):
         for r in (1.0, 1.5, 1.9):
-            report = infrared_report(power_kernel((0.6, nu), 2.5), 1, r, {0: 0.0})
+            report = infrared_report(spec(nu), 1, r, {0: 0.0})
             assert report.verdict == power_counting_verdict(nu, r), (nu, r)
 
 

@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import fermifock.cli
 import fermifock.hamiltonian
+import fermifock.kernels
 import fermifock.spectra
 
 from fermifock.cli import main
@@ -144,6 +147,10 @@ def test_kernel_spec_kinds_and_default_annihilated():
     assert spec.conservation_signs == (1, -1)
     with pytest.raises(ValueError, match="unknown kernel kind"):
         build_kernel_spec({"kind": "cubic"}, 2)
+    with pytest.raises(ValueError, match="one conservation sign per species"):
+        build_kernel_spec(
+            {"kind": "separable", "nus": [0.5, 0.6], "lam": 2.0, "conservation_signs": [1]}, 2
+        )
 
 
 def grid_config(grid):
@@ -499,9 +506,11 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
         (lambda cfg: cfg.update(exponents={"theta_grid": 0.5}), "exponents.theta_grid"),
         (lambda cfg: cfg["species"][0].update(spins=0.5), "spins"),
         (lambda cfg: cfg.update(truncation=1), "truncation"),
+        (lambda cfg: cfg["kernels"][0].update(conservation_sigma=None), "conservation_sigma"),
+        (lambda cfg: cfg["infrared"].update(r=None), "infrared.r"),
     ],
     ids=["coupling-null", "dense-cap-null", "alpha-null", "theta-number", "spins-number",
-         "truncation-number"],
+         "truncation-number", "conservation-sigma-null", "infrared-r-null"],
 )
 def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate, key):
     """A null where a number belongs, or a number where a list belongs, is a
@@ -515,6 +524,46 @@ def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate, ke
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and key in err[0]
+
+
+def grid_line(mass, shape, chains=()):
+    return {"mass": mass, "grid": {"extent": 1.0, "shape": shape}, "spins": [0.5],
+            "chains": [list(c) for c in chains]}
+
+
+@pytest.mark.parametrize(
+    "mutate,key,command",
+    [
+        (lambda cfg: cfg.update(mass_grid={"species": 1, "start": 1.0, "stop": 0.1,
+                                           "count": 2.5}), "mass_grid.count", "masslimit"),
+        (lambda cfg: cfg.update(mass_grid={"species": 1, "start": 1.0, "stop": 0.1,
+                                           "count": "3"}), "mass_grid.count", "masslimit"),
+        (lambda cfg: cfg.update(mass_grid={"species": 1, "start": 1.0, "stop": 0.1,
+                                           "count": True}), "mass_grid.count", "masslimit"),
+        (lambda cfg: cfg["species"].__setitem__(1, grid_line(0.8, [3, 1, 1], [[0, 1.7, 2]])),
+         "chains", "groundstate"),
+        (lambda cfg: cfg["species"].__setitem__(1, grid_line(0.8, [2.5, 1, 1])),
+         "shape", "groundstate"),
+        (lambda cfg: cfg["species"].__setitem__(1, grid_line(0.8, ["2", 1, 1])),
+         "shape", "groundstate"),
+    ],
+    ids=["count-fraction", "count-string", "count-bool", "chain-fraction", "shape-fraction",
+         "shape-string"],
+)
+def test_cli_config_integer_that_is_not_an_integer_exits_2(
+    tmp_path, capsys, mutate, key, command
+):
+    """A count, a chain's point index or a grid's points per axis is a JSON
+    integer: a fraction is not rounded down, and a bool or a string is not
+    read as one. Each is a refused config: exit 2 and one line naming the key."""
+    cfg = sweep_config()
+    mutate(cfg)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), command, "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and key in err[0] and "integer" in err[0]
 
 
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
@@ -711,6 +760,32 @@ def test_cli_fermi_demo_verdicts(tmp_path):
     assert physical["verdict_as_expected"] and regular["verdict_as_expected"]
     assert regular["slice_profiles_finite"]
     assert payload["fock_demo"]["dimension"] == 256
+
+
+def test_cli_fermi_demo_matches_the_frozen_report(tmp_path):
+    """Both variants at --r 1.8 and --seed 5 write tests/frozen_demo_report.json
+    byte for byte."""
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "--seed", "5", "fermi-demo", "--r", "1.8"]) == 0
+    frozen = Path(__file__).with_name("frozen_demo_report.json")
+    assert (out / "fermi_demo.json").read_bytes() == frozen.read_bytes()
+
+
+def test_cli_fermi_demo_computes_one_slice_table_per_variant(tmp_path, monkeypatch):
+    """The slice_profiles_finite flag reads the table the infrared integrals
+    used, so each variant tabulates its slice profiles once."""
+    massless_nus = []
+    tabulate = fermifock.kernels.separable_slice_profiles
+
+    def counting(spec, *args, **kwargs):
+        massless_nus.append(spec.nus[3])
+        return tabulate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(fermifock.kernels, "separable_slice_profiles", counting)
+    # a module that imported the name holds its own reference to it
+    monkeypatch.setattr(fermifock.cli, "separable_slice_profiles", counting, raising=False)
+    assert main(["--report-dir", str(tmp_path / "reports"), "fermi-demo"]) == 0
+    assert massless_nus == [0.0, 0.5]
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

@@ -19,11 +19,8 @@ from fermifock.hamiltonian import (
     sample_kernel_tensor,
 )
 from fermifock.kernels import (
+    KernelSpec,
     RadialProfile,
-    constant_kernel,
-    gaussian_kernel,
-    power_kernel,
-    separable_kernel,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
 from fermifock.verify import check_parity_identity
@@ -204,11 +201,11 @@ def per_tuple_amplitude(spec, ks):
 @pytest.mark.parametrize(
     "spec",
     [
-        constant_kernel(4, 0.7 - 0.2j),
-        gaussian_kernel(4, 0.3, 1.5),
-        power_kernel((0.5, -0.25, 0.0, 1.0), lam=2.5),
-        separable_kernel((0.6, 0.0, 0.5, 0.3), lam=2.5, conservation_sigma=0.6,
-                         conservation_signs=(1, 1, -1, -1)),
+        KernelSpec(4, "constant", 0.7 - 0.2j),
+        KernelSpec(4, "gaussian", 1.5, alpha=0.3),
+        KernelSpec(4, "power", nus=(0.5, -0.25, 0.0, 1.0), lam=2.5),
+        KernelSpec(4, "separable", nus=(0.6, 0.0, 0.5, 0.3), lam=2.5,
+                   conservation_sigma=0.6, conservation_signs=(1, 1, -1, -1)),
     ],
     ids=lambda spec: spec.kind,
 )

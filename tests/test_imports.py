@@ -122,6 +122,19 @@ def test_only_spectra_imports_the_sparse_eigensolvers():
     assert importers == {"spectra.py"}
 
 
+def test_only_config_builds_kernels_and_bundles():
+    """One construction path: kernels and bundles come from a config, so in the
+    package only config.py calls KernelSpec(...) or assemble_total(...)."""
+    callers = {"KernelSpec": set(), "assemble_total": set()}
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                callers.get(name, set()).add(path.name)
+    assert callers == {"KernelSpec": {"config.py"}, "assemble_total": {"config.py"}}
+
+
 HEAVY = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.sparse.csgraph")
 STARTUP_CHILD = """
 import json, sys, tempfile

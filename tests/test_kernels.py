@@ -7,16 +7,16 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh_tridiagonal
 
+from fermifock.cli import _demo_config
+from fermifock.config import build_kernel_spec
 from fermifock.kernels import (
+    KernelSpec,
     RadialProfile,
     _radial_integral_decades,
     _verdict_from_levels,
     blend_exponents,
-    constant_kernel,
     discrete_bound_constant,
     exponent_table,
-    fermi_demo_spec,
-    gaussian_kernel,
     hermite_axis,
     hermite_bound_constant,
     hermite_functions,
@@ -24,8 +24,6 @@ from fermifock.kernels import (
     level_lattice_sum,
     plateau_cutoff,
     power_counting_verdict,
-    power_kernel,
-    separable_kernel,
     separable_slice_profiles,
     species_regularity_basis,
     weight_kernel_tensor,
@@ -221,21 +219,23 @@ def test_radial_profile_envelope():
 
 def test_kernel_family_amplitudes():
     ks = [np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.4, 0.0])]
-    assert constant_kernel(2, 2.0).amplitude(ks) == 2.0
-    assert gaussian_kernel(2, 0.5).amplitude(ks) == pytest.approx(
+    assert KernelSpec(2, "constant", 2.0).amplitude(ks) == 2.0
+    assert KernelSpec(2, "gaussian", alpha=0.5).amplitude(ks) == pytest.approx(
         np.exp(-0.5 * 0.25)
     )
-    pk = power_kernel((1.0, 0.0), lam=1.0)
+    pk = KernelSpec(2, "power", nus=(1.0, 0.0), lam=1.0)
     assert pk.amplitude(ks) == pytest.approx(0.3)
-    sep = separable_kernel((0.0, 0.0), lam=1.0, conservation_sigma=0.5,
-                           conservation_signs=(1, -1))
+    sep = KernelSpec(2, "separable", nus=(0.0, 0.0), lam=1.0,
+                     conservation_sigma=0.5, conservation_signs=(1, -1))
     # conservation regularizer sees the signed coordinate sums
     want = np.exp(-(0.3**2 + 0.4**2) / (4 * 0.25))
     assert sep.amplitude(ks) == pytest.approx(want)
 
 
 def test_fermi_demo_spec_structure():
-    spec = fermi_demo_spec(0.5)
+    """The kernel that fermi-demo's regular config builds."""
+    cfg = _demo_config("regular", 1.9)
+    _, spec = build_kernel_spec(cfg["kernels"][0], len(cfg["species"]))
     assert spec.n_species == 4
     assert spec.nus == (0.0, 0.0, 0.0, 0.5)
     assert spec.conservation_signs == (1, 1, -1, -1)
@@ -246,8 +246,8 @@ def test_fermi_demo_spec_structure():
 # ---------------------------------------------------------------------------
 
 def test_slice_profiles_match_trapezoid_oracle():
-    spec = separable_kernel((0.0, 0.0), lam=1.0, conservation_sigma=0.4,
-                            conservation_signs=(1, -1))
+    spec = KernelSpec(2, "separable", nus=(0.0, 0.0), lam=1.0,
+                      conservation_sigma=0.4, conservation_signs=(1, -1))
     prof = separable_slice_profiles(spec, slice_species=1, exponents={})
     x = np.linspace(-1.2, 1.2, 20001)
     col = plateau_cutoff(np.abs(x), 1.0)
@@ -263,8 +263,8 @@ def test_slice_profiles_match_trapezoid_oracle():
 
 
 def test_slice_profile_gradient_sign():
-    spec = separable_kernel((0.0, 1.0), lam=1.0, conservation_sigma=0.0,
-                            conservation_signs=(1, -1))
+    spec = KernelSpec(2, "separable", nus=(0.0, 1.0), lam=1.0,
+                      conservation_sigma=0.0, conservation_signs=(1, -1))
     prof = separable_slice_profiles(spec, slice_species=1, exponents={})
     # slice norm along each component behaves like |a|^(1/3): gradient blows
     # up toward zero, so the tabulated derivative must dominate there
@@ -302,7 +302,7 @@ def test_infrared_matches_power_counting(nu, r):
 
 
 def test_infrared_rejects_bad_r():
-    spec = power_kernel((0.0, 0.5), lam=1.0)
+    spec = KernelSpec(2, "power", nus=(0.0, 0.5), lam=1.0)
     with pytest.raises(ValueError, match="r must"):
         infrared_report(spec, slice_species=1, r=2.0)
 

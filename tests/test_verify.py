@@ -22,11 +22,9 @@ from fermifock.hamiltonian import (
     sample_kernel_tensor,
 )
 from fermifock.kernels import (
+    KernelSpec,
     blend_exponents,
-    gaussian_kernel,
     level_lattice_sum,
-    power_kernel,
-    separable_kernel,
     species_regularity_basis,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
@@ -397,9 +395,11 @@ def dense_svd_interpolation(
 @pytest.mark.parametrize(
     "make, term_index",
     [
-        (lambda: pair_instance(gaussian_kernel(2, 0.25)), 0),
-        (lambda: pair_instance(power_kernel((0.6, 0.5), 2.5)), 0),
-        (lambda: pair_instance(separable_kernel((0.5, 0.7), 2.0, 0.25, (1, -1))), 0),
+        (lambda: pair_instance(KernelSpec(2, "gaussian", alpha=0.25)), 0),
+        (lambda: pair_instance(KernelSpec(2, "power", nus=(0.6, 0.5), lam=2.5)), 0),
+        (lambda: pair_instance(KernelSpec(2, "separable", nus=(0.5, 0.7), lam=2.0,
+                                          conservation_sigma=0.25,
+                                          conservation_signs=(1, -1))), 0),
         (two_point_bundle, 0),
         (lambda: assemble_total(*triple_parts()), 0),
         (lambda: assemble_total(*triple_parts()), 1),
@@ -441,7 +441,7 @@ def test_interpolation_above_the_old_dense_map_cap():
     table = build_mode_table(species)
     basis = enumerate_basis(table)
     signature = ProcessSignature(2, (0, 1), ())
-    tensor = sample_kernel_tensor(table, signature, gaussian_kernel(2, 0.3).amplitude)
+    tensor = sample_kernel_tensor(table, signature, KernelSpec(2, "gaussian", alpha=0.3).amplitude)
     bundle = assemble_total(table, basis, [tensor], 0.7)
     k_dim = tensor.values.size
     assert basis.dimension == 2048 and k_dim == 30
