@@ -102,13 +102,16 @@ def _species_index(value: Any, key: str, n_species: int) -> int:
 
 def _typed(value: Any, key: str, kind: type) -> Any:
     """value when it has kind's JSON type (list: an array; int or float: a
-    number, not a bool); otherwise a config error that names the key."""
+    finite number, not a bool); otherwise a config error that names the key."""
     if kind is list:
         ok = isinstance(value, (list, tuple))
     else:
         ok = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+        # json.load reads NaN and Infinity; an integer is always finite
+        ok = ok and (isinstance(value, (int, np.integer)) or bool(np.isfinite(value)))
     if not ok:
-        raise ValueError(f"{key} must be a {'list' if kind is list else 'number'}, got {value!r}")
+        what = "list" if kind is list else "finite number"
+        raise ValueError(f"{key} must be a {what}, got {value!r}")
     return value
 
 
@@ -123,7 +126,7 @@ def _required(entry: dict, key: str, what: str, kind: type | None = None) -> Any
 def build_species(entry: dict) -> SpeciesConfig:
     mass = float(_required(entry, "mass", "species entry", float))
     spins = _typed(entry.get("spins", [0.5, -0.5]), "species entry key 'spins'", list)
-    spins = tuple(float(s) for s in spins)
+    spins = tuple(float(_typed(s, "species entry key 'spins'", float)) for s in spins)
     chains = tuple(
         tuple(_integer(i, "species entry key 'chains'") for i in c)
         for c in entry.get("chains", [])
@@ -155,9 +158,9 @@ def build_species(entry: dict) -> SpeciesConfig:
 
 
 def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, KernelSpec]:
-    created = tuple(int(i) for i in entry.get("created", ()))
+    created = tuple(_integer(i, "kernel entry key 'created'") for i in entry.get("created", ()))
     annihilated = tuple(
-        int(i) for i in entry.get(
+        _integer(i, "kernel entry key 'annihilated'") for i in entry.get(
             "annihilated", [i for i in range(n_species) if i not in created]
         )
     )
@@ -173,9 +176,11 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
     if kind == "separable":
         sigma = entry.get("conservation_sigma", 0.0)
         fields["conservation_sigma"] = _typed(sigma, f"{what} key 'conservation_sigma'", float)
-        fields["conservation_signs"] = entry.get(
-            "conservation_signs", [1 if i in created else -1 for i in range(n_species)]
-        )
+        fields["conservation_signs"] = [
+            _integer(sign, f"{what} key 'conservation_signs'") for sign in entry.get(
+                "conservation_signs", [1 if i in created else -1 for i in range(n_species)]
+            )
+        ]
     spec = KernelSpec(n_species, kind, complex(entry.get("value", 1.0)), **fields)
     return signature, spec
 

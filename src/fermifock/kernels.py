@@ -477,7 +477,8 @@ class SliceProfiles:
     is || W (u sliced at coordinate a_grid[g]) || with the oscillator weights W
     on the remaining species' axes, and grad_values[g] is the same for the
     coordinate derivative of the slice. The full 3D slice norm at momentum k
-    factorizes as prod_j values(k_j).
+    factorizes as prod_j values(k_j). Both tables are filled in blocks of
+    _SLICE_BLOCK_ROWS grid points.
     """
 
     a_grid: np.ndarray
@@ -503,10 +504,11 @@ class SliceProfiles:
         return np.sqrt(total)
 
 
-# Gauss-Hermite nodes per remaining species axis, points of the slice grid,
-# and its half-width in units of lam (the cutoff support ends at lam)
+# Gauss-Hermite nodes per remaining species axis, points of the slice grid and
+# of one block of it, and its half-width in lam (the cutoff support ends at lam)
 _SLICE_QUAD_NODES = 24
 _SLICE_GRID_POINTS = 161
+_SLICE_BLOCK_ROWS = 8
 _SLICE_GRID_MARGIN = 1.05
 
 
@@ -518,9 +520,12 @@ def separable_slice_profiles(
     """Tabulate the weighted coordinate slice norms of a separable kernel.
 
     exponents gives the oscillator power per remaining species (the slice
-    species itself and any exempt species should be absent or zero). The
-    coordinate factor is sampled once per grid shift (base, plus and minus the
-    difference step), from per-species 1-D coordinate views that broadcast.
+    species itself and any exempt species should be absent or zero). The grid
+    is tabulated in blocks of _SLICE_BLOCK_ROWS points, so memory follows one
+    block against the quadrature nodes, not the whole grid; each point takes
+    the same operations in the same order as in a one-piece table. Per block
+    the coordinate factor is sampled once per grid shift (base, plus and minus
+    the difference step), from per-species 1-D coordinate views that broadcast.
     """
     if spec.kind != "separable":
         raise ValueError("slice profiles require a separable kernel")
@@ -540,22 +545,21 @@ def separable_slice_profiles(
 
     powers = {1 + pos: float(exponents.get(i, 0.0)) for pos, i in enumerate(others)}
     weights = {a: axis.power_matrix(power) for a, power in powers.items() if power != 0.0}
-    base = _apply_on_axes(factor(a_grid), weights)
-    deriv = _apply_on_axes(
-        (factor(a_grid + delta) - factor(a_grid - delta)) / (2.0 * delta), weights
-    )
     # quadrature cell weights for the remaining axes (these are L2 norms)
     w_nd = np.ones(())
     for _ in others:
         w_nd = np.multiply.outer(w_nd, axis.weights)
     cell = w_nd.reshape(-1)
-    flat = base.reshape(a_grid.shape[0], -1)
-    flat_d = deriv.reshape(a_grid.shape[0], -1)
-    return SliceProfiles(
-        a_grid=a_grid,
-        values=np.sqrt(np.abs(flat) ** 2 @ cell),
-        grad_values=np.sqrt(np.abs(flat_d) ** 2 @ cell),
-    )
+    values = np.empty(a_grid.shape[0])
+    grad_values = np.empty(a_grid.shape[0])
+    for lo in range(0, a_grid.shape[0], _SLICE_BLOCK_ROWS):
+        rows = slice(lo, lo + _SLICE_BLOCK_ROWS)
+        a = a_grid[rows]
+        base = _apply_on_axes(factor(a), weights)
+        deriv = _apply_on_axes((factor(a + delta) - factor(a - delta)) / (2.0 * delta), weights)
+        values[rows] = np.abs(base.reshape(a.shape[0], -1)) ** 2 @ cell
+        grad_values[rows] = np.abs(deriv.reshape(a.shape[0], -1)) ** 2 @ cell
+    return SliceProfiles(a_grid=a_grid, values=np.sqrt(values), grad_values=np.sqrt(grad_values))
 
 
 # ---------------------------------------------------------------------------

@@ -508,12 +508,18 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
         (lambda cfg: cfg.update(truncation=1), "truncation"),
         (lambda cfg: cfg["kernels"][0].update(conservation_sigma=None), "conservation_sigma"),
         (lambda cfg: cfg["infrared"].update(r=None), "infrared.r"),
+        (lambda cfg: cfg["solver"].update(dense_cap=float("inf")), "solver.dense_cap"),
+        (lambda cfg: cfg["solver"].update(trials=float("inf")), "solver.trials"),
+        (lambda cfg: cfg["species"][0].update(spins=[float("nan")]), "spins"),
+        (lambda cfg: cfg.update(coupling=float("nan")), "coupling"),
     ],
     ids=["coupling-null", "dense-cap-null", "alpha-null", "theta-number", "spins-number",
-         "truncation-number", "conservation-sigma-null", "infrared-r-null"],
+         "truncation-number", "conservation-sigma-null", "infrared-r-null",
+         "dense-cap-infinity", "trials-infinity", "spins-nan", "coupling-nan"],
 )
 def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate, key):
-    """A null where a number belongs, or a number where a list belongs, is a
+    """A null where a number belongs, a number where a list belongs, or a
+    NaN or an infinity (which json.load reads) where a number belongs, is a
     refused config: exit 2 and one `error:` line that names the key, no
     traceback."""
     cfg = sweep_config()
@@ -546,16 +552,22 @@ def grid_line(mass, shape, chains=()):
          "shape", "groundstate"),
         (lambda cfg: cfg["species"].__setitem__(1, grid_line(0.8, ["2", 1, 1])),
          "shape", "groundstate"),
+        (lambda cfg: cfg["kernels"][0].update(created=[0.5, 1.9]), "created", "groundstate"),
+        (lambda cfg: cfg["kernels"][0].update(created=[0], annihilated=[1.5]),
+         "annihilated", "groundstate"),
+        (lambda cfg: cfg["kernels"][0].update(conservation_signs=[1, -0.5]),
+         "conservation_signs", "groundstate"),
     ],
     ids=["count-fraction", "count-string", "count-bool", "chain-fraction", "shape-fraction",
-         "shape-string"],
+         "shape-string", "created-fraction", "annihilated-fraction", "sign-fraction"],
 )
 def test_cli_config_integer_that_is_not_an_integer_exits_2(
     tmp_path, capsys, mutate, key, command
 ):
-    """A count, a chain's point index or a grid's points per axis is a JSON
-    integer: a fraction is not rounded down, and a bool or a string is not
-    read as one. Each is a refused config: exit 2 and one line naming the key."""
+    """A count, a chain's point index, a grid's points per axis or a kernel's
+    species index or conservation sign is a JSON integer: a fraction is not
+    rounded down, and a bool or a string is not read as one. Each is a refused
+    config: exit 2 and one line naming the key."""
     cfg = sweep_config()
     mutate(cfg)
     cfg_path = write_config(tmp_path, cfg)

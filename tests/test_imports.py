@@ -3,7 +3,7 @@ top-level function and every public function, class and method is
 referenced somewhere in the package, and every parameter with a default is
 passed by some call in the package or its tests. Start-up loads only what a
 run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo and
-the dense path.
+the dense path. No module reads the environment.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -133,6 +133,30 @@ def test_only_config_builds_kernels_and_bundles():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 callers.get(name, set()).add(path.name)
     assert callers == {"KernelSpec": {"config.py"}, "assemble_total": {"config.py"}}
+
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def test_no_module_reads_the_environment():
+    """Reports depend only on the config, the arguments and the BLAS build: no
+    package module reads or sets an environment variable through os, neither
+    as `os.environ` nor as an imported `environ`."""
+    readers = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+                and node.attr in ENVIRONMENT_READS
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "os"
+                and any(alias.name in ENVIRONMENT_READS for alias in node.names)
+            ):
+                readers.add(f"{path.name}:{node.lineno}")
+    assert readers == set()
 
 
 HEAVY = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.sparse.csgraph")

@@ -1,5 +1,6 @@
 """Hermite machinery, regularity weights, kernel families and infrared integrals."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh_tridiagonal
 
+from fermifock import kernels
 from fermifock.cli import _demo_config
 from fermifock.config import build_kernel_spec
 from fermifock.kernels import (
@@ -35,6 +37,7 @@ ROUNDTRIP_TOL = 1e-9
 DUAL_ROUTE_TOL = 1e-3
 LATTICE_SUM_TOL = 1e-10
 PROFILE_QUAD_TOL = 5e-2
+SLICE_PEAK_BYTES = 16 * 2**20
 
 
 def small_table(seed=40, n_points=(3, 2), masses=(1.0, 0.5), spins=((0.5,), (0.5, -0.5))):
@@ -271,6 +274,52 @@ def test_slice_profile_gradient_sign():
     g_near = float(np.interp(0.05, prof.a_grid, np.abs(prof.grad_values)))
     g_far = float(np.interp(0.6, prof.a_grid, np.abs(prof.grad_values)))
     assert g_near > g_far
+
+
+def demo_slice_inputs():
+    """fermi-demo's regular kernel, its slice species and the oscillator powers
+    its infrared check puts on the other species."""
+    cfg = _demo_config("regular", 1.9)
+    _, spec = build_kernel_spec(cfg["kernels"][0], len(cfg["species"]))
+    exps, slice_species = cfg["exponents"], cfg["infrared"]["slice_species"]
+    exponents = exponent_table(4, [3], exps["margin"], exps["exempt_species"])
+    return spec, slice_species, {i: float(v) for i, v in exponents.items() if i != slice_species}
+
+
+def middle_slice_inputs():
+    """Three species sliced at the middle one, so the slice coordinate is not
+    the last term of the conservation sum; powers on both other axes."""
+    spec = KernelSpec(3, "separable", nus=(0.3, 0.6, 0.5), lam=1.2,
+                      conservation_sigma=0.4, conservation_signs=(1, -1, 1))
+    return spec, 1, {0: 0.4, 2: 0.7}
+
+
+@pytest.mark.parametrize("inputs", [demo_slice_inputs, middle_slice_inputs],
+                         ids=["demo-regular", "middle-species"])
+def test_slice_profiles_do_not_depend_on_the_block_size(monkeypatch, inputs):
+    """The grid is tabulated in blocks of _SLICE_BLOCK_ROWS points; each point
+    takes the same operations, so the table equals the one-piece table bit
+    for bit."""
+    spec, slice_species, exponents = inputs()
+    blocked = separable_slice_profiles(spec, slice_species, exponents)
+    monkeypatch.setattr(kernels, "_SLICE_BLOCK_ROWS", kernels._SLICE_GRID_POINTS)
+    whole = separable_slice_profiles(spec, slice_species, exponents)
+    assert np.array_equal(blocked.values, whole.values)
+    assert np.array_equal(blocked.grad_values, whole.grad_values)
+
+
+def test_slice_profiles_memory_follows_one_block():
+    """With warm caches, one demo table allocates a few MB at its peak; the
+    one-piece 161 x 24^3 grids took about 100 MB."""
+    spec, slice_species, exponents = demo_slice_inputs()
+    separable_slice_profiles(spec, slice_species, exponents)
+    tracemalloc.start()
+    try:
+        separable_slice_profiles(spec, slice_species, exponents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SLICE_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------
