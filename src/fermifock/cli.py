@@ -52,6 +52,7 @@ def _report_dir(args) -> str:
 def cmd_build(args) -> int:
     cfg = cfgmod.load_config(args.config)
     bundle = cfgmod.build_bundle(cfg)
+    h_total = bundle.h_total
     out = _report_dir(args)
     manifest = {
         "config_digest": cfgmod.config_digest(cfg),
@@ -59,14 +60,14 @@ def cmd_build(args) -> int:
         "total_modes": bundle.table.total_modes,
         "dimension": bundle.basis.dimension,
         "interaction_nnz": int(bundle.h_int.nnz),
-        "total_nnz": int(bundle.h_total.nnz),
+        "total_nnz": int(h_total.nnz),
         "coupling": bundle.coupling,
         "terms": [t.signature.label() for t in bundle.tensors],
         "kernel_norms": [t.frobenius() for t in bundle.tensors],
     }
     _write_json(os.path.join(out, "manifest.json"), manifest)
     if cfg.get("output", {}).get("export_operators"):
-        save_triplets(bundle.h_total, os.path.join(out, "hamiltonian.txt"))
+        save_triplets(h_total, os.path.join(out, "hamiltonian.txt"))
         save_triplets(bundle.h_int, os.path.join(out, "interaction.txt"))
     print(f"build: dimension {bundle.basis.dimension}, "
           f"interaction nnz {bundle.h_int.nnz}")

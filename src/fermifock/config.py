@@ -49,6 +49,8 @@ def normalize_config(raw: dict) -> dict:
         raise ValueError("config must declare at least one species")
     if "kernels" not in raw:
         raise ValueError("config must declare a kernels list (may be empty)")
+    for entry in _typed(raw["kernels"], "kernels", list):
+        _typed(entry, "kernels entry", dict)
     cfg = dict(raw)
     cfg.setdefault("coupling", DEFAULTS["coupling"])
     exps = dict(DEFAULTS["exponents"])
@@ -101,18 +103,23 @@ def _species_index(value: Any, key: str, n_species: int) -> int:
 
 
 def _typed(value: Any, key: str, kind: type) -> Any:
-    """value when it has kind's JSON type (list: an array; int or float: a
-    finite number, not a bool); otherwise a config error that names the key."""
-    if kind is list:
-        ok = isinstance(value, (list, tuple))
+    """value when it has kind's JSON type (list: an array, dict: an object, int
+    or float: a finite number, not a bool); else a config error naming the key."""
+    if kind in (list, dict):
+        ok = isinstance(value, (list, tuple) if kind is list else dict)
     else:
         ok = isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
         # json.load reads NaN and Infinity; an integer is always finite
         ok = ok and (isinstance(value, (int, np.integer)) or bool(np.isfinite(value)))
     if not ok:
-        what = "list" if kind is list else "finite number"
+        what = {list: "list", dict: "JSON object"}.get(kind, "finite number")
         raise ValueError(f"{key} must be a {what}, got {value!r}")
     return value
+
+
+def _numbers(values: Any, key: str) -> list[float]:
+    """values, a list of finite numbers, as floats; else a config error naming key."""
+    return [float(_typed(v, key, float)) for v in _typed(values, key, list)]
 
 
 def _required(entry: dict, key: str, what: str, kind: type | None = None) -> Any:
@@ -125,14 +132,14 @@ def _required(entry: dict, key: str, what: str, kind: type | None = None) -> Any
 
 def build_species(entry: dict) -> SpeciesConfig:
     mass = float(_required(entry, "mass", "species entry", float))
-    spins = _typed(entry.get("spins", [0.5, -0.5]), "species entry key 'spins'", list)
-    spins = tuple(float(_typed(s, "species entry key 'spins'", float)) for s in spins)
+    spins = tuple(_numbers(entry.get("spins", [0.5, -0.5]), "species entry key 'spins'"))
     chains = tuple(
         tuple(_integer(i, "species entry key 'chains'") for i in c)
         for c in entry.get("chains", [])
     )
     if "grid" in entry:
         grid = entry["grid"]
+        offsets = _numbers(grid.get("offsets", [0.0] * 3), "species grid key 'offsets'")
         cfg = uniform_grid_species(
             mass=mass,
             extent=float(_required(grid, "extent", "species grid", float)),
@@ -141,17 +148,18 @@ def build_species(entry: dict) -> SpeciesConfig:
                 for n in _required(grid, "shape", "species grid")
             ),
             spins=spins,
-            axis_offsets=tuple(float(v) for v in grid.get("offsets", (0.0, 0.0, 0.0))),
+            axis_offsets=tuple(offsets),
         )
         return replace(cfg, chains=chains) if chains else cfg
-    points = np.asarray(_required(entry, "points", "species entry"), dtype=float)
+    rows = _required(entry, "points", "species entry", list)
+    points = np.asarray([_numbers(p, "species entry key 'points'") for p in rows], dtype=float)
     weights = entry.get("weights")
     if weights is None:
-        weights = np.ones(points.shape[0])
+        weights = [1.0] * len(rows)
     return SpeciesConfig(
         mass=mass,
         points=points,
-        weights=np.asarray(weights, dtype=float),
+        weights=np.asarray(_numbers(weights, "species entry key 'weights'")),
         spins=spins,
         chains=chains,
     )
@@ -171,7 +179,7 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
     if kind == "gaussian":
         fields["alpha"] = float(_required(entry, "alpha", what, float))
     if kind in ("power", "separable"):
-        fields["nus"] = _required(entry, "nus", what, list)
+        fields["nus"] = _numbers(_required(entry, "nus", what), f"{what} key 'nus'")
         fields["lam"] = float(_required(entry, "lam", what, float))
     if kind == "separable":
         sigma = entry.get("conservation_sigma", 0.0)
@@ -181,7 +189,8 @@ def build_kernel_spec(entry: dict, n_species: int) -> tuple[ProcessSignature, Ke
                 "conservation_signs", [1 if i in created else -1 for i in range(n_species)]
             )
         ]
-    spec = KernelSpec(n_species, kind, complex(entry.get("value", 1.0)), **fields)
+    value = complex(_typed(entry.get("value", 1.0), f"{what} key 'value'", float))
+    spec = KernelSpec(n_species, kind, value, **fields)
     return signature, spec
 
 
@@ -200,11 +209,11 @@ def _one_mass_grid(grid: dict, n_species: int) -> tuple[int, list[float]]:
         _required(grid, "species", "mass_grid entry"), "mass_grid.species", n_species
     )
     if "values" in grid:
-        values = [float(v) for v in grid["values"]]
+        values = _numbers(grid["values"], "mass_grid.values")
     else:
         start, stop, count = (
-            float(_required(grid, "start", "mass_grid entry")),
-            float(_required(grid, "stop", "mass_grid entry")),
+            float(_required(grid, "start", "mass_grid entry", float)),
+            float(_required(grid, "stop", "mass_grid entry", float)),
             _integer(_required(grid, "count", "mass_grid entry"), "mass_grid.count"),
         )
         if start <= stop or stop <= 0:

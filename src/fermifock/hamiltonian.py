@@ -159,10 +159,10 @@ class HamiltonianBundle:
 
     The interaction (h_int, the process terms it was summed from and their
     kernel tensors) depends on the mode geometry only and is built once, by
-    assemble_total. The species masses enter only the free diagonal, so
-    free_diag and h_total are derived from the table and the coupling on
-    construction: a mass or coupling change is a dataclasses.replace that
-    shares the interaction.
+    assemble_total. The species masses enter only the free diagonal, derived
+    from the table on construction: a mass or coupling change is a
+    dataclasses.replace that shares the interaction. h_total is built on each
+    access and never stored; a caller that needs it twice binds it once.
     """
 
     table: ModeTable
@@ -172,16 +172,14 @@ class HamiltonianBundle:
     terms: tuple[sp.csr_matrix, ...]
     h_int: sp.csr_matrix
     free_diag: np.ndarray = field(init=False)
-    h_total: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
-        coupling = float(self.coupling)
-        free_diag = free_hamiltonian_diagonal(self.table, self.basis)
-        object.__setattr__(self, "coupling", coupling)
-        object.__setattr__(self, "free_diag", free_diag)
-        object.__setattr__(
-            self, "h_total", (sp.diags(free_diag) + coupling * self.h_int).tocsr()
-        )
+        object.__setattr__(self, "coupling", float(self.coupling))
+        object.__setattr__(self, "free_diag", free_hamiltonian_diagonal(self.table, self.basis))
+
+    @property
+    def h_total(self) -> sp.csr_matrix:
+        return (sp.diags(self.free_diag) + self.coupling * self.h_int).tocsr()
 
 
 def assemble_total(

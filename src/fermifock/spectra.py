@@ -257,7 +257,8 @@ class MassCurve:
     massless problem. cross_energies[j] = <Phi_j, H(limit) Phi_j> realizes the
     sandwich limit_energy <= cross_energies[j] <= energies[j]; overlaps track
     |<Phi_j, Phi_(j+1)>| as a convergence proxy (no compactness claim).
-    bundles holds one bundle per mass and the limit last, all sharing one h_int.
+    bundles holds one bundle per mass and the limit last, all sharing one h_int;
+    they hold no H_total (a bundle builds it on access).
     """
 
     species: int
@@ -293,9 +294,10 @@ def mass_sweep(
 
     The mode geometry is fixed and only the species' dispersion changes, so
     every point is the bundle with that species' mass replaced: all points
-    share the bundle's h_int, terms and tensors, and only the free diagonal
-    differs. Masses must be strictly decreasing and positive; the massless
-    limit is appended internally.
+    share the bundle's h_int, terms and tensors, and own only a table and a free
+    diagonal. Each H_total lives for its own solve, and the limit's is built
+    once more for the cross energies, so a sweep holds one at a time. Masses
+    must be strictly decreasing and positive; the massless limit is appended.
     """
     masses = np.asarray([float(m) for m in masses])
     if masses.size < 2 or np.any(np.diff(masses) >= 0):
@@ -307,9 +309,9 @@ def mass_sweep(
         replace(bundle, table=bundle.table.with_species_mass(species, m))
         for m in [*masses, 0.0]
     ]
+    # held by ground_state alone, which frees the complex H once it has h.real
     results = [ground_state(b.h_total, dense_cap=dense_cap, seed=seed) for b in bundles]
     limit_result = results.pop()
-
     h_limit = bundles[-1].h_total
     cross = np.array(
         [float(np.real(np.vdot(r.vector, h_limit @ r.vector))) for r in results]

@@ -618,9 +618,9 @@ def check_parity_identity(bundle: HamiltonianBundle) -> BoundReport:
     """
     if any(t.signature.n_species % 2 == 0 for t in bundle.tensors):
         raise ValueError("parity identity needs an odd number of species")
-    p = sp.diags(parity_diagonal(bundle.basis))
-    flipped = (p @ bundle.h_total @ p).tocsr()
-    target = (bundle.h_total - 2.0 * bundle.coupling * bundle.h_int).tocsr()
+    p, h = sp.diags(parity_diagonal(bundle.basis)), bundle.h_total
+    flipped = (p @ h @ p).tocsr()
+    target = (h - 2.0 * bundle.coupling * bundle.h_int).tocsr()
     matrix_dev = _max_abs(flipped - target)
     spec_dev = float(np.max(np.abs(_block_eigvalsh(flipped) - _block_eigvalsh(target))))
     return BoundReport(
@@ -633,7 +633,8 @@ def check_parity_identity(bundle: HamiltonianBundle) -> BoundReport:
 
 
 def check_hermiticity(bundle: HamiltonianBundle) -> BoundReport:
-    dev = _max_abs(bundle.h_total - bundle.h_total.conj().T)
+    h = bundle.h_total
+    dev = _max_abs(h - h.conj().T)
     return BoundReport(
         name="hermiticity", passed=dev <= IDENTITY_TOL, max_ratio=dev, tolerance=IDENTITY_TOL
     )

@@ -512,21 +512,51 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
         (lambda cfg: cfg["solver"].update(trials=float("inf")), "solver.trials"),
         (lambda cfg: cfg["species"][0].update(spins=[float("nan")]), "spins"),
         (lambda cfg: cfg.update(coupling=float("nan")), "coupling"),
+        (lambda cfg: cfg["species"][0]["points"][1].__setitem__(2, float("nan")), "points"),
+        (
+            lambda cfg: cfg["species"].__setitem__(1, {
+                "mass": 0.8, "spins": [0.5],
+                "grid": {"extent": 1.0, "shape": [2, 1, 1], "offsets": [0.1, float("nan"), 0.2]},
+            }),
+            "offsets",
+        ),
+        (lambda cfg: cfg["kernels"][0].update(value=float("nan")), "kernel key 'value'"),
+        (lambda cfg: cfg["kernels"][0]["nus"].__setitem__(1, float("nan")), "nus"),
+        (
+            lambda cfg: cfg.update(mass_grid={"species": 1, "start": float("nan"), "stop": 0.1,
+                                              "count": 3}),
+            "mass_grid entry key 'start'",
+        ),
+        (
+            lambda cfg: cfg.update(mass_grid={"species": 1, "start": 1.0, "stop": float("nan"),
+                                              "count": 3}),
+            "mass_grid entry key 'stop'",
+        ),
+        (
+            lambda cfg: cfg.update(mass_grid={"species": 1, "values": [0.5, float("nan")]}),
+            "mass_grid.values",
+        ),
+        (lambda cfg: cfg.update(kernels=["gaussian"]), "kernels entry"),
+        (lambda cfg: cfg.update(kernels={}), "kernels"),
     ],
     ids=["coupling-null", "dense-cap-null", "alpha-null", "theta-number", "spins-number",
          "truncation-number", "conservation-sigma-null", "infrared-r-null",
-         "dense-cap-infinity", "trials-infinity", "spins-nan", "coupling-nan"],
+         "dense-cap-infinity", "trials-infinity", "spins-nan", "coupling-nan",
+         "points-nan", "offsets-nan", "value-nan", "nus-nan",
+         "mass-grid-start-nan", "mass-grid-stop-nan", "mass-grid-values-nan",
+         "kernel-entry-string", "kernels-object"],
 )
 def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate, key):
-    """A null where a number belongs, a number where a list belongs, or a
-    NaN or an infinity (which json.load reads) where a number belongs, is a
-    refused config: exit 2 and one `error:` line that names the key, no
-    traceback."""
+    """A null where a number belongs, a number where a list belongs, a string
+    where an object belongs, or a NaN or an infinity (which json.load reads)
+    where a number belongs, is a refused config: exit 2 and one `error:` line
+    that names the key, no traceback. A mass grid is read by masslimit."""
     cfg = sweep_config()
     mutate(cfg)
     cfg_path = write_config(tmp_path, cfg)
     out = tmp_path / "reports"
-    assert main(["--report-dir", str(out), "groundstate", "--config", cfg_path]) == 2
+    command = "masslimit" if key.startswith("mass_grid") else "groundstate"
+    assert main(["--report-dir", str(out), command, "--config", cfg_path]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and key in err[0]
@@ -798,6 +828,48 @@ def test_cli_fermi_demo_computes_one_slice_table_per_variant(tmp_path, monkeypat
     monkeypatch.setattr(fermifock.cli, "separable_slice_profiles", counting, raising=False)
     assert main(["--report-dir", str(tmp_path / "reports"), "fermi-demo"]) == 0
     assert massless_nus == [0.0, 0.5]
+
+
+def lanczos_sweep_config():
+    """sweep_config with four modes per species (dimension 256) under a dense
+    cap of 32: every mass point is a Lanczos solve, without the dense
+    cross-check, which runs only up to 4 x the cap."""
+    cfg = sweep_config()
+    cfg["species"][0].update(
+        points=[[0.3, 0.2, 0.1], [0.6, 0.15, 0.2], [0.45, 0.35, 0.15], [0.2, 0.5, 0.3]],
+        weights=[0.8, 0.9, 0.6, 0.7],
+    )
+    cfg["species"][1].update(
+        points=[[0.25, 0.1, 0.3], [0.5, 0.1, 0.25], [0.35, 0.4, 0.2], [0.7, 0.3, 0.1]],
+        weights=[0.7, 1.1, 0.5, 0.9],
+    )
+    cfg["solver"]["dense_cap"] = 32
+    cfg["mass_grid"] = [
+        {"species": 1, "values": [0.5, 0.2, 0.05]},
+        {"species": 0, "start": 1.0, "stop": 0.01, "count": 4},
+    ]
+    return cfg
+
+
+def test_cli_masslimit_matches_the_frozen_report(tmp_path, monkeypatch):
+    """masslimit on lanczos_sweep_config writes tests/frozen_masslimit_report.json
+    and .csv byte for byte, with every mass point solved by Lanczos."""
+    methods = []
+    solve = fermifock.spectra.ground_state
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        methods.append(result.method)
+        return result
+
+    monkeypatch.setattr(fermifock.spectra, "ground_state", recording)
+    cfg_path = write_config(tmp_path, lanczos_sweep_config())
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "masslimit", "--config", cfg_path]) == 0
+    assert methods == ["lanczos"] * (4 + 5)
+    for suffix in ("json", "csv"):
+        frozen = Path(__file__).with_name(f"frozen_masslimit_report.{suffix}")
+        assert (out / f"masslimit.{suffix}").read_bytes() == frozen.read_bytes(), suffix
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

@@ -3,7 +3,8 @@ top-level function and every public function, class and method is
 referenced somewhere in the package, and every parameter with a default is
 passed by some call in the package or its tests. Start-up loads only what a
 run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo and
-the dense path. No module reads the environment.
+the dense path. No module reads the environment, and no function reads one
+bundle's `h_total` twice.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -133,6 +134,26 @@ def test_only_config_builds_kernels_and_bundles():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 callers.get(name, set()).add(path.name)
     assert callers == {"KernelSpec": {"config.py"}, "assemble_total": {"config.py"}}
+
+
+def test_no_function_reads_h_total_twice():
+    """HamiltonianBundle.h_total is built on every read (a sparse add), so a
+    function that needs one bundle's H more than once binds it to a local: no
+    function in the package reads `.h_total` twice off the same expression.
+    mass_sweep reads it once per point and once off the limit bundle."""
+    repeated = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                reads = [
+                    ast.unparse(read.value) for read in ast.walk(node)
+                    if isinstance(read, ast.Attribute) and read.attr == "h_total"
+                ]
+                repeated.extend(
+                    f"{path.name}:{node.name}:{owner}"
+                    for owner in sorted(set(reads)) if reads.count(owner) > 1
+                )
+    assert repeated == []
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}

@@ -1,9 +1,11 @@
 """Eigensolvers, mass sweeps and ground-state observables."""
 
+import gc
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,12 @@ from test_verify import c0a1_bundle
 
 from fermifock import spectra
 from fermifock.fock import enumerate_basis
-from fermifock.hamiltonian import KernelTensor, ProcessSignature, assemble_total
+from fermifock.hamiltonian import (
+    HamiltonianBundle,
+    KernelTensor,
+    ProcessSignature,
+    assemble_total,
+)
 from fermifock.modes import SpeciesConfig, build_mode_table
 from fermifock.spectra import DEGENERACY_TOL, ground_state, mass_sweep, observables
 
@@ -498,6 +505,29 @@ def test_mass_sweep_points_match_fresh_assembly():
         assert bundle.table.species[1].mass == mass
         np.testing.assert_array_equal(bundle.free_diag, fresh.free_diag)
         assert np.array_equal(bundle.h_total.toarray(), fresh.h_total.toarray())
+
+
+def test_finished_sweep_holds_no_per_point_h_total():
+    """A bundle builds H_total on access and stores none, so a finished sweep
+    (four masses and the limit, every point a Lanczos solve) still holds less
+    than two H_totals: its vectors, free diagonals and tables."""
+    assert "h_total" not in {f.name for f in fields(HamiltonianBundle)}
+    bundle = grid_instance()  # dimension 4096
+    h = bundle.h_total
+    one = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+    ground_state(h, dense_cap=512)  # ARPACK loads outside the traced window
+    del h
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        curve = mass_sweep(bundle, 1, [0.5, 0.3, 0.2, 0.1], dense_cap=512)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(curve.bundles) == 5
+    assert held < 2 * one
 
 
 def test_mass_sweep_validates_grid():
