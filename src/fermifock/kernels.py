@@ -153,7 +153,7 @@ def species_regularity_basis(table: ModeTable, species: int) -> RegularityBasis:
     l_cap = 3
     while len(accepted) < n_pts:
         if l_cap > 48:
-            raise RuntimeError("point set not separated by the oscillator basis")
+            raise ValueError(f"species {species}: point set not separated by the oscillator basis")
         samples = {
             l: hermite_functions(l_cap, points[:, j])
             for j, l in enumerate("xyz")

@@ -33,9 +33,11 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,6 +76,7 @@ UNIFORMITY_FACTOR = 4.0  # largest spread max/min of a sweep's per-mass best con
 COARSE_RATIO = 0.5  # relative single- vs double-spacing gradient gap that flags a chain
 RELATIVE_MUS = (0.5, 0.25, 0.1, 0.05)  # decreasing mu grid of the relative bound
 RELATIVE_TRIALS = 300  # trial vectors of the relative bound's scalar route
+_TRIAL_BLOCK_BYTES = 2**17  # largest block of complex trial rows held at once
 _TINY = 1e-300
 
 
@@ -104,9 +107,27 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _unit_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _trial_blocks(dim: int, count: int, draws: int, rng: np.random.Generator) -> Iterator:
+    """`draws` successive draws of `count` unit rows, each one-piece draw
+    rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    normalized by row, as aligned tuples of blocks of at most _TRIAL_BLOCK_BYTES.
+    A draw-and-discard pass puts a clone of rng at the start of every real and
+    imaginary segment but the last, which rng draws itself: the rows are
+    bit-identical to the one-piece draws and rng ends where those leave it."""
+    step = max(1, _TRIAL_BLOCK_BYTES // (16 * dim))
+    segments = []
+    for _ in range(2 * draws - 1):
+        segments.append(copy.deepcopy(rng))
+        for lo in range(0, count, step):
+            rng.standard_normal((min(step, count - lo), dim))
+    segments.append(rng)
+    for lo in range(0, count, step):
+        shape = (min(step, count - lo), dim)
+        blocks = []
+        for real, imag in zip(segments[::2], segments[1::2]):
+            v = real.standard_normal(shape) + 1j * imag.standard_normal(shape)
+            blocks.append(v / np.linalg.norm(v, axis=1, keepdims=True))
+        yield tuple(blocks)
 
 
 def _top_singular_value(op: sp.spmatrix) -> float:
@@ -138,21 +159,21 @@ def _form_ratios(
     ground problems of that operator and its negative, solved by ground_state,
     whose ArpackNoConvergence or cross-check failure propagates, since a missing
     edge would leave the supremum unproven. The edge vectors, mapped back by
-    d^-1 and normalized, follow the seeded unit rows, so the trials attain it.
+    d^-1 and normalized, follow the seeded unit rows as a last block, so the
+    trials attain it.
     """
     d_inv = sp.diags(1.0 / d)
     scaled = d_inv @ op @ d_inv
     low, high = ground_state(scaled), ground_state(-scaled)
-    rows = [_unit_rows(op.shape[0], trials, np.random.default_rng(seed))]
-    for vec in (d_inv @ low.vector, d_inv @ high.vector):
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            rows.append((vec / norm)[None, :])
-    vectors = np.concatenate(rows, axis=0)
-    lhs = np.abs(np.einsum("id,di->i", vectors.conj(), op @ vectors.T))
-    rhs = scale * np.sum((d[None, :] ** 2) * np.abs(vectors) ** 2, axis=1)
-    trial = float(np.max(lhs / np.maximum(rhs, _TINY)))
-    return trial, max(abs(low.energy), abs(high.energy)), vectors.shape[0]
+    edges = np.stack([v / np.linalg.norm(v) for v in (d_inv @ low.vector, d_inv @ high.vector)])
+    ratios = []
+    blocks = _trial_blocks(op.shape[0], trials, 1, np.random.default_rng(seed))
+    for (vectors,) in itertools.chain(blocks, [(edges,)]):
+        lhs = np.abs(np.einsum("id,di->i", vectors.conj(), op @ vectors.T))
+        rhs = scale * np.sum((d[None, :] ** 2) * np.abs(vectors) ** 2, axis=1)
+        ratios.append(lhs / np.maximum(rhs, _TINY))
+    trial = float(np.max(np.concatenate(ratios)))
+    return trial, max(abs(low.energy), abs(high.energy)), trials + len(edges)
 
 
 def _bound_report(
@@ -234,23 +255,20 @@ def check_refined_form_bound(
     """
     tensor = bundle.tensors[term_index]
     sig = tensor.signature
-    op = _hermitized(bundle, term_index)
+    op, term = _hermitized(bundle, term_index), bundle.terms[term_index]
     subset = [i for i in range(bundle.table.n_species) if i != exempt]
     kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset)
     a_diag = _group_half_power_diag(bundle, sig.created, exempt)
     b_diag = _group_half_power_diag(bundle, sig.annihilated, exempt)
 
-    dim = bundle.basis.dimension
-    rng = np.random.default_rng(seed)
-    phis = _unit_rows(dim, trials, rng)
-    psis = _unit_rows(dim, trials, rng)
-    lhs = np.abs(np.einsum("id,di->i", phis.conj(), op @ psis.T))
-    a_phi = np.linalg.norm(a_diag[None, :] * phis, axis=1)
-    b_phi = np.linalg.norm(b_diag[None, :] * phis, axis=1)
-    a_psi = np.linalg.norm(a_diag[None, :] * psis, axis=1)
-    b_psi = np.linalg.norm(b_diag[None, :] * psis, axis=1)
+    per_row = []  # each block's lhs, single_lhs, a_phi, b_phi, a_psi, b_psi
+    for phis, psis in _trial_blocks(bundle.basis.dimension, trials, 2, np.random.default_rng(seed)):
+        per_row.append(
+            [np.abs(np.einsum("id,di->i", phis.conj(), t @ psis.T)) for t in (op, term)]
+            + [np.linalg.norm(w * v, axis=1) for v in (phis, psis) for w in (a_diag, b_diag)]
+        )
+    lhs, single_lhs, a_phi, b_phi, a_psi, b_psi = (np.concatenate(c) for c in zip(*per_row))
     pair_max, pair_ok = _ratio_off_vanishing(lhs, kernel_norm * (a_phi * b_psi + a_psi * b_phi))
-    single_lhs = np.abs(np.einsum("id,di->i", phis.conj(), bundle.terms[term_index] @ psis.T))
     single_max, single_ok = _ratio_off_vanishing(single_lhs, kernel_norm * a_phi * b_psi)
     return _bound_report(
         "refined_form_bound",
@@ -335,12 +353,16 @@ def check_operator_bound(
     subset, d = _energy_weight(bundle, exempt)
     kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset, one_plus=True)
     exact = _top_singular_value((term @ sp.diags(1.0 / d)).tocsr()) / max(kernel_norm, _TINY)
-    vectors = _unit_rows(bundle.basis.dimension, trials, np.random.default_rng(seed))
-    lhs = np.linalg.norm(term @ vectors.T, axis=0)
-    rhs = kernel_norm * np.linalg.norm(d[None, :] * vectors, axis=1)
+    ratios = []
+    for (vectors,) in _trial_blocks(bundle.basis.dimension, trials, 1, np.random.default_rng(seed)):
+        images = term @ vectors.T
+        # ||T v|| summed in row order, as a reduce over 2+ columns does (1 sums pairwise)
+        lhs = np.sqrt(np.cumsum((images.conj() * images).real, axis=0)[-1])
+        rhs = kernel_norm * np.linalg.norm(d[None, :] * vectors, axis=1)
+        ratios.append(lhs / np.maximum(rhs, _TINY))
     return _bound_report(
         "operator_bound",
-        float(np.max(lhs / np.maximum(rhs, _TINY))),
+        float(np.max(np.concatenate(ratios))),
         exact,
         trials,
         {"term": tensor.signature.label(), "exempt": exempt, "kernel_norm": kernel_norm},
@@ -488,10 +510,13 @@ def check_relative_bound_zero(
         c_grid.append(float(np.max(np.maximum(col_norms - mu * np.abs(free), 0.0))))
     monotone = bool(np.all(np.diff(c_grid) >= -1e-12))
 
-    vectors = _unit_rows(bundle.basis.dimension, RELATIVE_TRIALS, np.random.default_rng(seed))
     power_diag = (free + 1.0) ** (1.0 - margin)
-    lhs = np.linalg.norm(power_diag[None, :] * vectors, axis=1)
-    free_norms = np.linalg.norm(free[None, :] * vectors, axis=1)
+    lhs, free_norms = [], []
+    rng = np.random.default_rng(seed)
+    for (vectors,) in _trial_blocks(bundle.basis.dimension, RELATIVE_TRIALS, 1, rng):
+        lhs.append(np.linalg.norm(power_diag[None, :] * vectors, axis=1))
+        free_norms.append(np.linalg.norm(free[None, :] * vectors, axis=1))
+    lhs, free_norms = np.concatenate(lhs), np.concatenate(free_norms)
     scalar_ok = True
     worst = 0.0
     scalar_constants = {}

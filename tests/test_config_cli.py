@@ -256,6 +256,19 @@ def test_cli_rejects_kernel_nus_of_wrong_length(tmp_path, capsys, nus):
     assert "one nus entry per species" in err[0]
 
 
+def test_cli_far_point_exits_2_naming_its_species(tmp_path, capsys):
+    """A point at x = 1e6 is not separated by the oscillator basis, which
+    verify's regularity weights need: one line naming the species, exit 2."""
+    cfg = sweep_config()
+    cfg["species"][1]["points"][0] = [1e6, 0.1, 0.3]
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "verify", "--suite", "all", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: species 1:") and "not separated" in err[0]
+
+
 def _drop(path):
     """Config mutation: delete the key at path (a tuple of keys and indices)."""
     def mutate(cfg):

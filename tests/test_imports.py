@@ -3,8 +3,9 @@ top-level function and every public function, class and method is
 referenced somewhere in the package, and every parameter with a default is
 passed by some call in the package or its tests. Start-up loads only what a
 run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo and
-the dense path. No module reads the environment, and no function reads one
-bundle's `h_total` twice.
+the dense path. No module reads the environment, no function reads one
+bundle's `h_total` twice, and verify draws its bound checks' trial vectors
+only in blocks.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -154,6 +155,19 @@ def test_no_function_reads_h_total_twice():
                     for owner in sorted(set(reads)) if reads.count(owner) > 1
                 )
     assert repeated == []
+
+
+def test_verify_draws_trial_vectors_only_in_blocks():
+    """verify.py calls standard_normal only in the block iterator of the bound
+    checks' trial rows, in check_interpolation (kernel-space trials) and in
+    check_smeared_norms (mode-space draws): no check may bring back a
+    trials x dim draw held whole."""
+    callers = set()
+    for node in ast.parse((Path(fermifock.__file__).parent / "verify.py").read_text()).body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "standard_normal":
+                callers.add(getattr(node, "name", "<module>"))
+    assert callers == {"_trial_blocks", "check_interpolation", "check_smeared_norms"}
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}

@@ -2,13 +2,18 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from test_acceptance import limit_curve, pair_instance, triple_parts
 
+from fermifock import verify
 from fermifock.fock import (
     enumerate_basis,
     free_hamiltonian_diagonal,
@@ -47,6 +52,7 @@ from fermifock.verify import (
 
 EXACT_TOL = 1e-12
 RATIO_CAP = 1.0 + 1e-9
+TRIAL_PEAK_BYTES = 4 * 2**20  # one bound check's traced peak at dimension 1024
 
 
 def toy_bundle(coupling=1.0):
@@ -709,6 +715,97 @@ def test_form_bound_raises_when_an_edge_does_not_converge(monkeypatch):
     with pytest.raises(spla.ArpackNoConvergence):
         check_form_bound(bundle, trials=5)
     assert calls == [(4096, 4096)]
+
+
+# ---------------------------------------------------------------------------
+# trial vectors in blocks
+# ---------------------------------------------------------------------------
+
+def one_piece_unit_rows(dim, count, rng):
+    """count seeded unit rows drawn as one piece, as the bound checks once did."""
+    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@seed(2026)
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 300),
+    count=st.integers(1, 300),
+    draws=st.integers(1, 2),
+    block_bytes=st.sampled_from([1, 16 * 7, 2**12, verify._TRIAL_BLOCK_BYTES]),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_trial_blocks_concatenate_to_the_one_piece_draws(
+    dim, count, draws, block_bytes, rng_seed
+):
+    """Bit for bit, at block sizes down to one row, and the generator ends
+    where the one-piece draws leave it."""
+    reference = np.random.default_rng(rng_seed)
+    want = [one_piece_unit_rows(dim, count, reference) for _ in range(draws)]
+    rng = np.random.default_rng(rng_seed)
+    with mock.patch.object(verify, "_TRIAL_BLOCK_BYTES", block_bytes):
+        blocks = list(verify._trial_blocks(dim, count, draws, rng))
+    rows = max(1, block_bytes // (16 * dim))
+    for block in blocks:
+        assert len(block) == draws
+        assert all(part.shape[0] == block[0].shape[0] <= rows for part in block)
+    for k in range(draws):
+        got = np.concatenate([block[k] for block in blocks])
+        assert got.shape == want[k].shape and got.tobytes() == want[k].tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+BLOCKED_CHECKS = [
+    check_form_bound, check_refined_form_bound, check_operator_bound, check_relative_bound_zero
+]
+
+
+@pytest.mark.parametrize("check", BLOCKED_CHECKS, ids=lambda c: c.__name__)
+def test_bound_reports_do_not_depend_on_the_trial_block_size(monkeypatch, check):
+    """One-row blocks and a single block give the default blocks' report. The
+    operator bound's exact part is zeroed, so its max_ratio is the trial
+    maximum, to the last bit."""
+    monkeypatch.setattr(verify, "_top_singular_value", lambda op: 0.0)
+    bundle = c0a1_bundle(4)
+    want = check(bundle).as_dict()
+    for block_bytes in (1, 2**30):
+        monkeypatch.setattr(verify, "_TRIAL_BLOCK_BYTES", block_bytes)
+        assert check(bundle).as_dict() == want
+
+
+def c012_bundle():
+    """Three spinless species of 4, 3 and 3 modes and a random complex c012
+    kernel: dimension 1024, in blocks of at most 95 states."""
+    rng = np.random.default_rng(9)
+    species = [
+        SpeciesConfig(
+            mass=m, points=rng.uniform(-1.0, 1.0, size=(n, 3)),
+            weights=rng.uniform(0.5, 1.5, size=n), spins=(0.5,),
+        )
+        for m, n in ((1.0, 4), (0.7, 3), (0.5, 3))
+    ]
+    table = build_mode_table(species)
+    vals = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    tensor = KernelTensor(signature=ProcessSignature(3, (0, 1, 2), ()), values=vals)
+    return assemble_total(table, enumerate_basis(table), [tensor], 0.7)
+
+
+@pytest.mark.parametrize("check", BLOCKED_CHECKS, ids=lambda c: c.__name__)
+def test_bound_check_memory_follows_one_trial_block(check):
+    """Dimension 1024: one draw of the default 1000 trials is 16 MB (300
+    trials, 4.9 MB, for the relative bound), and the one-piece draws took the
+    checks' traced peaks to 15-83 MB. With warm caches each now stays below
+    4 MB, most of it the exact suprema's dense blocks."""
+    bundle = c012_bundle()
+    check(bundle)
+    tracemalloc.start()
+    try:
+        check(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < TRIAL_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------
