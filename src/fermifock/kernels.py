@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,10 +200,18 @@ def species_regularity_basis(table: ModeTable, species: int) -> RegularityBasis:
     return basis
 
 
-def _apply_on_axes(values: np.ndarray, matrices: dict[int, np.ndarray]) -> np.ndarray:
-    """Apply each matrix to values along its axis (as mat @ v on that axis)."""
+def _apply_on_axes(
+    values: np.ndarray, matrices: dict[int, np.ndarray], moved: np.ndarray, product: np.ndarray
+) -> np.ndarray:
+    """Apply each matrix to values along its axis (as mat @ v on that axis), through
+    np.copyto into the buffer moved and np.dot into product on C-ordered 2-D views;
+    both hold values.size entries of the result's dtype or more."""
     for axis, mat in matrices.items():
-        values = np.moveaxis(np.tensordot(mat, np.moveaxis(values, axis, 0), axes=(1, 0)), 0, axis)
+        front = np.moveaxis(values, axis, 0)
+        operand, result = (b.ravel()[: front.size].reshape(front.shape) for b in (moved, product))
+        np.copyto(operand, front)
+        np.dot(mat, operand.reshape(len(mat), -1), out=result.reshape(len(mat), -1))
+        values = np.moveaxis(result, 0, axis)
     return values
 
 
@@ -226,7 +235,7 @@ def weight_kernel_tensor(
     return _apply_on_axes(values, {
         axis: species_regularity_basis(table, axis_species[axis]).power_matrix(power)
         for axis, power in powers.items() if power != 0.0
-    })
+    }, *(np.empty(values.size, values.dtype) for _ in range(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +456,35 @@ class KernelSpec:
                 value = value * RadialProfile(nu, self.lam)(np.linalg.norm(k, axis=-1))
             return value
         value = self.constant  # separable
+        shape = np.broadcast_shapes(*(k.shape[:-1] for k in ks))
+        out, scratch = np.empty(shape), np.empty(shape)
         for j in range(3):
-            value = value * self._coordinate_factor([k[..., j] for k in ks])
+            value = value * self._coordinate_factor([k[..., j] for k in ks], out, scratch)
         return value
 
-    def _coordinate_factor(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """The separable coordinate factor u; coords[i] holds species i's values
-        of one coordinate, and the factor broadcasts over them."""
-        out = np.ones(())
+    def _coordinate_factor(
+        self, coords: Sequence[np.ndarray], out: np.ndarray, scratch: np.ndarray
+    ) -> np.ndarray:
+        """The separable coordinate factor u, in out; coords[i] holds species i's
+        values of one coordinate, broadcasting to out's shape. Intermediates of
+        that shape are formed in place in out and scratch, smaller ones apart."""
+
+        def into(ufunc, a, b, buffer):
+            full = np.broadcast_shapes(np.shape(a), np.shape(b)) == buffer.shape
+            return ufunc(a, b, out=buffer if full else None)
+
+        value = np.ones(())
         for nu, c in zip(self.nus, coords):
-            out = out * RadialProfile(nu / 3.0, self.lam)(c)
+            value = into(np.multiply, value, RadialProfile(nu / 3.0, self.lam)(c), out)
         if self.conservation_sigma > 0:
-            total = sum(s * c for s, c in zip(self.conservation_signs, coords))
-            out = out * np.exp(-(total**2) / (4.0 * self.conservation_sigma**2))
-        return out
+            total = 0  # then -(total**2) / (4 sigma^2), in place
+            for s, c in zip(self.conservation_signs, coords):
+                total = into(np.add, total, s * c, scratch)
+            np.square(total, out=total)
+            np.negative(total, out=total)
+            np.divide(total, 4.0 * self.conservation_sigma**2, out=total)
+            value = into(np.multiply, value, np.exp(total, out=total), out)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -485,30 +509,25 @@ class SliceProfiles:
     values: np.ndarray
     grad_values: np.ndarray
 
-    def norm_at(self, k: np.ndarray) -> np.ndarray:
-        k = np.atleast_2d(np.asarray(k, dtype=float))
-        return np.prod(np.interp(k, self.a_grid, self.values), axis=1)
-
-    def grad_norm_at(self, k: np.ndarray) -> np.ndarray:
-        """Euclidean norm over the three coordinate derivatives."""
-        k = np.atleast_2d(np.asarray(k, dtype=float))
-        factors = np.interp(k, self.a_grid, self.values).T
+    def norms_at(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slice norm at each momentum k (rows) and the Euclidean norm of its gradient."""
+        factors = np.interp(k, self.a_grid, self.values)
         grads = np.interp(k, self.a_grid, self.grad_values).T
         total = np.zeros(k.shape[0])
         for j in range(3):
             term = grads[j]
             for jp in range(3):
                 if jp != j:
-                    term = term * factors[jp]
+                    term = term * factors.T[jp]
             total += term**2
-        return np.sqrt(total)
+        return np.prod(factors, axis=1), np.sqrt(total)
 
 
 # Gauss-Hermite nodes per remaining species axis, points of the slice grid and
 # of one block of it, and its half-width in lam (the cutoff support ends at lam)
 _SLICE_QUAD_NODES = 24
 _SLICE_GRID_POINTS = 161
-_SLICE_BLOCK_ROWS = 8
+_SLICE_BLOCK_ROWS = 4
 _SLICE_GRID_MARGIN = 1.05
 
 
@@ -521,11 +540,11 @@ def separable_slice_profiles(
 
     exponents gives the oscillator power per remaining species (the slice
     species itself and any exempt species should be absent or zero). The grid
-    is tabulated in blocks of _SLICE_BLOCK_ROWS points, so memory follows one
-    block against the quadrature nodes, not the whole grid; each point takes
-    the same operations in the same order as in a one-piece table. Per block
-    the coordinate factor is sampled once per grid shift (base, plus and minus
-    the difference step), from per-species 1-D coordinate views that broadcast.
+    is tabulated in blocks of _SLICE_BLOCK_ROWS points, in five block buffers made
+    once, so memory follows one block against the quadrature nodes, not the whole
+    grid; each point takes the same operations in the same order as in a one-piece
+    table. Per block the coordinate factor is sampled once per grid shift (base,
+    plus and minus the difference step), from 1-D coordinate views that broadcast.
     """
     if spec.kind != "separable":
         raise ValueError("slice profiles require a separable kernel")
@@ -534,14 +553,20 @@ def separable_slice_profiles(
     span = _SLICE_GRID_MARGIN * spec.lam
     a_grid = np.linspace(-span, span, _SLICE_GRID_POINTS)
     delta = 1e-4 * spec.lam
+    block_shape = (_SLICE_BLOCK_ROWS,) + axis.nodes.shape * len(others)
+    factor_buf, minus_buf, scratch, moved, product = np.empty((5, *block_shape))
 
-    def factor(a_values: np.ndarray) -> np.ndarray:
+    def factor(a_values: np.ndarray, buffer: np.ndarray) -> np.ndarray:
         # slice coordinate on axis 0, the nodes of others[pos] on axis 1 + pos
         coords = [None] * spec.n_species
         coords[slice_species] = a_values.reshape((-1,) + (1,) * len(others))
         for pos, i in enumerate(others):
             coords[i] = axis.nodes.reshape((-1,) + (1,) * (len(others) - 1 - pos))
-        return spec._coordinate_factor(coords)
+        return spec._coordinate_factor(coords, buffer[: a_values.size], scratch[: a_values.size])
+
+    def squared_norms(block: np.ndarray) -> np.ndarray:  # |block|^2 @ cell per grid row
+        square = np.abs(block, out=scratch[: block.shape[0]])
+        return np.square(square, out=square).reshape(block.shape[0], -1) @ cell
 
     powers = {1 + pos: float(exponents.get(i, 0.0)) for pos, i in enumerate(others)}
     weights = {a: axis.power_matrix(power) for a, power in powers.items() if power != 0.0}
@@ -550,15 +575,15 @@ def separable_slice_profiles(
     for _ in others:
         w_nd = np.multiply.outer(w_nd, axis.weights)
     cell = w_nd.reshape(-1)
-    values = np.empty(a_grid.shape[0])
-    grad_values = np.empty(a_grid.shape[0])
+    values, grad_values = np.empty((2, a_grid.shape[0]))
     for lo in range(0, a_grid.shape[0], _SLICE_BLOCK_ROWS):
         rows = slice(lo, lo + _SLICE_BLOCK_ROWS)
         a = a_grid[rows]
-        base = _apply_on_axes(factor(a), weights)
-        deriv = _apply_on_axes((factor(a + delta) - factor(a - delta)) / (2.0 * delta), weights)
-        values[rows] = np.abs(base.reshape(a.shape[0], -1)) ** 2 @ cell
-        grad_values[rows] = np.abs(deriv.reshape(a.shape[0], -1)) ** 2 @ cell
+        values[rows] = squared_norms(_apply_on_axes(factor(a, factor_buf), weights, moved, product))
+        deriv = factor(a + delta, factor_buf)
+        np.subtract(deriv, factor(a - delta, minus_buf), out=deriv)
+        np.divide(deriv, 2.0 * delta, out=deriv)
+        grad_values[rows] = squared_norms(_apply_on_axes(deriv, weights, moved, product))
     return SliceProfiles(a_grid=a_grid, values=np.sqrt(values), grad_values=np.sqrt(grad_values))
 
 
@@ -610,25 +635,23 @@ _IR_ANGULAR = 24
 
 
 def _radial_integral_decades(
-    integrand: Callable[[np.ndarray], np.ndarray], lam: float
-) -> tuple[float, ...]:
-    """Cumulative integrals int_(a_l)^(lam) with a_l = lam * 10^-(l+1).
+    integrands: Callable[[np.ndarray], Sequence[np.ndarray]], lam: float
+) -> tuple[tuple[float, ...], ...]:
+    """Cumulative integrals int_(a_l)^(lam), a_l = lam * 10^-(l+1), of each integrands(rho).
 
     Each decade is integrated by Gauss-Legendre in log rho, so pure powers are
     captured accurately however singular they are at the origin.
     """
     x, w = leggauss(_IR_NODES_PER_DECADE)
-    totals = []
-    running = 0.0
+    decades = []
     for level in range(_IR_LEVELS):
         hi = lam * 10.0 ** (-level)
         lo = lam * 10.0 ** (-(level + 1))
         mid = 0.5 * (math.log(hi) + math.log(lo))
         half = 0.5 * (math.log(hi) - math.log(lo))
         rho = np.exp(mid + half * x)
-        running += float(np.sum(w * half * rho * integrand(rho)))
-        totals.append(running)
-    return tuple(totals)
+        decades.append([float(np.sum(w * half * rho * part)) for part in integrands(rho)])
+    return tuple(tuple(accumulate(parts, initial=0.0))[1:] for parts in zip(*decades))
 
 
 def _verdict_from_levels(levels: tuple[float, ...]) -> tuple[str, float]:
@@ -677,17 +700,14 @@ def infrared_report(
         )
         dir_w = np.repeat(cos_w, phi.shape[0]) * phi_w
 
-        def angular_average(norm_at, power: float):
-            """rho -> rho^(2 - power) times the sphere integral of norm_at^r."""
-
-            def integrand(rho: np.ndarray) -> np.ndarray:
-                out = np.array([np.sum(dir_w * norm_at(r_val * dirs) ** r) for r_val in rho])
-                return out * rho**2 * rho ** (-power)
-
-            return integrand
-
-        radial = angular_average(profiles.norm_at, 2.0 * r)
-        radial_grad = angular_average(profiles.grad_norm_at, r)
+        def radial(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """rho^2 times the sphere integrals of norm^r / rho^(2r) and grad_norm^r / rho^r."""
+            spheres = np.empty((2, rho.shape[0]))
+            for node, r_val in enumerate(rho):
+                norm, grad_norm = profiles.norms_at(r_val * dirs)
+                spheres[0, node] = np.sum(dir_w * norm**r)
+                spheres[1, node] = np.sum(dir_w * grad_norm**r)
+            return spheres[0] * rho**2 * rho ** (-2.0 * r), spheres[1] * rho**2 * rho ** (-r)
 
     elif spec.kind == "power":
         profiles = None
@@ -695,19 +715,16 @@ def infrared_report(
         # other species' factors only contribute a constant; scale-free verdicts
         # do not depend on it, so use 1.
 
-        def radial(rho: np.ndarray) -> np.ndarray:
-            return 4.0 * math.pi * rho**2 * rho ** (-2.0 * r) * prof(rho) ** r
-
-        def radial_grad(rho: np.ndarray) -> np.ndarray:
+        def radial(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             h = 1e-6 * lam
             dprof = np.abs(prof(rho + h) - prof(rho - h)) / (2 * h)
-            return 4.0 * math.pi * rho**2 * rho ** (-r) * dprof**r
+            ball = 4.0 * math.pi * rho**2
+            return ball * rho ** (-2.0 * r) * prof(rho) ** r, ball * rho ** (-r) * dprof**r
 
     else:
         raise ValueError(f"kind {spec.kind!r} has no infrared profile")
 
-    levels = _radial_integral_decades(radial, lam)
-    grad_levels = _radial_integral_decades(radial_grad, lam)
+    levels, grad_levels = _radial_integral_decades(radial, lam)
     verdict, ratio = _verdict_from_levels(levels)
     gverdict, gratio = _verdict_from_levels(grad_levels)
     return InfraredReport(

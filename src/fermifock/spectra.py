@@ -21,7 +21,7 @@ kernel value keeps the complex solvers. The ground vector is complex either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,8 +84,9 @@ def _component_labels(h: sp.csr_matrix) -> np.ndarray:
     return np.unique(labels, return_inverse=True)[1]
 
 
-def _blocks(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(states, dense block of h) for each connected component of h's pattern.
+def _blocks(h: sp.csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(states, dense block of h) for each connected component of h's pattern,
+    one at a time and all from one pass over h's entries sorted by component.
 
     states are ascending basis indices. One-state components share a single
     pair whose block is the 1-D array of their diagonal entries, so a diagonal
@@ -94,14 +95,20 @@ def _blocks(h: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
     h = _solver_arithmetic(h)
     sizes = np.bincount(labels := _component_labels(h))
     lone = sizes[labels] == 1
-    pairs = [(np.nonzero(lone)[0], h.diagonal()[lone].real)] if lone.any() else []
-    order = np.argsort(labels, kind="stable")
-    grouped = order[~lone[order]]  # the other components one after the other
-    permuted = h[grouped][:, grouped]
-    bounds = np.cumsum([0, *sizes[sizes > 1]])
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        pairs.append((grouped[start:end], permuted[start:end, start:end].toarray()))
-    return pairs
+    if lone.any():
+        yield np.nonzero(lone)[0], h.diagonal()[lone].real
+    order = np.argsort(labels, kind="stable")  # the components one after the other
+    bounds = np.cumsum([0, *sizes])
+    local = np.argsort(order) - bounds[labels]  # each state's index inside its block
+    entries = h.tocoo()
+    by_block = np.argsort(labels[entries.row], kind="stable")
+    rows, cols, data = (a[by_block] for a in (local[entries.row], local[entries.col], entries.data))
+    ends = np.cumsum([0, *np.bincount(labels[entries.row], minlength=sizes.size)])
+    for label in np.nonzero(sizes > 1)[0]:
+        take = slice(ends[label], ends[label + 1])
+        dense = np.zeros((sizes[label], sizes[label]), dtype=h.dtype)
+        np.add.at(dense, (rows[take], cols[take]), data[take])
+        yield order[bounds[label]:bounds[label + 1]], dense
 
 
 def _block_eigvalsh(h: sp.csr_matrix) -> np.ndarray:
@@ -115,17 +122,21 @@ def _in_ground_space(vals: np.ndarray, energy: float) -> np.ndarray:
 
 
 def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]:
-    solved = [(s, b, None) if b.ndim == 1 else (s, *np.linalg.eigh(b)) for s, b in _blocks(h)]
-    energy = float(min(vals.min() for _, vals, _ in solved))
+    eigenvalues, candidates, energy = [], [], np.inf
+    for states, block in _blocks(h):
+        vals, vecs = (block, None) if block.ndim == 1 else np.linalg.eigh(block)
+        eigenvalues.append(vals)
+        energy = min(energy, float(vals.min()))
+        # the energy only falls: a block that cannot meet it now never will
+        candidates.append((states, vals, vecs))
+        candidates = [c for c in candidates if _in_ground_space(c[1], energy).any()]
     degeneracy = 0
     # deterministic representative: project the first basis vector that meets
     # the ground space. It lies in one block, so each block offers its first.
     offers = []
-    for states, vals, vecs in solved:
+    for states, vals, vecs in candidates:
         members = _in_ground_space(vals, energy)
         degeneracy += int(members.sum())
-        if not members.any():
-            continue
         if vecs is None:  # one-state blocks: the ground states are basis vectors
             offers.append((states[members][0], states[members][:1], np.ones(1)))
             continue
@@ -135,7 +146,7 @@ def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]
     _, states, projection = min(offers, key=lambda offer: offer[0])
     rep = np.zeros(h.shape[0], dtype=np.complex128)
     rep[states] = projection
-    spectrum = np.sort(np.concatenate([vals for _, vals, _ in solved]))
+    spectrum = np.sort(np.concatenate(eigenvalues))
     return energy, _fix_phase(rep), degeneracy, spectrum
 
 
@@ -186,7 +197,9 @@ def ground_state(
                 raise AssertionError(
                     f"dense and Lanczos ground energies disagree by {cross:.2e}"
                 )
-    residual = float(np.linalg.norm(h @ vec - energy * vec))
+    # a real h times the real and imaginary parts: no complex copy of h
+    hvec = h @ vec if np.iscomplexobj(h.data) else h @ vec.real + 1j * (h @ vec.imag)
+    residual = float(np.linalg.norm(hvec - energy * vec))
     return GroundStateResult(
         energy=energy,
         vector=vec,

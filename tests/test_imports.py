@@ -4,8 +4,9 @@ referenced somewhere in the package, and every parameter with a default is
 passed by some call in the package or its tests. Start-up loads only what a
 run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo and
 the dense path. No module reads the environment, no function reads one
-bundle's `h_total` twice, and verify draws its bound checks' trial vectors
-only in blocks.
+bundle's `h_total` twice, verify draws its bound checks' trial vectors
+only in blocks, and the slice table evaluates the separable factor only
+through the kernel spec.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -168,6 +169,20 @@ def test_verify_draws_trial_vectors_only_in_blocks():
             if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "standard_normal":
                 callers.add(getattr(node, "name", "<module>"))
     assert callers == {"_trial_blocks", "check_interpolation", "check_smeared_norms"}
+
+
+def test_slice_profiles_evaluate_the_factor_only_through_the_kernel_spec():
+    """separable_slice_profiles (its nested helpers too) calls no RadialProfile,
+    plateau_cutoff or np.exp: the separable factor has one evaluation,
+    KernelSpec._coordinate_factor, which the table fills its buffers through."""
+    tree = ast.parse((Path(fermifock.__file__).parent / "kernels.py").read_text())
+    [table] = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "separable_slice_profiles"
+    ]
+    called = {ast.unparse(call.func) for call in ast.walk(table) if isinstance(call, ast.Call)}
+    assert "spec._coordinate_factor" in called
+    assert called & {"RadialProfile", "plateau_cutoff", "np.exp"} == set()
 
 
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}

@@ -37,7 +37,7 @@ ROUNDTRIP_TOL = 1e-9
 DUAL_ROUTE_TOL = 1e-3
 LATTICE_SUM_TOL = 1e-10
 PROFILE_QUAD_TOL = 5e-2
-SLICE_PEAK_BYTES = 16 * 2**20
+SLICE_PEAK_BYTES = 4 * 2**20
 
 
 def small_table(seed=40, n_points=(3, 2), masses=(1.0, 0.5), spins=((0.5,), (0.5, -0.5))):
@@ -276,14 +276,18 @@ def test_slice_profile_gradient_sign():
     assert g_near > g_far
 
 
-def demo_slice_inputs():
-    """fermi-demo's regular kernel, its slice species and the oscillator powers
-    its infrared check puts on the other species."""
-    cfg = _demo_config("regular", 1.9)
+def demo_variant_slice_inputs(variant):
+    """A fermi-demo variant's kernel, its slice species and the oscillator
+    powers its infrared check puts on the other species."""
+    cfg = _demo_config(variant, 1.9)
     _, spec = build_kernel_spec(cfg["kernels"][0], len(cfg["species"]))
     exps, slice_species = cfg["exponents"], cfg["infrared"]["slice_species"]
     exponents = exponent_table(4, [3], exps["margin"], exps["exempt_species"])
     return spec, slice_species, {i: float(v) for i, v in exponents.items() if i != slice_species}
+
+
+def demo_slice_inputs():
+    return demo_variant_slice_inputs("regular")
 
 
 def middle_slice_inputs():
@@ -309,8 +313,10 @@ def test_slice_profiles_do_not_depend_on_the_block_size(monkeypatch, inputs):
 
 
 def test_slice_profiles_memory_follows_one_block():
-    """With warm caches, one demo table allocates a few MB at its peak; the
-    one-piece 161 x 24^3 grids took about 100 MB."""
+    """With warm caches, one demo table allocates under 4 MB at its peak: five
+    4-row block buffers of 0.44 MB each and small arrays. Per-operation block
+    temporaries in 8-row blocks traced 6 MB, and the one-piece 161 x 24^3
+    grids about 100 MB."""
     spec, slice_species, exponents = demo_slice_inputs()
     separable_slice_profiles(spec, slice_species, exponents)
     tracemalloc.start()
@@ -320,6 +326,98 @@ def test_slice_profiles_memory_follows_one_block():
     finally:
         tracemalloc.stop()
     assert peak < SLICE_PEAK_BYTES
+
+
+def reference_coordinate_factor(spec, coords):
+    """The separable coordinate factor with a fresh array per operation, in the
+    order the buffered KernelSpec._coordinate_factor keeps."""
+    out = np.ones(())
+    for nu, c in zip(spec.nus, coords):
+        out = out * RadialProfile(nu / 3.0, spec.lam)(c)
+    if spec.conservation_sigma > 0:
+        total = sum(s * c for s, c in zip(spec.conservation_signs, coords))
+        out = out * np.exp(-(total**2) / (4.0 * spec.conservation_sigma**2))
+    return out
+
+
+def reference_slice_profiles(spec, slice_species, exponents):
+    """The slice table with per-operation temporaries in 8-row blocks and
+    tensordot on each weighted axis: the oracle for the buffered table."""
+    others = [i for i in range(spec.n_species) if i != slice_species]
+    axis = hermite_axis(kernels._SLICE_QUAD_NODES)
+    span = kernels._SLICE_GRID_MARGIN * spec.lam
+    a_grid = np.linspace(-span, span, kernels._SLICE_GRID_POINTS)
+    delta = 1e-4 * spec.lam
+
+    def factor(a_values):
+        coords = [None] * spec.n_species
+        coords[slice_species] = a_values.reshape((-1,) + (1,) * len(others))
+        for pos, i in enumerate(others):
+            coords[i] = axis.nodes.reshape((-1,) + (1,) * (len(others) - 1 - pos))
+        return reference_coordinate_factor(spec, coords)
+
+    def weighted(values):
+        for a, mat in weights.items():
+            values = np.moveaxis(np.tensordot(mat, np.moveaxis(values, a, 0), axes=(1, 0)), 0, a)
+        return values
+
+    powers = {1 + pos: float(exponents.get(i, 0.0)) for pos, i in enumerate(others)}
+    weights = {a: axis.power_matrix(p) for a, p in powers.items() if p != 0.0}
+    w_nd = np.ones(())
+    for _ in others:
+        w_nd = np.multiply.outer(w_nd, axis.weights)
+    cell = w_nd.reshape(-1)
+    values = np.empty(a_grid.shape[0])
+    grad_values = np.empty(a_grid.shape[0])
+    for lo in range(0, a_grid.shape[0], 8):
+        rows = slice(lo, lo + 8)
+        a = a_grid[rows]
+        base = weighted(factor(a))
+        deriv = weighted((factor(a + delta) - factor(a - delta)) / (2.0 * delta))
+        values[rows] = np.abs(base.reshape(a.shape[0], -1)) ** 2 @ cell
+        grad_values[rows] = np.abs(deriv.reshape(a.shape[0], -1)) ** 2 @ cell
+    return np.sqrt(values), np.sqrt(grad_values)
+
+
+TABLE_INPUTS = pytest.mark.parametrize(
+    "inputs",
+    [
+        demo_slice_inputs,
+        lambda: demo_variant_slice_inputs("physical"),
+        middle_slice_inputs,
+        lambda: (middle_slice_inputs()[0], 0, {1: 0.4, 2: 0.7}),
+        lambda: (KernelSpec(3, "separable", nus=(0.3, 0.0, 0.5), lam=1.1,
+                            conservation_sigma=0.0, conservation_signs=(1, -1, 1)), 2, {0: 0.3}),
+    ],
+    ids=["demo-regular", "demo-physical", "middle-species", "slice-species-0", "sigma-0"],
+)
+
+
+@TABLE_INPUTS
+def test_buffered_slice_table_is_bit_identical_to_the_reference(inputs):
+    spec, slice_species, exponents = inputs()
+    table = separable_slice_profiles(spec, slice_species, exponents)
+    want_values, want_grad_values = reference_slice_profiles(spec, slice_species, exponents)
+    assert np.array_equal(table.values, want_values)
+    assert np.array_equal(table.grad_values, want_grad_values)
+
+
+@TABLE_INPUTS
+def test_separable_amplitude_is_bit_identical_to_the_reference(inputs):
+    """amplitude hands _coordinate_factor fresh buffers of the tensor's shape;
+    per-species coordinate views broadcast as in a kernel tensor."""
+    spec = inputs()[0]
+    rng = np.random.default_rng(61)
+    ks = [
+        rng.uniform(-1.1 * spec.lam, 1.1 * spec.lam, size=(n,) + (1,) * (spec.n_species - 1 - i) + (3,))
+        for i, n in enumerate((5, 4, 3, 2)[: spec.n_species])
+    ]
+    want = spec.constant
+    for j in range(3):
+        want = want * reference_coordinate_factor(spec, [k[..., j] for k in ks])
+    got = spec.amplitude(ks)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +442,63 @@ def test_infrared_matches_power_counting(nu, r):
         scale = abs(nu) if nu != 0 else 1.0
         return 4.0 * np.pi * rho**2 * rho ** (-r) * (scale * rho ** (nu - 1.0)) ** r
 
-    verdict, _ = _verdict_from_levels(_radial_integral_decades(radial, 1.0))
-    gradient_verdict, _ = _verdict_from_levels(_radial_integral_decades(radial_grad, 1.0))
+    levels, gradient_levels = _radial_integral_decades(lambda rho: (radial(rho), radial_grad(rho)), 1.0)
+    verdict, _ = _verdict_from_levels(levels)
+    gradient_verdict, _ = _verdict_from_levels(gradient_levels)
     assert verdict == power_counting_verdict(nu, r)
     assert gradient_verdict == power_counting_verdict(nu, r)
+
+
+def reference_sphere_levels(profiles, r, lam):
+    """Level integrals with one sphere loop per integrand, each interpolating
+    the slice factors on its own: the oracle for infrared_report's shared
+    interpolation."""
+    cos_nodes, cos_w = np.polynomial.legendre.leggauss(kernels._IR_ANGULAR)
+    phi = np.linspace(0.0, 2.0 * np.pi, 2 * kernels._IR_ANGULAR, endpoint=False)
+    sin_nodes = np.sqrt(1.0 - cos_nodes**2)
+    dirs = np.stack([np.outer(sin_nodes, np.cos(phi)).ravel(),
+                     np.outer(sin_nodes, np.sin(phi)).ravel(),
+                     np.repeat(cos_nodes, phi.shape[0])], axis=1)
+    dir_w = np.repeat(cos_w, phi.shape[0]) * (2.0 * np.pi / phi.shape[0])
+
+    def norm_at(k):
+        return np.prod(np.interp(k, profiles.a_grid, profiles.values), axis=1)
+
+    def grad_norm_at(k):
+        factors = np.interp(k, profiles.a_grid, profiles.values).T
+        grads = np.interp(k, profiles.a_grid, profiles.grad_values).T
+        total = np.zeros(k.shape[0])
+        for j in range(3):
+            term = grads[j]
+            for jp in range(3):
+                if jp != j:
+                    term = term * factors[jp]
+            total += term**2
+        return np.sqrt(total)
+
+    def levels(norm, power):
+        x, w = np.polynomial.legendre.leggauss(kernels._IR_NODES_PER_DECADE)
+        totals, running = [], 0.0
+        for level in range(kernels._IR_LEVELS):
+            hi, lo = lam * 10.0 ** (-level), lam * 10.0 ** (-(level + 1))
+            mid = 0.5 * (np.log(hi) + np.log(lo))
+            half = 0.5 * (np.log(hi) - np.log(lo))
+            rho = np.exp(mid + half * x)
+            sphere = np.array([np.sum(dir_w * norm(r_val * dirs) ** r) for r_val in rho])
+            running += float(np.sum(w * half * rho * (sphere * rho**2 * rho ** (-power))))
+            totals.append(running)
+        return tuple(totals)
+
+    return levels(norm_at, 2.0 * r), levels(grad_norm_at, r)
+
+
+@TABLE_INPUTS
+def test_infrared_levels_are_bit_identical_to_the_per_integrand_loops(inputs):
+    spec, slice_species, exponents = inputs()
+    report = infrared_report(spec, slice_species, 1.9, exponents)
+    levels, gradient_levels = reference_sphere_levels(report.profiles, 1.9, spec.lam)
+    assert report.levels == levels
+    assert report.gradient_levels == gradient_levels
 
 
 def test_infrared_rejects_bad_r():

@@ -263,7 +263,7 @@ def test_block_spectrum_equals_full_spectrum(build):
 @pytest.mark.filterwarnings("error")  # no complex-to-real cast may warn
 def test_blocks_follow_imaginary_couplings():
     h, components = imaginary_coupling_matrix()
-    blocks = spectra._blocks(h)
+    blocks = list(spectra._blocks(h))
     lone = [states for states, block in blocks if block.ndim == 1]
     multi = [tuple(states) for states, block in blocks if block.ndim == 2]
     assert sorted(multi) == sorted(components)
@@ -305,14 +305,84 @@ def test_component_labels_match_csgraph(h):
 def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
     """The same (states, block) pairs, in the same order, as with csgraph's labels."""
     h = sp.csr_matrix(build())
-    got = spectra._blocks(h)
+    got = list(spectra._blocks(h))
     monkeypatch.setattr(spectra, "_component_labels", csgraph_labels)
-    want = spectra._blocks(h)
+    want = list(spectra._blocks(h))
     assert len(got) == len(want)
     for (states, block), (want_states, want_block) in zip(got, want):
         np.testing.assert_array_equal(states, want_states)
         np.testing.assert_array_equal(block, want_block)
         assert block.dtype == want_block.dtype
+
+
+def csr_sliced_blocks(h):
+    """The blocks taken by permuting h's CSR rows and columns into component
+    order and slicing one dense block after another: the oracle for the
+    one-pass blocks."""
+    h = spectra._solver_arithmetic(h)
+    sizes = np.bincount(labels := spectra._component_labels(h))
+    lone = sizes[labels] == 1
+    pairs = [(np.nonzero(lone)[0], h.diagonal()[lone].real)] if lone.any() else []
+    order = np.argsort(labels, kind="stable")
+    grouped = order[~lone[order]]
+    permuted = h[grouped][:, grouped]
+    bounds = np.cumsum([0, *sizes[sizes > 1]])
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        pairs.append((grouped[start:end], permuted[start:end, start:end].toarray()))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pair_instance().h_total,
+        lambda: grid_instance().h_total,
+        lambda: c0a1_bundle(5).h_total,
+        lambda: sp.diags(np.linspace(-1.0, 1.0, 9)).tocsr(),
+    ],
+    ids=["pair", "grid", "c0a1-complex", "diagonal"],
+)
+def test_one_pass_blocks_equal_the_csr_sliced_blocks(build):
+    h = sp.csr_matrix(build())
+    want = csr_sliced_blocks(h)
+    got = list(spectra._blocks(h))
+    assert len(got) == len(want)
+    for (states, block), (want_states, want_block) in zip(got, want):
+        np.testing.assert_array_equal(states, want_states)
+        assert block.dtype == want_block.dtype
+        assert np.array_equal(block, want_block)
+
+
+DENSE_GROUND_PEAK_BYTES = int(4.5 * 2**20)
+
+
+def test_dense_ground_holds_one_block_at_a_time():
+    """On c0a1_bundle(5) (dim 1024, blocks up to 252 states) a warm dense
+    ground_state traces about 3.5 MB at its peak: one block, its eigenvectors
+    and those of the blocks that can still meet the ground energy. Solving
+    every block and keeping all eigenvectors traced 5.7 MB."""
+    h = sp.csr_matrix(c0a1_bundle(5).h_total)
+    ground_state(h)
+    tracemalloc.start()
+    try:
+        result = ground_state(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "dense"
+    assert peak < DENSE_GROUND_PEAK_BYTES
+
+
+def test_residual_of_a_real_h_equals_the_complex_product():
+    """A real h is applied to the ground vector's real and imaginary parts;
+    the residual keeps the bits of the complex product h @ vec."""
+    h = sp.csr_matrix(grid_instance().h_total)
+    result = ground_state(h, dense_cap=1024)
+    real = spectra._solver_arithmetic(h)
+    assert result.method == "lanczos" and not np.iscomplexobj(real.data)
+    complex_h = real.astype(np.complex128)
+    want = float(np.linalg.norm(complex_h @ result.vector - result.energy * result.vector))
+    assert result.residual == want
 
 
 def ground_space_across_blocks(seed):
