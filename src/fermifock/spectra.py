@@ -126,10 +126,12 @@ def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]
     for states, block in _blocks(h):
         vals, vecs = (block, None) if block.ndim == 1 else np.linalg.eigh(block)
         eigenvalues.append(vals)
-        energy = min(energy, float(vals.min()))
-        # the energy only falls: a block that cannot meet it now never will
-        candidates.append((states, vals, vecs))
-        candidates = [c for c in candidates if _in_ground_space(c[1], energy).any()]
+        if (low := float(vals.min())) < energy:
+            energy = low
+            # the energy only falls: a block that cannot meet it now never will
+            candidates = [c for c in candidates if _in_ground_space(c[1], energy).any()]
+        if _in_ground_space(vals, energy).any():
+            candidates.append((states, vals, vecs))
     degeneracy = 0
     # deterministic representative: project the first basis vector that meets
     # the ground space. It lies in one block, so each block offers its first.

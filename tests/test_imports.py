@@ -2,8 +2,9 @@
 top-level function and every public function, class and method is
 referenced somewhere in the package, and every parameter with a default is
 passed by some call in the package or its tests. Start-up loads only what a
-run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo and
-the dense path. No module reads the environment, no function reads one
+run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo, the
+dense path or a dense-path `verify --suite all`, and no module imports
+scipy.special at all. No module reads the environment, no function reads one
 bundle's `h_total` twice, verify draws its bound checks' trial vectors
 only in blocks, and the slice table evaluates the separable factor only
 through the kernel spec.
@@ -248,6 +249,68 @@ def test_demo_and_dense_runs_load_no_eigensolver_modules():
     assert got["after_dense"] == []
     assert got["fermifock"] == [f"fermifock.{path.stem}" for path in MODULES]
     assert got["arpack_after_lanczos"]
+
+
+# the triple shape of the acceptance instance with 2, 3 and 2 modes: dim 128,
+# below the dense cap, so every ground solve of verify's suites is dense
+DENSE_VERIFY_CONFIG = {
+    "species": [
+        {"mass": 1.0, "points": [[0.3, 0.02, -0.01], [0.6, -0.03, 0.04]],
+         "weights": [0.8, 0.9], "spins": [0.5]},
+        {"mass": 1.0, "points": [[0.2, 0.35, 0.1], [0.4, 0.35, 0.1], [0.6, 0.35, 0.1]],
+         "weights": [0.2, 0.2, 0.2], "spins": [0.5], "chains": [[0, 1, 2]]},
+        {"mass": 0.7, "points": [[0.42, 0.08, 0.03], [0.1, 0.52, 0.18]],
+         "weights": [0.9, 0.8], "spins": [0.5]},
+    ],
+    "kernels": [
+        {"kind": "power", "nus": [0.6, 0.6, 0.6], "lam": 2.5, "created": [0, 1, 2]},
+        {"kind": "power", "nus": [0.6, 0.6, 0.6], "lam": 2.5, "created": [0]},
+    ],
+    "coupling": 0.6,
+    "mass_grid": {"species": 1, "start": 1.0, "stop": 0.001, "count": 6},
+    "infrared": {"slice_species": 1, "r": 1.9},
+}
+VERIFY_CHILD = """
+import json, sys, tempfile
+from fermifock import cli
+
+config, heavy = sys.argv[1], sys.argv[2:]
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["--report-dir", out, "verify", "--suite", "all", "--config", config])
+    with open(out + "/verify_all.json") as fh:
+        failures = json.load(fh)["failures"]
+loaded = [name for name in heavy if name in sys.modules]
+print(json.dumps({"exit": code, "failures": failures, "loaded": loaded}))
+"""
+
+
+def test_dense_verify_run_loads_no_eigensolver_or_special_modules(tmp_path):
+    """verify --suite all on a dense-path input loads none of ARPACK,
+    scipy.linalg, scipy.special or csgraph: the Hermite bound's level sum is
+    computed in kernels, not through scipy's zeta."""
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps(DENSE_VERIFY_CONFIG))
+    env = dict(os.environ, PYTHONPATH=str(Path(fermifock.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", VERIFY_CHILD, str(config), *HEAVY],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got == {"exit": 0, "failures": 0, "loaded": []}
+
+
+def test_no_module_imports_scipy_special():
+    """The package computes its one special function, the odd-level lattice
+    sum, itself: no module imports scipy.special or a name from it."""
+    importers = {
+        path.name
+        for path in PACKAGE
+        if any(
+            name == "scipy.special" or name.startswith("scipy.special.")
+            for name in imported_modules(ast.parse(path.read_text()))
+        )
+    }
+    assert importers == set()
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, int | None, str]]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import zeta  # the oracle for level_lattice_sum
 
 from fermifock import kernels
 from fermifock.cli import _demo_config
@@ -36,6 +37,7 @@ ORTHO_TOL = 1e-10
 ROUNDTRIP_TOL = 1e-9
 DUAL_ROUTE_TOL = 1e-3
 LATTICE_SUM_TOL = 1e-10
+LATTICE_SUM_ULPS = 8
 PROFILE_QUAD_TOL = 5e-2
 SLICE_PEAK_BYTES = 4 * 2**20
 
@@ -117,6 +119,29 @@ def test_level_lattice_sum_matches_direct_sum(s):
 def test_level_lattice_sum_diverges_at_half():
     assert level_lattice_sum(0.5) == np.inf
     assert level_lattice_sum(0.75) == pytest.approx(1.6887611866554482, abs=1e-12)
+
+
+def zeta_level_sum(s):
+    """sum (2l+1)^(-2s) through the Riemann zeta function."""
+    return float((1.0 - 2.0 ** (-2.0 * s)) * zeta(2.0 * s))
+
+
+def test_level_lattice_sum_within_ulps_of_zeta():
+    """The Euler–Maclaurin sum agrees with the zeta route to a few ulps, from
+    just above the pole at s = 1/2 to where the sum is 1 + 3^(-160)."""
+    s = np.concatenate([np.linspace(0.5 + 1e-8, 80.0, 1000), 0.5 + np.geomspace(1e-8, 0.5, 200)])
+    got = np.array([level_lattice_sum(v) for v in s])
+    want = np.array([zeta_level_sum(v) for v in s])
+    assert np.all(np.abs(got - want) <= LATTICE_SUM_ULPS * np.spacing(want))
+
+
+def test_level_lattice_sum_is_bit_equal_at_the_default_smoothness_and_limits():
+    assert level_lattice_sum(0.75) == zeta_level_sum(0.75)
+    assert level_lattice_sum(1e3) == 1.0
+    assert level_lattice_sum(1e6) == 1.0
+    assert level_lattice_sum(1e308) == 1.0
+    for s in (0.5, 0.25, 0.0, -1.0):
+        assert level_lattice_sum(s) == np.inf
 
 
 def test_discrete_constant_below_reference():

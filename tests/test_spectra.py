@@ -419,6 +419,65 @@ def test_blockwise_dense_ground_matches_full_matrix(build, expected_degeneracy):
     np.testing.assert_allclose(vector, want_vector, rtol=0, atol=1e-12)
 
 
+def refiltering_dense_ground(h):
+    """The dense ground solve that re-filtered every candidate block after each
+    block it solved: the oracle for the bookkeeping that re-filters only when
+    the energy falls."""
+    eigenvalues, candidates, energy = [], [], np.inf
+    for states, block in spectra._blocks(h):
+        vals, vecs = (block, None) if block.ndim == 1 else np.linalg.eigh(block)
+        eigenvalues.append(vals)
+        energy = min(energy, float(vals.min()))
+        candidates.append((states, vals, vecs))
+        candidates = [c for c in candidates if spectra._in_ground_space(c[1], energy).any()]
+    degeneracy = 0
+    offers = []
+    for states, vals, vecs in candidates:
+        members = spectra._in_ground_space(vals, energy)
+        degeneracy += int(members.sum())
+        if vecs is None:
+            offers.append((states[members][0], states[members][:1], np.ones(1)))
+            continue
+        space = vecs[:, members]
+        local = int(np.argmax(np.linalg.norm(space, axis=1) > 1e-8))
+        offers.append((states[local], states, space @ space[local].conj()))
+    _, states, projection = min(offers, key=lambda offer: offer[0])
+    rep = np.zeros(h.shape[0], dtype=np.complex128)
+    rep[states] = projection
+    spectrum = np.sort(np.concatenate(eigenvalues))
+    return energy, spectra._fix_phase(rep), degeneracy, spectrum
+
+
+@st.composite
+def planted_ground_matrices(draw):
+    """Real or complex block-diagonal hermitian matrices in a permuted basis.
+    Each block is shifted so that its lowest eigenvalue is a drawn level, so
+    the ground level sits in several blocks, one-state ones among them, and
+    later blocks both lower the energy and meet it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+    levels = draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5]), min_size=1, max_size=8))
+    blocks = []
+    for level in levels:
+        size = draw(st.integers(1, 6))
+        block = random_hermitian(size, rng)
+        block = block.real if real else block
+        blocks.append(block - (np.linalg.eigvalsh(block)[0] - level) * np.eye(size))
+    return permuted_block_diagonal(blocks, rng)
+
+
+@seed(2026)
+@settings(max_examples=150, deadline=None)
+@given(h=planted_ground_matrices())
+def test_dense_ground_equals_the_refiltering_oracle(h):
+    got = spectra._dense_ground(h)
+    want = refiltering_dense_ground(h)
+    for got_part, want_part in zip(got, want):
+        assert np.array_equal(got_part, want_part)
+    full = np.linalg.eigvalsh(h.toarray())
+    assert got[2] == int(spectra._in_ground_space(full, float(full[0])).sum())
+
+
 def record_eigsh_dtypes(monkeypatch):
     """The dtype of every operator spectra hands to ARPACK, in call order."""
     dtypes = []
