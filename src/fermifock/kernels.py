@@ -151,9 +151,11 @@ def species_regularity_basis(table: ModeTable, species: int) -> RegularityBasis:
     n_pts = cfg.n_points
     accepted: list[np.ndarray] = []
     accepted_levels: list[float] = []
+    # a point where every candidate up to the last level cap is below the floor: refuse now
+    peaks = np.prod([abs(hermite_functions(48, x)).max(axis=0) for x in points.T], axis=0)
     l_cap = 3
     while len(accepted) < n_pts:
-        if l_cap > 48:
+        if l_cap > 48 or np.any(sqw * peaks < 1e-300):
             raise ValueError(f"species {species}: point set not separated by the oscillator basis")
         samples = {
             l: hermite_functions(l_cap, points[:, j])
@@ -181,21 +183,10 @@ def species_regularity_basis(table: ModeTable, species: int) -> RegularityBasis:
                 break
         l_cap += 3
 
-    point_vectors = np.stack(accepted, axis=1)
-    point_levels = np.array(accepted_levels)
-    n_spins = len(cfg.spins)
-    n_modes = n_pts * n_spins
-    vectors = np.zeros((n_modes, n_modes))
-    levels = np.zeros(n_modes)
-    col = 0
-    for pv, lv in zip(point_vectors.T, point_levels):
-        for s_idx in range(n_spins):
-            mode_vec = np.zeros(n_modes)
-            mode_vec[s_idx::n_spins] = pv
-            vectors[:, col] = mode_vec
-            levels[col] = lv
-            col += 1
-    basis = RegularityBasis(vectors=vectors, levels=levels)
+    # a copy per spin label (mode = point * n_spins + spin); + 0.0 clears kron's -0.0
+    spins = np.eye(len(cfg.spins))
+    basis = RegularityBasis(vectors=np.kron(np.stack(accepted, axis=1), spins) + 0.0,
+                            levels=np.repeat(np.array(accepted_levels), len(cfg.spins)))
     _BASIS_CACHE[key] = basis
     return basis
 

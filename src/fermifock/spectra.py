@@ -10,6 +10,8 @@ one, so these are conserved sectors); the blocks' spectra together are exactly
 H's, and the largest block sets the cost. Degenerate ground spaces, counted
 across blocks, get a deterministic representative: the projection of the first
 basis vector with nonvanishing component, with a fixed phase convention.
+mass_sweep solves above the cap per block, without a whole-space H, and skips
+the blocks whose Weyl lower bounds lie above the ground found (see there).
 
 The arithmetic is decided once, by _solver_arithmetic: an H that stores no
 nonzero imaginary part (any kernel with a real value gives one) is real
@@ -152,6 +154,28 @@ def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]
     return energy, _fix_phase(rep), degeneracy, spectrum
 
 
+def _lanczos(h: sp.csr_matrix, v0: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The count lowest Ritz values of h, ascending, and their vectors, from one
+    eigsh run from v0 on h flipped around a Gershgorin upper bound: the smallest
+    algebraic eigenvalues become the largest-magnitude ones, which Lanczos
+    resolves much more reliably than a raw "smallest" run."""
+    shift = 1.0 + _row_sum_bound(h)
+    flipped = (sp.identity(h.shape[0], dtype=h.dtype, format="csr") * shift) - h
+    import scipy.sparse.linalg as spla  # ARPACK, loaded by the first Lanczos run
+    v0 = v0 / np.linalg.norm(v0)
+    vals, vecs = spla.eigsh(flipped, k=count, which="LA", v0=v0, maxiter=10000)
+    order = np.argsort(-vals)  # the lowest Ritz values of h first
+    return shift - vals[order], vecs[:, order]
+
+
+def _cross_checked(dense_energy: float, energy: float) -> float:
+    """|dense_energy - energy|, the Lanczos energy's gap to its dense check."""
+    cross = abs(dense_energy - energy)
+    if cross > CROSS_CHECK_TOL * max(1.0, abs(energy)):
+        raise AssertionError(f"dense and Lanczos ground energies disagree by {cross:.2e}")
+    return cross
+
+
 def ground_state(
     h: sp.spmatrix,
     dense_cap: int = DENSE_CAP_DEFAULT,
@@ -174,31 +198,16 @@ def ground_state(
         energy, vec, degeneracy, spectrum = _dense_ground(h)
         method = "dense"
     else:
-        v0 = np.random.default_rng(seed).standard_normal(dim)
-        v0 /= np.linalg.norm(v0)
-        # flip the spectrum around a Gershgorin upper bound: the smallest
-        # algebraic eigenvalues become the largest-magnitude ones, which
-        # Lanczos resolves much more reliably than a raw "smallest" run
-        shift = 1.0 + _row_sum_bound(h)
-        flipped = (sp.identity(dim, dtype=h.dtype, format="csr") * shift) - h
-        import scipy.sparse.linalg as spla  # ARPACK, loaded by the first Lanczos run
-        vals, vecs = spla.eigsh(flipped, k=count, which="LA", v0=v0, maxiter=10000)
-        order = np.argsort(-vals)  # the lowest Ritz values of h first
-        spectrum = shift - vals[order]
+        spectrum, vecs = _lanczos(h, np.random.default_rng(seed).standard_normal(dim), count)
         energy = float(spectrum[0])
-        vec = _fix_phase(vecs[:, order[0]].astype(np.complex128))
+        vec = _fix_phase(vecs[:, 0].astype(np.complex128))
         # two Ritz values in the ground space: Lanczos alone cannot count it
         degeneracy = 1 if _in_ground_space(spectrum, energy).sum() == 1 else None
         method = "lanczos"
         if dim <= 4 * dense_cap:
             spectrum = _block_eigvalsh(h)
-            dense_energy = float(spectrum[0])
-            degeneracy = int(_in_ground_space(spectrum, dense_energy).sum())
-            cross = abs(dense_energy - energy)
-            if cross > CROSS_CHECK_TOL * max(1.0, abs(energy)):
-                raise AssertionError(
-                    f"dense and Lanczos ground energies disagree by {cross:.2e}"
-                )
+            degeneracy = int(_in_ground_space(spectrum, float(spectrum[0])).sum())
+            cross = _cross_checked(float(spectrum[0]), energy)
     # a real h times the real and imaginary parts: no complex copy of h
     hvec = h @ vec if np.iscomplexobj(h.data) else h @ vec.real + 1j * (h @ vec.imag)
     residual = float(np.linalg.norm(hvec - energy * vec))
@@ -269,11 +278,11 @@ class MassCurve:
     """Ground-state data along a decreasing mass grid for one species.
 
     energies[j] solves the Hamiltonian with masses[j]; limit_energy is the
-    massless problem. cross_energies[j] = <Phi_j, H(limit) Phi_j> realizes the
-    sandwich limit_energy <= cross_energies[j] <= energies[j]; overlaps track
-    |<Phi_j, Phi_(j+1)>| as a convergence proxy (no compactness claim).
-    bundles holds one bundle per mass and the limit last, all sharing one h_int;
-    they hold no H_total (a bundle builds it on access).
+    massless problem. cross_energies[j] = <Phi_j, H(limit) Phi_j>, from the free
+    diagonal and h_int, realizes limit_energy <= cross_energies[j] <= energies[j];
+    overlaps track |<Phi_j, Phi_(j+1)>| as a convergence proxy (no compactness
+    claim). bundles: one per mass, the limit last, sharing one h_int, no H_total.
+    Above the dense cap a level that blocks share is taken in the least-first-state block.
     """
 
     species: int
@@ -298,6 +307,44 @@ class MassCurve:
         return float(max(lower, upper))
 
 
+def _block_sweep(bundles: Sequence[HamiltonianBundle], dense_cap: int, seed: int):
+    """(energy, vector) at each bundle's masses, solved per block of their shared
+    h_int: see mass_sweep."""
+    h_int, g = bundles[0].h_int, bundles[0].coupling
+    sizes = np.bincount(labels := _component_labels(h_int))
+    blocks = [s for s in np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)) if s.size > 1]
+    lone = np.nonzero(sizes[labels] == 1)[0]
+    lone_int = g * h_int.diagonal().real[lone]
+    v0 = np.random.default_rng(seed).standard_normal(dim := h_int.shape[0])
+    bound, previous = np.full(len(blocks), -np.inf), bundles[0].free_diag
+    for fd in (b.free_diag for b in bundles):
+        # below each block's lowest level, by Weyl: min eig(A - D) >= min eig(A) - max D
+        bound -= [np.max(previous[s] - fd[s]) for s in blocks]
+        previous, lone_energies, solved = fd, fd[lone] + lone_int, []
+        best = float(lone_energies.min(initial=np.inf))
+        for k in np.argsort(bound, kind="stable"):
+            if bound[k] > best + DEGENERACY_TOL * max(1.0, abs(best)):
+                break  # this block and every later one lie above the ground
+            s = blocks[k]
+            h = (sp.diags(fd[s]) + g * _solver_arithmetic(h_int[s][:, s])).tocsr()
+            # a block too small for ARPACK is solved dense
+            vals, vecs = np.linalg.eigh(h.toarray()) if s.size <= 2 else _lanczos(h, v0[s], 1)
+            if dim <= 4 * dense_cap:
+                _cross_checked(float(np.linalg.eigvalsh(h.toarray())[0]), float(vals[0]))
+            energy, vec = float(vals[0]), vecs[:, 0]
+            bound[k] = energy - np.linalg.norm(h @ vec - energy * vec)
+            del h  # the next block is sliced without this one alive
+            best = min(best, energy)
+            solved.append((s, energy, vec))
+        # ties go to the block with the least first state, as in _dense_ground
+        ground = lone[_in_ground_space(lone_energies, best)][:1]
+        offers = [(s, vec) for s, energy, vec in solved if _in_ground_space(energy, best)]
+        states, vec = min(offers + [(ground, np.ones(1))] * ground.size, key=lambda o: o[0][0])
+        rep = np.zeros(dim, dtype=np.complex128)
+        rep[states] = vec
+        yield best, _fix_phase(rep)
+
+
 def mass_sweep(
     bundle: HamiltonianBundle,
     species: int,
@@ -305,14 +352,18 @@ def mass_sweep(
     dense_cap: int = DENSE_CAP_DEFAULT,
     seed: int = 7,
 ) -> MassCurve:
-    """Solve the ground problem along a decreasing mass grid plus the limit.
+    """Solve the ground problem along a strictly decreasing positive mass grid
+    plus the massless limit. Every point is the bundle with the species' mass
+    replaced: all share its h_int and own a table and a free diagonal.
 
-    The mode geometry is fixed and only the species' dispersion changes, so
-    every point is the bundle with that species' mass replaced: all points
-    share the bundle's h_int, terms and tensors, and own only a table and a free
-    diagonal. Each H_total lives for its own solve, and the limit's is built
-    once more for the cross energies, so a sweep holds one at a time. Masses
-    must be strictly decreasing and positive; the massless limit is appended.
+    Up to dense_cap states each point is one ground_state call. Above it the
+    free part, being diagonal, leaves each block of h_int invariant, so no
+    whole-space H_total is built: a block is sliced when it is solved (Lanczos
+    from the seeded start restricted to it, dense below three states, checked
+    against dense eigenvalues up to 4 * dense_cap states). Its lowest level
+    keeps a lower bound, energy - residual, lowered at each later point by its
+    largest free-diagonal fall (Weyl). Blocks go by ascending bound, and none is
+    solved whose bound lies above the ground found.
     """
     masses = np.asarray([float(m) for m in masses])
     if masses.size < 2 or np.any(np.diff(masses) >= 0):
@@ -324,30 +375,24 @@ def mass_sweep(
         replace(bundle, table=bundle.table.with_species_mass(species, m))
         for m in [*masses, 0.0]
     ]
-    # held by ground_state alone, which frees the complex H once it has h.real
-    results = [ground_state(b.h_total, dense_cap=dense_cap, seed=seed) for b in bundles]
-    limit_result = results.pop()
-    h_limit = bundles[-1].h_total
-    cross = np.array(
-        [float(np.real(np.vdot(r.vector, h_limit @ r.vector))) for r in results]
-    )
-    overlaps = np.array(
-        [
-            abs(np.vdot(results[j].vector, results[j + 1].vector))
-            for j in range(len(results) - 1)
-        ]
-    )
-    limit_overlap = float(abs(np.vdot(results[-1].vector, limit_result.vector)))
+    if bundle.h_int.shape[0] <= dense_cap:
+        # held by ground_state alone, which frees the complex H once it has h.real
+        results = (ground_state(b.h_total, dense_cap=dense_cap, seed=seed) for b in bundles)
+        points = [(r.energy, r.vector) for r in results]
+    else:
+        points = _block_sweep(bundles, dense_cap, seed)
+    (*energies, limit_energy), (*vectors, limit_vector) = zip(*points)
+    fd, g = bundles[-1].free_diag, bundle.coupling
+    cross = [fd @ np.abs(v) ** 2 + g * np.vdot(v, bundle.h_int @ v).real for v in vectors]
     return MassCurve(
         species=species,
         masses=masses,
-        energies=np.array([r.energy for r in results]),
-        limit_energy=limit_result.energy,
-        cross_energies=cross,
-        overlaps=overlaps,
-        limit_overlap=limit_overlap,
-        vectors=tuple(r.vector for r in results),
-        limit_vector=limit_result.vector,
+        energies=np.array(energies),
+        limit_energy=limit_energy,
+        cross_energies=np.array(cross),
+        overlaps=np.array([abs(np.vdot(u, v)) for u, v in zip(vectors, vectors[1:])]),
+        limit_overlap=float(abs(np.vdot(vectors[-1], limit_vector))),
+        vectors=tuple(vectors),
+        limit_vector=limit_vector,
         bundles=tuple(bundles),
     )
-

@@ -306,7 +306,11 @@ def check_hermite_bound(
     table = bundle.table
     tensor = bundle.tensors[term_index]
     exponents = {i: smoothness for i in range(table.n_species) if i != exempt}
-    weighted = float(np.linalg.norm(weight_kernel_tensor(tensor.values, table, exponents).ravel()))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing weight is refused below
+        weighted = weight_kernel_tensor(tensor.values, table, exponents).ravel()
+        weighted = float(np.linalg.norm(weighted))
+    if not np.isfinite(weighted) or (weighted == 0.0 and tensor.values.any()):
+        raise ValueError(f"exponents.smoothness {smoothness}: weighted kernel norm {weighted}")
     c_ref = hermite_bound_constant(table, exempt, smoothness)
     c_disc = discrete_bound_constant(table, exempt, smoothness)
     op = _hermitized(bundle, term_index)

@@ -269,6 +269,21 @@ def test_cli_far_point_exits_2_naming_its_species(tmp_path, capsys):
     assert err[0].startswith("error: species 1:") and "not separated" in err[0]
 
 
+@pytest.mark.parametrize("smoothness", [400, 1e308], ids=["400", "1e308"])
+def test_cli_smoothness_that_breaks_the_oscillator_weight_exits_2(tmp_path, capsys, smoothness):
+    """levels ** smoothness overflows: at 400 the weighted kernel norm is inf
+    (the Hermite check used to pass with max_ratio 0), at 1e308 it is NaN. Such
+    a norm bounds nothing, so the run is refused with one line naming the key."""
+    cfg = sweep_config()
+    cfg["exponents"] = {"smoothness": smoothness}
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "verify", "--suite", "bounds", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: exponents.smoothness")
+
+
 def _drop(path):
     """Config mutation: delete the key at path (a tuple of keys and indices)."""
     def mutate(cfg):
@@ -866,20 +881,23 @@ def lanczos_sweep_config():
 
 def test_cli_masslimit_matches_the_frozen_report(tmp_path, monkeypatch):
     """masslimit on lanczos_sweep_config writes tests/frozen_masslimit_report.json
-    and .csv byte for byte, with every mass point solved by Lanczos."""
-    methods = []
-    solve = fermifock.spectra.ground_state
+    and .csv byte for byte, with every mass point solved by Lanczos: each of the
+    9 reported energies is the lowest Ritz value of one Lanczos run."""
+    ritz = []
+    lanczos = fermifock.spectra._lanczos
 
-    def recording(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        methods.append(result.method)
-        return result
+    def recording(*args):
+        spectrum, vecs = lanczos(*args)
+        ritz.append(float(spectrum[0]))
+        return spectrum, vecs
 
-    monkeypatch.setattr(fermifock.spectra, "ground_state", recording)
+    monkeypatch.setattr(fermifock.spectra, "_lanczos", recording)
     cfg_path = write_config(tmp_path, lanczos_sweep_config())
     out = tmp_path / "reports"
     assert main(["--report-dir", str(out), "masslimit", "--config", cfg_path]) == 0
-    assert methods == ["lanczos"] * (4 + 5)
+    sweeps = json.loads((out / "masslimit.json").read_text())["sweeps"]
+    solved = [e for sweep in sweeps for e in (*sweep["energies"], sweep["limit_energy"])]
+    assert len(solved) == 4 + 5 and set(solved) <= set(ritz)
     for suffix in ("json", "csv"):
         frozen = Path(__file__).with_name(f"frozen_masslimit_report.{suffix}")
         assert (out / f"masslimit.{suffix}").read_bytes() == frozen.read_bytes(), suffix

@@ -16,10 +16,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components  # the oracle for the block labels
 from test_acceptance import grid_instance, pair_instance, quad_instance, triple_parts
+from test_config_cli import lanczos_sweep_config
 from test_verify import c0a1_bundle
 
 from fermifock import spectra
-from fermifock.fock import enumerate_basis
+from fermifock.config import build_bundle, normalize_config
+from fermifock.fock import enumerate_basis, free_hamiltonian_diagonal
 from fermifock.hamiltonian import (
     HamiltonianBundle,
     KernelTensor,
@@ -657,6 +659,141 @@ def test_finished_sweep_holds_no_per_point_h_total():
         tracemalloc.stop()
     assert len(curve.bundles) == 5
     assert held < 2 * one
+
+
+def counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap):
+    """mass_sweep and the dtype of each eigsh run, per mass point (each point
+    ends in one _fix_phase call); eigsh is wrapped as perfbench's spans wrap it."""
+    runs = [[]]
+    eigsh, fix_phase = spla.eigsh, spectra._fix_phase
+
+    def counting_eigsh(op, *args, **kwargs):
+        runs[-1].append(op.dtype)
+        return eigsh(op, *args, **kwargs)
+
+    def marking(vec):
+        runs.append([])
+        return fix_phase(vec)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spla, "eigsh", counting_eigsh)
+        patch.setattr(spectra, "_fix_phase", marking)
+        curve = mass_sweep(bundle, species, masses, dense_cap=dense_cap)
+    return curve, runs[:-1]
+
+
+@pytest.mark.parametrize(
+    "instance, arithmetic, degenerate_limit",
+    [
+        (lambda: (build_bundle(normalize_config(lanczos_sweep_config())), 1, [0.5, 0.2, 0.05], 32),
+         np.float64, False),
+        (lambda: (grid_instance(), 1, [0.5, 0.3, 0.2, 0.1], 512), np.float64, True),
+        # dimension 1024 = 4 x the dense cap: the per-block dense cross-check runs
+        (lambda: (c0a1_bundle(5), 0, [0.9, 0.5, 0.2, 0.05], 256), np.complex128, False),
+    ],
+    ids=["lanczos-config", "grid", "c0a1-complex"],
+)
+def test_block_sweep_matches_whole_space_solves(monkeypatch, instance, arithmetic, degenerate_limit):
+    """Above the dense cap the sweep solves per block of h_int, in the blocks'
+    arithmetic (complex for c0a1's complex kernel), and skips the blocks its
+    Weyl bounds rule out. Every point's energy, cross energy and overlap equals
+    whole-space ground_state runs on the point's H_total within 1e-12, and
+    every point after the first solves fewer blocks than the first, which
+    solves every block of more than two states.
+
+    The grid's massless limit has a two-fold ground space (one level in the
+    blocks led by states 0 and 64), so its whole-space Ritz vector is an
+    arbitrary mix of the two, and the limit overlap is not compared there: the
+    block sweep's limit vector is checked to be a ground vector of the block of
+    state 0, which the least-first-state rule picks."""
+    bundle, species, masses, dense_cap = instance()
+    assert bundle.h_int.shape[0] > dense_cap
+    curve, runs = counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap)
+    sizes = np.bincount(labels := spectra._component_labels(bundle.h_int))
+    solves = [len(run) for run in runs]
+    assert len(solves) == len(masses) + 1
+    assert solves[0] == np.sum(sizes > 2) and max(solves[1:]) < solves[0]
+    assert {np.dtype(t) for run in runs for t in run} == {np.dtype(arithmetic)}
+
+    refs = [ground_state(b.h_total, dense_cap=dense_cap, seed=7) for b in curve.bundles]
+    h_limit = curve.bundles[-1].h_total
+    np.testing.assert_allclose(
+        [*curve.energies, curve.limit_energy], [r.energy for r in refs], rtol=1e-12, atol=0
+    )
+    want_cross = [np.vdot(r.vector, h_limit @ r.vector).real for r in refs[:-1]]
+    np.testing.assert_allclose(curve.cross_energies, want_cross, rtol=1e-12, atol=0)
+    overlaps = [*curve.overlaps, curve.limit_overlap]
+    want_overlaps = [abs(np.vdot(a.vector, b.vector)) for a, b in zip(refs, refs[1:])]
+    compared = len(overlaps) - degenerate_limit
+    np.testing.assert_allclose(overlaps[:compared], want_overlaps[:compared], rtol=1e-12, atol=0)
+    for vec, ref in zip([*curve.vectors, curve.limit_vector][:compared + 1], refs):
+        assert abs(np.vdot(vec, ref.vector)) > 1.0 - 1e-10
+    if degenerate_limit:
+        vec = curve.limit_vector
+        assert np.linalg.norm(h_limit @ vec - curve.limit_energy * vec) < 1e-9
+        assert set(labels[np.abs(vec) > 0]) == {labels[0]}
+
+
+def planted_crossing_bundle():
+    """Two spinless two-mode species (dimension 16) and a hand-made h_int with
+    two blocks: the 4 states without a species-1 particle, shifted by -3, and
+    the 12 with one, shifted by -3.5, each with random hermitian couplings that
+    connect it. Species 1 costs at least its mass, so block A holds the ground
+    at large mass and block B at small mass."""
+    rng = np.random.default_rng(5)
+    species = [
+        SpeciesConfig(mass=1.0, points=rng.uniform(-0.3, 0.3, size=(2, 3)),
+                      weights=np.ones(2), spins=(0.5,))
+        for _ in range(2)
+    ]
+    table = build_mode_table(species)
+    basis = enumerate_basis(table)
+    in_b = free_hamiltonian_diagonal(table, basis, [1]) > 0
+    h_int = np.zeros((16, 16), dtype=np.complex128)
+    for members, shift in ((~in_b, -3.0), (in_b, -3.5)):
+        idx = np.nonzero(members)[0]
+        a = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+        h_int[np.ix_(idx, idx)] = 0.05 * (a + a.conj().T) + shift * np.eye(idx.size)
+    bundle = HamiltonianBundle(table, basis, 1.0, (), (), sp.csr_matrix(h_int))
+    return bundle, in_b
+
+
+def test_block_sweep_follows_a_planted_crossing(monkeypatch):
+    """Between masses 1 and 0.3 the ground moves from block A to block B; the
+    block sweep follows it and every energy equals the dense whole-space one."""
+    bundle, in_b = planted_crossing_bundle()
+    masses = [5.0, 2.0, 1.0, 0.3, 0.05]
+    curve, runs = counted_block_sweep(monkeypatch, bundle, 1, masses, dense_cap=2)
+    refs = [ground_state(b.h_total, dense_cap=16) for b in curve.bundles]
+    np.testing.assert_allclose(
+        [*curve.energies, curve.limit_energy], [r.energy for r in refs], rtol=1e-12, atol=0
+    )
+    in_block_b = [bool(in_b[np.abs(v) > 0].all()) for v in (*curve.vectors, curve.limit_vector)]
+    assert in_block_b == [False, False, False, True, True, True]
+    for vec, ref in zip((*curve.vectors, curve.limit_vector), refs):
+        assert abs(np.vdot(vec, ref.vector)) > 1.0 - 1e-10
+    assert len(runs[0]) == 2  # both blocks at the first point, by Lanczos
+
+
+def test_block_sweep_peak_stays_below_one_h_total():
+    """Above the dense cap no whole-space H_total is built: on grid_instance
+    (dimension 4096, dense cap 512) the sweep's traced peak stays below the
+    bytes of one complex H_total. Whole-space solves held an H_total and its
+    real copy at once, about 2.5 H_totals. ARPACK is loaded with this module."""
+    bundle = grid_instance()
+    h = bundle.h_total
+    one = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+    del h
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mass_sweep(bundle, 1, [0.5, 0.3, 0.2, 0.1], dense_cap=512)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < one
 
 
 def test_mass_sweep_validates_grid():
