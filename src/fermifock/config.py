@@ -218,8 +218,11 @@ def _one_mass_grid(grid: dict, n_species: int) -> tuple[int, list[float]]:
         )
         if start <= stop or stop <= 0:
             raise ValueError("mass_grid must decrease toward a positive stop")
-        values = list(np.geomspace(start, stop, count))
-    if not values or any(np.diff(values) >= 0):
+        values = list(np.geomspace(start, stop, max(count, 0)))
+    if len(values) < 2:
+        key = "mass_grid.values" if "values" in grid else "mass_grid.count"
+        raise ValueError(f"{key} gives {len(values)} masses; a mass sweep needs at least two")
+    if any(np.diff(values) >= 0):
         raise ValueError("mass grid must be strictly decreasing")
     return species, values
 

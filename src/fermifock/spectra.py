@@ -10,7 +10,7 @@ one, so these are conserved sectors); the blocks' spectra together are exactly
 H's, and the largest block sets the cost. Degenerate ground spaces, counted
 across blocks, get a deterministic representative: the projection of the first
 basis vector with nonvanishing component, with a fixed phase convention.
-mass_sweep solves above the cap per block, without a whole-space H, and skips
+mass_sweep solves each point per block of the shared interaction, skipping
 the blocks whose Weyl lower bounds lie above the ground found (see there).
 
 The arithmetic is decided once, by _solver_arithmetic: an H that stores no
@@ -23,7 +23,7 @@ kernel value keeps the complex solvers. The ground vector is complex either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,35 +123,40 @@ def _in_ground_space(vals: np.ndarray, energy: float) -> np.ndarray:
     return vals - energy <= DEGENERACY_TOL * max(1.0, abs(energy))
 
 
-def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]:
+def _ground(solved: Iterable[tuple], dim: int) -> tuple[float, np.ndarray, int, np.ndarray]:
+    """Ground energy, representative, degeneracy and sorted eigenvalues of solved
+    blocks (states, eigenvalues, eigenvectors or None). The representative comes
+    from the block of the first state meeting the ground space: that state's
+    projection in a full eigenbasis, a Ritz vector as it is, or the state."""
     eigenvalues, candidates, energy = [], [], np.inf
-    for states, block in _blocks(h):
-        vals, vecs = (block, None) if block.ndim == 1 else np.linalg.eigh(block)
+    for states, vals, vecs in solved:
         eigenvalues.append(vals)
-        if (low := float(vals.min())) < energy:
+        if (low := float(vals.min(initial=np.inf))) < energy:
             energy = low
             # the energy only falls: a block that cannot meet it now never will
             candidates = [c for c in candidates if _in_ground_space(c[1], energy).any()]
         if _in_ground_space(vals, energy).any():
             candidates.append((states, vals, vecs))
-    degeneracy = 0
-    # deterministic representative: project the first basis vector that meets
-    # the ground space. It lies in one block, so each block offers its first.
-    offers = []
+    degeneracy, offers = 0, []
     for states, vals, vecs in candidates:
         members = _in_ground_space(vals, energy)
         degeneracy += int(members.sum())
-        if vecs is None:  # one-state blocks: the ground states are basis vectors
+        if vecs is None:
             offers.append((states[members][0], states[members][:1], np.ones(1)))
             continue
         space = vecs[:, members]
         local = int(np.argmax(np.linalg.norm(space, axis=1) > 1e-8))
-        offers.append((states[local], states, space @ space[local].conj()))
-    _, states, projection = min(offers, key=lambda offer: offer[0])
-    rep = np.zeros(h.shape[0], dtype=np.complex128)
-    rep[states] = projection
-    spectrum = np.sort(np.concatenate(eigenvalues))
-    return energy, _fix_phase(rep), degeneracy, spectrum
+        ritz = vecs.shape[1] < states.size
+        offers.append((states[local], states, space[:, 0] if ritz else space @ space[local].conj()))
+    _, states, vec = min(offers, key=lambda offer: offer[0])
+    rep = np.zeros(dim, dtype=np.complex128)
+    rep[states] = vec
+    return energy, _fix_phase(rep), degeneracy, np.sort(np.concatenate(eigenvalues))
+
+
+def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]:
+    solved = ((s, b, None) if b.ndim == 1 else (s, *np.linalg.eigh(b)) for s, b in _blocks(h))
+    return _ground(solved, h.shape[0])
 
 
 def _lanczos(h: sp.csr_matrix, v0: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +203,10 @@ def ground_state(
         energy, vec, degeneracy, spectrum = _dense_ground(h)
         method = "dense"
     else:
-        spectrum, vecs = _lanczos(h, np.random.default_rng(seed).standard_normal(dim), count)
-        energy = float(spectrum[0])
-        vec = _fix_phase(vecs[:, 0].astype(np.complex128))
+        ritz, vecs = _lanczos(h, np.random.default_rng(seed).standard_normal(dim), count)
+        energy, vec, degeneracy, spectrum = _ground([(np.arange(dim), ritz, vecs)], dim)
         # two Ritz values in the ground space: Lanczos alone cannot count it
-        degeneracy = 1 if _in_ground_space(spectrum, energy).sum() == 1 else None
+        degeneracy = 1 if degeneracy == 1 else None
         method = "lanczos"
         if dim <= 4 * dense_cap:
             spectrum = _block_eigvalsh(h)
@@ -282,7 +286,7 @@ class MassCurve:
     diagonal and h_int, realizes limit_energy <= cross_energies[j] <= energies[j];
     overlaps track |<Phi_j, Phi_(j+1)>| as a convergence proxy (no compactness
     claim). bundles: one per mass, the limit last, sharing one h_int, no H_total.
-    Above the dense cap a level that blocks share is taken in the least-first-state block.
+    At every size a level that blocks share is taken as ground_state's dense tier takes it.
     """
 
     species: int
@@ -320,29 +324,30 @@ def _block_sweep(bundles: Sequence[HamiltonianBundle], dense_cap: int, seed: int
     for fd in (b.free_diag for b in bundles):
         # below each block's lowest level, by Weyl: min eig(A - D) >= min eig(A) - max D
         bound -= [np.max(previous[s] - fd[s]) for s in blocks]
-        previous, lone_energies, solved = fd, fd[lone] + lone_int, []
-        best = float(lone_energies.min(initial=np.inf))
-        for k in np.argsort(bound, kind="stable"):
-            if bound[k] > best + DEGENERACY_TOL * max(1.0, abs(best)):
-                break  # this block and every later one lie above the ground
-            s = blocks[k]
-            h = (sp.diags(fd[s]) + g * _solver_arithmetic(h_int[s][:, s])).tocsr()
-            # a block too small for ARPACK is solved dense
-            vals, vecs = np.linalg.eigh(h.toarray()) if s.size <= 2 else _lanczos(h, v0[s], 1)
-            if dim <= 4 * dense_cap:
-                _cross_checked(float(np.linalg.eigvalsh(h.toarray())[0]), float(vals[0]))
-            energy, vec = float(vals[0]), vecs[:, 0]
-            bound[k] = energy - np.linalg.norm(h @ vec - energy * vec)
-            del h  # the next block is sliced without this one alive
-            best = min(best, energy)
-            solved.append((s, energy, vec))
-        # ties go to the block with the least first state, as in _dense_ground
-        ground = lone[_in_ground_space(lone_energies, best)][:1]
-        offers = [(s, vec) for s, energy, vec in solved if _in_ground_space(energy, best)]
-        states, vec = min(offers + [(ground, np.ones(1))] * ground.size, key=lambda o: o[0][0])
-        rep = np.zeros(dim, dtype=np.complex128)
-        rep[states] = vec
-        yield best, _fix_phase(rep)
+        previous, lone_energies = fd, fd[lone] + lone_int
+
+        def solved():
+            best = float(lone_energies.min(initial=np.inf))
+            yield lone, lone_energies, None
+            for k in np.argsort(bound, kind="stable"):
+                if bound[k] > best + DEGENERACY_TOL * max(1.0, abs(best)):
+                    break  # this block and every later one lie above the ground
+                s = blocks[k]
+                h = (sp.diags(fd[s]) + g * _solver_arithmetic(h_int[s][:, s])).tocsr()
+                # ARPACK needs a block of three states or more
+                if dim <= dense_cap or s.size <= 2:
+                    vals, vecs = np.linalg.eigh(h.toarray())
+                else:
+                    vals, vecs = _lanczos(h, v0[s], 1)
+                    if dim <= 4 * dense_cap:
+                        _cross_checked(float(np.linalg.eigvalsh(h.toarray())[0]), float(vals[0]))
+                energy, vec = float(vals[0]), vecs[:, 0]
+                bound[k] = energy - np.linalg.norm(h @ vec - energy * vec)
+                del h  # the next block is sliced without this one alive
+                best = min(best, energy)
+                yield s, vals, vecs
+
+        yield _ground(solved(), dim)[:2]
 
 
 def mass_sweep(
@@ -352,22 +357,19 @@ def mass_sweep(
     dense_cap: int = DENSE_CAP_DEFAULT,
     seed: int = 7,
 ) -> MassCurve:
-    """Solve the ground problem along a strictly decreasing positive mass grid
-    plus the massless limit. Every point is the bundle with the species' mass
-    replaced: all share its h_int and own a table and a free diagonal.
-
-    Up to dense_cap states each point is one ground_state call. Above it the
-    free part, being diagonal, leaves each block of h_int invariant, so no
-    whole-space H_total is built: a block is sliced when it is solved (Lanczos
-    from the seeded start restricted to it, dense below three states, checked
-    against dense eigenvalues up to 4 * dense_cap states). Its lowest level
-    keeps a lower bound, energy - residual, lowered at each later point by its
-    largest free-diagonal fall (Weyl). Blocks go by ascending bound, and none is
-    solved whose bound lies above the ground found.
-    """
+    """Ground problems along a strictly decreasing grid of two or more positive
+    masses plus the massless limit, each point the bundle with the species' mass
+    replaced (sharing h_int, owning a table and a free diagonal). The diagonal
+    free part leaves each block of h_int invariant, so a block is sliced when
+    solved: dense if the space has at most dense_cap states or the block two,
+    else by seeded Lanczos, cross-checked up to 4 * dense_cap states. A block's
+    energy less its residual, lowered at each later point by its largest
+    free-diagonal fall (Weyl), bounds its lowest level; blocks go by ascending
+    bound, none above the ground found is solved, and the ground is picked as
+    ground_state picks it."""
     masses = np.asarray([float(m) for m in masses])
     if masses.size < 2 or np.any(np.diff(masses) >= 0):
-        raise ValueError("masses must be strictly decreasing")
+        raise ValueError("a mass sweep needs at least two masses, strictly decreasing")
     if np.any(masses <= 0):
         raise ValueError("masses must be positive; the limit is added internally")
 
@@ -375,12 +377,7 @@ def mass_sweep(
         replace(bundle, table=bundle.table.with_species_mass(species, m))
         for m in [*masses, 0.0]
     ]
-    if bundle.h_int.shape[0] <= dense_cap:
-        # held by ground_state alone, which frees the complex H once it has h.real
-        results = (ground_state(b.h_total, dense_cap=dense_cap, seed=seed) for b in bundles)
-        points = [(r.energy, r.vector) for r in results]
-    else:
-        points = _block_sweep(bundles, dense_cap, seed)
+    points = _block_sweep(bundles, dense_cap, seed)
     (*energies, limit_energy), (*vectors, limit_vector) = zip(*points)
     fd, g = bundles[-1].free_diag, bundle.coupling
     cross = [fd @ np.abs(v) ** 2 + g * np.vdot(v, bundle.h_int @ v).real for v in vectors]

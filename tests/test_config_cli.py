@@ -636,6 +636,30 @@ def test_cli_config_integer_that_is_not_an_integer_exits_2(
     assert err[0].startswith("error:") and key in err[0] and "integer" in err[0]
 
 
+@pytest.mark.parametrize(
+    "grid, key",
+    [
+        ({"species": 1, "values": [0.5]}, "mass_grid.values"),
+        ({"species": 1, "start": 1.0, "stop": 0.1, "count": 1}, "mass_grid.count"),
+        ({"species": 1, "start": 1.0, "stop": 0.1, "count": 0}, "mass_grid.count"),
+        ({"species": 1, "start": 1.0, "stop": 0.1, "count": -2}, "mass_grid.count"),
+    ],
+    ids=["one-value", "count-1", "count-0", "count-negative"],
+)
+def test_cli_mass_grid_of_fewer_than_two_masses_exits_2(tmp_path, capsys, grid, key):
+    """A sweep needs two masses before its limit: a shorter grid is a refused
+    config whose one line names the key that set its length, not a grid that
+    fails to decrease."""
+    cfg = sweep_config()
+    cfg["mass_grid"] = grid
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), "masslimit", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:") and key in err[0] and "at least two" in err[0]
+    assert "decreasing" not in err[0]
+
+
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     """Two six-mode species (dimension 4096, above DENSE_CAP_DEFAULT): the
     form bound's spectral edges come from ARPACK, and its non-convergence ends

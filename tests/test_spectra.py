@@ -16,7 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components  # the oracle for the block labels
 from test_acceptance import grid_instance, pair_instance, quad_instance, triple_parts
-from test_config_cli import lanczos_sweep_config
+from test_config_cli import lanczos_sweep_config, sweep_config
 from test_verify import c0a1_bundle
 
 from fermifock import spectra
@@ -375,6 +375,25 @@ def test_dense_ground_holds_one_block_at_a_time():
     assert peak < DENSE_GROUND_PEAK_BYTES
 
 
+SWEEP_PEAK_BYTES = int(3.5 * 2**20)
+
+
+def test_sweep_below_the_cap_holds_one_block_at_a_time():
+    """A warm sweep of c0a1_bundle(5) below the dense cap (four masses and the
+    limit) traces about 3.0 MB at its peak: it slices and solves one block at a
+    time and builds no H_total. One ground_state per point traced 3.84 MB."""
+    bundle, masses = c0a1_bundle(5), [0.9, 0.5, 0.2, 0.05]
+    mass_sweep(bundle, 0, masses)
+    tracemalloc.start()
+    try:
+        mass_sweep(bundle, 0, masses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.h_int.shape[0] <= spectra.DENSE_CAP_DEFAULT
+    assert peak < SWEEP_PEAK_BYTES
+
+
 def test_residual_of_a_real_h_equals_the_complex_product():
     """A real h is applied to the ground vector's real and imaginary parts;
     the residual keeps the bits of the complex product h @ vec."""
@@ -661,9 +680,64 @@ def test_finished_sweep_holds_no_per_point_h_total():
     assert held < 2 * one
 
 
+def refused_h_total(bundle):
+    raise AssertionError("mass_sweep built a whole-space H_total")
+
+
+def per_point_sweep(bundle, species, masses):
+    """The oracle for sweeps up to the dense cap: one whole-space ground_state
+    per point on the point's H_total, and the curve's cross energies and
+    overlaps from those vectors as mass_sweep computes them. Returns energies,
+    cross energies, overlaps and vectors, the limit last in each."""
+    bundles = [replace(bundle, table=bundle.table.with_species_mass(species, m))
+               for m in [*masses, 0.0]]
+    results = [ground_state(b.h_total) for b in bundles]
+    vectors = [r.vector for r in results]
+    fd, g = bundles[-1].free_diag, bundle.coupling
+    cross = [fd @ np.abs(v) ** 2 + g * np.vdot(v, bundle.h_int @ v).real for v in vectors[:-1]]
+    overlaps = [abs(np.vdot(u, v)) for u, v in zip(vectors, vectors[1:])]
+    return [r.energy for r in results], cross, overlaps, vectors
+
+
+@pytest.mark.parametrize(
+    "instance, exact",
+    [
+        (lambda: (build_bundle(normalize_config(sweep_config())), 1, [0.5, 0.2, 0.05]), True),
+        (lambda: (build_bundle(normalize_config(lanczos_sweep_config())), 1, [0.5, 0.2, 0.05]),
+         True),
+        (lambda: (c0a1_bundle(5), 0, [0.9, 0.5, 0.2, 0.05]), False),
+    ],
+    ids=["sweep-config-real", "lanczos-config-real", "c0a1-complex"],
+)
+def test_sweep_below_the_cap_equals_per_point_ground_states(monkeypatch, instance, exact):
+    """Below the dense cap the block sweep equals one whole-space ground_state
+    per point: bit for bit on a real interaction, where the blocks are solved
+    in the same arithmetic, and within 1e-12 on a complex one, where a block
+    without an imaginary part is solved as real. It never reads h_total."""
+    bundle, species, masses = instance()
+    assert bundle.h_int.shape[0] <= spectra.DENSE_CAP_DEFAULT
+    assert exact == (not bundle.h_int.data.imag.any())
+    want = per_point_sweep(bundle, species, masses)
+    with monkeypatch.context() as patch:
+        patch.setattr(HamiltonianBundle, "h_total", property(refused_h_total))
+        curve = mass_sweep(bundle, species, masses)
+    got = (
+        [*curve.energies, curve.limit_energy],
+        curve.cross_energies,
+        [*curve.overlaps, curve.limit_overlap],
+        [*curve.vectors, curve.limit_vector],
+    )
+    for got_part, want_part in zip(got, want):
+        if exact:
+            assert np.array_equal(got_part, want_part)
+        else:
+            np.testing.assert_allclose(got_part, want_part, rtol=0, atol=1e-12)
+
+
 def counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap):
     """mass_sweep and the dtype of each eigsh run, per mass point (each point
-    ends in one _fix_phase call); eigsh is wrapped as perfbench's spans wrap it."""
+    ends in one _fix_phase call); eigsh is wrapped as perfbench's spans wrap it.
+    Reading a bundle's h_total inside the sweep fails the test."""
     runs = [[]]
     eigsh, fix_phase = spla.eigsh, spectra._fix_phase
 
@@ -678,6 +752,7 @@ def counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap):
     with monkeypatch.context() as patch:
         patch.setattr(spla, "eigsh", counting_eigsh)
         patch.setattr(spectra, "_fix_phase", marking)
+        patch.setattr(HamiltonianBundle, "h_total", property(refused_h_total))
         curve = mass_sweep(bundle, species, masses, dense_cap=dense_cap)
     return curve, runs[:-1]
 
@@ -775,6 +850,60 @@ def test_block_sweep_follows_a_planted_crossing(monkeypatch):
     assert len(runs[0]) == 2  # both blocks at the first point, by Lanczos
 
 
+def two_fold_ground_bundle():
+    """Two spinless two-mode species (dimension 16) and a hand-made real h_int.
+    Block A, the 4 states without a species-1 particle, has the levels -3, -3,
+    -2 and -1 at every mass of species 1 (h_int cancels their free diagonal).
+    Block B, two states with one species-1 particle, lies near -3.5 plus at
+    least the mass. The other 10 states are lone. A holds the two-fold ground
+    at large mass, B the simple one at small mass. Returns the bundle and A."""
+    rng = np.random.default_rng(11)
+    species = [
+        SpeciesConfig(mass=1.0, points=rng.uniform(-0.3, 0.3, size=(2, 3)),
+                      weights=np.ones(2), spins=(0.5,))
+        for _ in range(2)
+    ]
+    table = build_mode_table(species)
+    basis = enumerate_basis(table)
+    in_b = free_hamiltonian_diagonal(table, basis, [1]) > 0
+    block_a = np.nonzero(~in_b)[0]
+    block_b = np.nonzero(in_b & (free_hamiltonian_diagonal(table, basis, [0]) == 0))[0][:2]
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    free_a = free_hamiltonian_diagonal(table, basis)[block_a]
+    h_int = np.zeros((16, 16))
+    h_int[np.ix_(block_a, block_a)] = q @ np.diag([-3.0, -3.0, -2.0, -1.0]) @ q.T - np.diag(free_a)
+    h_int[np.ix_(block_b, block_b)] = [[-3.5, 0.1], [0.1, -3.4]]
+    bundle = HamiltonianBundle(table, basis, 1.0, (), (), sp.csr_matrix(h_int, dtype=np.complex128))
+    return bundle, block_a
+
+
+@pytest.mark.parametrize("dense_cap", [16, 2], ids=["below-cap", "above-cap"])
+def test_sweep_takes_the_dense_tier_representative(dense_cap):
+    """Each point's ground vector follows _dense_ground's rule: the projection
+    of the first basis state meeting the ground space inside the block's
+    eigenbasis. Below the cap this pins the two-fold ground of block A, bit for
+    bit. Above the cap the two-state block B is solved dense too and takes the
+    same projection (its first eigh column differs from it in the last bits),
+    while A's Lanczos vector is one vector of A's ground space."""
+    bundle, block_a = two_fold_ground_bundle()
+    lanczos_a = dense_cap < bundle.h_int.shape[0]
+    curve = mass_sweep(bundle, 1, [5.0, 2.0, 1.0, 0.3, 0.05], dense_cap=dense_cap)
+    points = zip(curve.bundles, [*curve.energies, curve.limit_energy],
+                 [*curve.vectors, curve.limit_vector])
+    in_a = []
+    for point, energy, vec in points:
+        want_energy, want_vector, degeneracy, _ = spectra._dense_ground(point.h_total)
+        in_a.append(degeneracy == 2)
+        assert (set(np.nonzero(vec)[0]) <= set(block_a)) == in_a[-1]
+        if in_a[-1] and lanczos_a:
+            assert energy == pytest.approx(want_energy, abs=1e-12)
+            assert np.linalg.norm(point.h_total @ vec - energy * vec) < 1e-9
+        else:
+            assert energy == want_energy
+            assert np.array_equal(vec, want_vector)
+    assert in_a == [True, True, True, False, False, False]
+
+
 def test_block_sweep_peak_stays_below_one_h_total():
     """Above the dense cap no whole-space H_total is built: on grid_instance
     (dimension 4096, dense cap 512) the sweep's traced peak stays below the
@@ -798,6 +927,8 @@ def test_block_sweep_peak_stays_below_one_h_total():
 
 def test_mass_sweep_validates_grid():
     bundle = toy_bundle()
+    with pytest.raises(ValueError, match="at least two"):
+        mass_sweep(bundle, 0, [0.5])
     with pytest.raises(ValueError, match="decreasing"):
         mass_sweep(bundle, 0, [0.1, 0.5])
     with pytest.raises(ValueError, match="positive"):
