@@ -25,6 +25,7 @@ from .hamiltonian import (
 )
 from .kernels import KernelSpec
 from .modes import SpeciesConfig, build_mode_table, uniform_grid_species
+from .spectra import DENSE_CAP_DEFAULT
 
 DEFAULTS = {
     "coupling": 1.0,
@@ -34,7 +35,7 @@ DEFAULTS = {
         "smoothness": 0.75,
         "theta_grid": [0.25, 0.5, 0.75],
     },
-    "solver": {"dense_cap": 2048, "seed": 7, "trials": 1000},
+    "solver": {"dense_cap": DENSE_CAP_DEFAULT, "seed": 7, "trials": 1000},
 }
 
 
@@ -103,8 +104,11 @@ def _species_index(value: Any, key: str, n_species: int) -> int:
 
 
 def _typed(value: Any, key: str, kind: type) -> Any:
-    """value when it has kind's JSON type (list: an array, dict: an object, int
-    or float: a finite number, not a bool); else a config error naming the key."""
+    """value when it has kind's JSON type (list: an array, dict: an object, int:
+    an integer, float: a finite number, not a bool); else a config error naming
+    the key. A fraction where an integer belongs is refused, not truncated."""
+    if kind is int:
+        return _integer(value, key)
     if kind in (list, dict):
         ok = isinstance(value, (list, tuple) if kind is list else dict)
     else:

@@ -1,17 +1,16 @@
 """Ground states with their low spectra, mass sweeps and simple observables.
 
-One call, ground_state, answers the ground problem and the low spectrum above
-it. Dense LAPACK diagonalization is authoritative below a dimension cap and on
-problems too small for ARPACK; above it one seeded Lanczos run takes over and,
-below a cross-check cap, the block spectrum is computed too, compared and
-reported. Every dense solve runs per block of H, one per connected component
-of its sparsity pattern (every term changes each species' particle number by
-one, so these are conserved sectors); the blocks' spectra together are exactly
-H's, and the largest block sets the cost. Degenerate ground spaces, counted
-across blocks, get a deterministic representative: the projection of the first
-basis vector with nonvanishing component, with a fixed phase convention.
-mass_sweep solves each point per block of the shared interaction, skipping
-the blocks whose Weyl lower bounds lie above the ground found (see there).
+H splits into blocks, the connected components of its sparsity pattern (every
+term changes each species' particle number by one, so these are conserved
+sectors), and the largest block sets a solve's cost. One loop, _block_ground,
+solves a ground problem block by block: ground_state solves every block, each
+mass_sweep point only the blocks its Weyl lower bounds leave in reach of the
+ground. LAPACK is authoritative below a dimension cap and on blocks too small
+for ARPACK; above it a block takes a seeded Lanczos run, checked against the
+block's spectrum below a cross-check cap. Degenerate ground spaces, counted
+across blocks, get a deterministic representative from the block of the first
+basis vector meeting them: its projection, or the block's lowest Ritz vector,
+with a fixed phase convention.
 
 The arithmetic is decided once, by _solver_arithmetic: an H that stores no
 nonzero imaginary part (any kernel with a real value gives one) is real
@@ -23,7 +22,7 @@ kernel value keeps the complex solvers. The ground vector is complex either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,37 +85,29 @@ def _component_labels(h: sp.csr_matrix) -> np.ndarray:
     return np.unique(labels, return_inverse=True)[1]
 
 
-def _blocks(h: sp.csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(states, dense block of h) for each connected component of h's pattern,
-    one at a time and all from one pass over h's entries sorted by component.
-
-    states are ascending basis indices. One-state components share a single
-    pair whose block is the 1-D array of their diagonal entries, so a diagonal
-    h costs no per-state work. The blocks are real when h has no imaginary part.
-    """
-    h = _solver_arithmetic(h)
+def _partition(h: sp.csr_matrix) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The one-state components of h's pattern, as one ascending array, and the
+    ascending states of each larger one, in _component_labels' numbering."""
     sizes = np.bincount(labels := _component_labels(h))
-    lone = sizes[labels] == 1
-    if lone.any():
-        yield np.nonzero(lone)[0], h.diagonal()[lone].real
-    order = np.argsort(labels, kind="stable")  # the components one after the other
-    bounds = np.cumsum([0, *sizes])
-    local = np.argsort(order) - bounds[labels]  # each state's index inside its block
-    entries = h.tocoo()
-    by_block = np.argsort(labels[entries.row], kind="stable")
-    rows, cols, data = (a[by_block] for a in (local[entries.row], local[entries.col], entries.data))
-    ends = np.cumsum([0, *np.bincount(labels[entries.row], minlength=sizes.size)])
-    for label in np.nonzero(sizes > 1)[0]:
-        take = slice(ends[label], ends[label + 1])
-        dense = np.zeros((sizes[label], sizes[label]), dtype=h.dtype)
-        np.add.at(dense, (rows[take], cols[take]), data[take])
-        yield order[bounds[label]:bounds[label + 1]], dense
+    order = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes))
+    return np.nonzero(sizes[labels] == 1)[0], [s for s in order if s.size > 1]
 
 
-def _block_eigvalsh(h: sp.csr_matrix) -> np.ndarray:
+def _block(h: sp.csr_matrix, states: np.ndarray) -> sp.csr_matrix:
+    """h on the ascending states of one component: their rows hold no other
+    column, so the rows are gathered from h's arrays and the columns renumbered."""
+    starts, lengths = h.indptr[states], h.indptr[states + 1] - h.indptr[states]
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+    cols = np.searchsorted(states, h.indices[take])
+    return sp.csr_matrix((h.data[take], cols, indptr), shape=(states.size,) * 2)
+
+
+def _block_eigvalsh(h: sp.spmatrix) -> np.ndarray:
     """All eigenvalues of h, ascending, from its blocks."""
-    vals = [b if b.ndim == 1 else np.linalg.eigvalsh(b) for _, b in _blocks(h)]
-    return np.sort(np.concatenate(vals))
+    lone, blocks = _partition(h := _solver_arithmetic(sp.csr_matrix(h)))
+    vals = [np.linalg.eigvalsh(_block(h, s).toarray()) for s in blocks]
+    return np.sort(np.concatenate([h.diagonal()[lone].real, *vals]))
 
 
 def _in_ground_space(vals: np.ndarray, energy: float) -> np.ndarray:
@@ -127,7 +118,7 @@ def _ground(solved: Iterable[tuple], dim: int) -> tuple[float, np.ndarray, int, 
     """Ground energy, representative, degeneracy and sorted eigenvalues of solved
     blocks (states, eigenvalues, eigenvectors or None). The representative comes
     from the block of the first state meeting the ground space: that state's
-    projection in a full eigenbasis, a Ritz vector as it is, or the state."""
+    projection in a full eigenbasis, the lowest Ritz vector as it is, or the state."""
     eigenvalues, candidates, energy = [], [], np.inf
     for states, vals, vecs in solved:
         eigenvalues.append(vals)
@@ -144,7 +135,7 @@ def _ground(solved: Iterable[tuple], dim: int) -> tuple[float, np.ndarray, int, 
         if vecs is None:
             offers.append((states[members][0], states[members][:1], np.ones(1)))
             continue
-        space = vecs[:, members]
+        space = vecs[:, members[:vecs.shape[1]]]  # a lone Ritz vector beside eigvalsh values
         local = int(np.argmax(np.linalg.norm(space, axis=1) > 1e-8))
         ritz = vecs.shape[1] < states.size
         offers.append((states[local], states, space[:, 0] if ritz else space @ space[local].conj()))
@@ -152,11 +143,6 @@ def _ground(solved: Iterable[tuple], dim: int) -> tuple[float, np.ndarray, int, 
     rep = np.zeros(dim, dtype=np.complex128)
     rep[states] = vec
     return energy, _fix_phase(rep), degeneracy, np.sort(np.concatenate(eigenvalues))
-
-
-def _dense_ground(h: sp.csr_matrix) -> tuple[float, np.ndarray, int, np.ndarray]:
-    solved = ((s, b, None) if b.ndim == 1 else (s, *np.linalg.eigh(b)) for s, b in _blocks(h))
-    return _ground(solved, h.shape[0])
 
 
 def _lanczos(h: sp.csr_matrix, v0: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,12 +159,57 @@ def _lanczos(h: sp.csr_matrix, v0: np.ndarray, count: int) -> tuple[np.ndarray, 
     return shift - vals[order], vecs[:, order]
 
 
-def _cross_checked(dense_energy: float, energy: float) -> float:
-    """|dense_energy - energy|, the Lanczos energy's gap to its dense check."""
-    cross = abs(dense_energy - energy)
-    if cross > CROSS_CHECK_TOL * max(1.0, abs(energy)):
-        raise AssertionError(f"dense and Lanczos ground energies disagree by {cross:.2e}")
-    return cross
+def _block_ground(
+    lone: np.ndarray, lone_energies: np.ndarray, blocks: Sequence[np.ndarray],
+    bound: np.ndarray, block: Callable[[np.ndarray], sp.csr_matrix], v0: np.ndarray,
+    dense_cap: int, count: int = 1,
+) -> tuple[float, np.ndarray, int | None, np.ndarray, str, float | None]:
+    """_ground's energy, representative, degeneracy and `count` lowest values of
+    a space split into lone states and blocks, the method and the largest
+    cross-check gap (None without a check).
+
+    The blocks go by ascending lower bound, and once a bound lies above the
+    count-th lowest level found the rest are skipped; a solved block's bound
+    becomes its lowest value, less the residual for a Ritz value. block(states)
+    slices a block when it is solved: by eigh if the space has at most
+    dense_cap states or the block at most count + 1 (ARPACK needs k < n - 1);
+    else by one seeded Lanczos pair up to 4 * dense_cap states, its energy
+    checked against the block's eigvalsh, which gives the block's values; above
+    that by Lanczos with k = count.
+    """
+    dim, gaps, unchecked = v0.size, [], []
+
+    def solved():
+        low = np.sort(lone_energies)[:count]
+        yield lone, lone_energies, None
+        for k in np.argsort(bound, kind="stable"):
+            if low.size == count and bound[k] > low[-1] + DEGENERACY_TOL * max(1.0, abs(low[-1])):
+                break  # this block and every later one lie above the count lowest levels
+            h, slack = block(s := blocks[k]), 0.0  # LAPACK's lowest value needs no slack
+            if dim <= dense_cap or s.size <= count + 1:
+                vals, vecs = np.linalg.eigh(h.toarray())
+            elif dim <= 4 * dense_cap:
+                ritz, vecs = _lanczos(h, v0[s], 1)
+                vals = np.linalg.eigvalsh(h.toarray())
+                gaps.append(gap := abs(float(vals[0]) - float(ritz[0])))
+                if gap > CROSS_CHECK_TOL * max(1.0, abs(ritz[0])):
+                    raise AssertionError(
+                        f"dense and Lanczos ground energies disagree by {gap:.2e}"
+                    )
+            else:
+                vals, vecs = _lanczos(h, v0[s], count)
+                unchecked.append(k)
+                slack = np.linalg.norm(h @ vecs[:, 0] - vals[0] * vecs[:, 0])  # the Ritz residual
+            bound[k] = vals[0] - slack
+            del h  # the next block is sliced without this one alive
+            low = np.sort(np.concatenate([low, vals]))[:count]
+            yield s, vals, vecs
+
+    energy, vec, degeneracy, spectrum = _ground(solved(), dim)
+    if unchecked:  # two Ritz values in the ground space: Lanczos alone cannot count it
+        degeneracy = 1 if degeneracy == 1 else None
+    method = "lanczos" if gaps or unchecked else "dense"
+    return energy, vec, degeneracy, spectrum[:count], method, max(gaps, default=None)
 
 
 def ground_state(
@@ -188,30 +219,16 @@ def ground_state(
     count: int = 1,
 ) -> GroundStateResult:
     """Lowest eigenpair of a hermitian sparse matrix and its `count` lowest
-    eigenvalues.
-
-    Dense up to dimension dense_cap, and whenever ARPACK cannot return `count`
-    values (it needs count < dim - 1). Otherwise one seeded Lanczos run (eigsh,
-    k=count) gives the ground pair from its lowest Ritz value, with a dense
-    eigenvalue cross-check when the dimension still allows one. The spectrum
-    comes from the blocks whenever they were solved, else from the Ritz values.
-    """
+    eigenvalues, every block of h solved by _block_ground. The method is
+    "lanczos" when some block took a Lanczos run, else "dense"; above 4 *
+    dense_cap states the spectrum holds the Lanczos blocks' Ritz values."""
     h = _solver_arithmetic(sp.csr_matrix(h))
-    dim = h.shape[0]
-    cross = None
-    if dim <= dense_cap or count >= dim - 1:
-        energy, vec, degeneracy, spectrum = _dense_ground(h)
-        method = "dense"
-    else:
-        ritz, vecs = _lanczos(h, np.random.default_rng(seed).standard_normal(dim), count)
-        energy, vec, degeneracy, spectrum = _ground([(np.arange(dim), ritz, vecs)], dim)
-        # two Ritz values in the ground space: Lanczos alone cannot count it
-        degeneracy = 1 if degeneracy == 1 else None
-        method = "lanczos"
-        if dim <= 4 * dense_cap:
-            spectrum = _block_eigvalsh(h)
-            degeneracy = int(_in_ground_space(spectrum, float(spectrum[0])).sum())
-            cross = _cross_checked(float(spectrum[0]), energy)
+    lone, blocks = _partition(h)
+    v0 = np.random.default_rng(seed).standard_normal(h.shape[0])
+    energy, vec, degeneracy, spectrum, method, cross = _block_ground(
+        lone, h.diagonal()[lone].real, blocks, np.full(len(blocks), -np.inf),
+        lambda s: _block(h, s), v0, dense_cap, count,
+    )
     # a real h times the real and imaginary parts: no complex copy of h
     hvec = h @ vec if np.iscomplexobj(h.data) else h @ vec.real + 1j * (h @ vec.imag)
     residual = float(np.linalg.norm(hvec - energy * vec))
@@ -221,7 +238,7 @@ def ground_state(
         residual=residual,
         method=method,
         degeneracy=degeneracy,
-        spectrum=spectrum[:count],
+        spectrum=spectrum,
         cross_check_gap=cross,
     )
 
@@ -286,7 +303,7 @@ class MassCurve:
     diagonal and h_int, realizes limit_energy <= cross_energies[j] <= energies[j];
     overlaps track |<Phi_j, Phi_(j+1)>| as a convergence proxy (no compactness
     claim). bundles: one per mass, the limit last, sharing one h_int, no H_total.
-    At every size a level that blocks share is taken as ground_state's dense tier takes it.
+    At every size the ground is taken as ground_state takes it, shared levels included.
     """
 
     species: int
@@ -315,39 +332,19 @@ def _block_sweep(bundles: Sequence[HamiltonianBundle], dense_cap: int, seed: int
     """(energy, vector) at each bundle's masses, solved per block of their shared
     h_int: see mass_sweep."""
     h_int, g = bundles[0].h_int, bundles[0].coupling
-    sizes = np.bincount(labels := _component_labels(h_int))
-    blocks = [s for s in np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)) if s.size > 1]
-    lone = np.nonzero(sizes[labels] == 1)[0]
+    lone, blocks = _partition(h_int)
     lone_int = g * h_int.diagonal().real[lone]
-    v0 = np.random.default_rng(seed).standard_normal(dim := h_int.shape[0])
+    v0 = np.random.default_rng(seed).standard_normal(h_int.shape[0])
     bound, previous = np.full(len(blocks), -np.inf), bundles[0].free_diag
     for fd in (b.free_diag for b in bundles):
         # below each block's lowest level, by Weyl: min eig(A - D) >= min eig(A) - max D
         bound -= [np.max(previous[s] - fd[s]) for s in blocks]
-        previous, lone_energies = fd, fd[lone] + lone_int
-
-        def solved():
-            best = float(lone_energies.min(initial=np.inf))
-            yield lone, lone_energies, None
-            for k in np.argsort(bound, kind="stable"):
-                if bound[k] > best + DEGENERACY_TOL * max(1.0, abs(best)):
-                    break  # this block and every later one lie above the ground
-                s = blocks[k]
-                h = (sp.diags(fd[s]) + g * _solver_arithmetic(h_int[s][:, s])).tocsr()
-                # ARPACK needs a block of three states or more
-                if dim <= dense_cap or s.size <= 2:
-                    vals, vecs = np.linalg.eigh(h.toarray())
-                else:
-                    vals, vecs = _lanczos(h, v0[s], 1)
-                    if dim <= 4 * dense_cap:
-                        _cross_checked(float(np.linalg.eigvalsh(h.toarray())[0]), float(vals[0]))
-                energy, vec = float(vals[0]), vecs[:, 0]
-                bound[k] = energy - np.linalg.norm(h @ vec - energy * vec)
-                del h  # the next block is sliced without this one alive
-                best = min(best, energy)
-                yield s, vals, vecs
-
-        yield _ground(solved(), dim)[:2]
+        previous = fd
+        yield _block_ground(
+            lone, fd[lone] + lone_int, blocks, bound,
+            lambda s: (sp.diags(fd[s]) + g * _solver_arithmetic(_block(h_int, s))).tocsr(),
+            v0, dense_cap,
+        )[:2]
 
 
 def mass_sweep(
@@ -360,13 +357,12 @@ def mass_sweep(
     """Ground problems along a strictly decreasing grid of two or more positive
     masses plus the massless limit, each point the bundle with the species' mass
     replaced (sharing h_int, owning a table and a free diagonal). The diagonal
-    free part leaves each block of h_int invariant, so a block is sliced when
-    solved: dense if the space has at most dense_cap states or the block two,
-    else by seeded Lanczos, cross-checked up to 4 * dense_cap states. A block's
-    energy less its residual, lowered at each later point by its largest
-    free-diagonal fall (Weyl), bounds its lowest level; blocks go by ascending
-    bound, none above the ground found is solved, and the ground is picked as
-    ground_state picks it."""
+    free part leaves each block of h_int invariant, so every point runs
+    ground_state's block loop, _block_ground, slicing a block from h_int plus
+    the point's free diagonal when it is solved. A block's lowest value (less
+    its residual for a Ritz value), lowered at each later point by its largest
+    free-diagonal fall (Weyl), bounds its lowest level, so no block above the
+    ground found is solved."""
     masses = np.asarray([float(m) for m in masses])
     if masses.size < 2 or np.any(np.diff(masses) >= 0):
         raise ValueError("a mass sweep needs at least two masses, strictly decreasing")

@@ -12,6 +12,7 @@ import fermifock.cli
 import fermifock.hamiltonian
 import fermifock.kernels
 import fermifock.spectra
+import fermifock.verify
 
 from fermifock.cli import main
 from fermifock.config import (
@@ -382,8 +383,9 @@ def test_cli_groundstate_above_dense_cap_on_a_tiny_problem(tmp_path, capsys):
 
 
 def test_cli_groundstate_runs_one_eigensolve(tmp_path, monkeypatch):
-    """Dimension 16 with dense cap 8: one Lanczos run gives the ground state
-    and the 8-value spectrum, which is the cross-check's block spectrum."""
+    """Dimension 256 with dense cap 64: each block of more than nine states is
+    solved by one Lanczos run (k = 1) beside its eigvalsh cross-check, and the
+    8-value spectrum is the cross-check's block spectrum."""
     calls = []
     eigsh = spla.eigsh
 
@@ -392,21 +394,24 @@ def test_cli_groundstate_runs_one_eigensolve(tmp_path, monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", counting_eigsh)
-    cfg_path = write_config(tmp_path, sweep_config())
+    cfg_path = write_config(tmp_path, lanczos_sweep_config())
     out = tmp_path / "reports"
-    argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "8", "--config", cfg_path]
+    argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "64", "--config", cfg_path]
     assert main(argv) == 0
-    assert calls == [8]
+    h = build_bundle(load_config(cfg_path)).h_total
+    runs = sum(states.size > 9 for states in fermifock.spectra._partition(h)[1])
+    assert runs > 1 and calls == [1] * runs
     assert json.loads((out / "groundstate.json").read_text())["method"] == "lanczos"
     rows = (out / "spectrum.csv").read_text().splitlines()[1:]
-    want = fermifock.spectra._block_eigvalsh(build_bundle(load_config(cfg_path)).h_total)
+    want = fermifock.spectra._block_eigvalsh(h)
     assert [float(row.split(",")[1]) for row in rows] == list(want[:8])
 
 
 def test_cli_groundstate_writes_an_unresolved_degeneracy_as_null(tmp_path, monkeypatch):
-    """Dimension 16 with dense cap 2 runs Lanczos alone. When the two lowest
-    Ritz values coincide, as ARPACK returns a near-degenerate pair, the report
-    says the degeneracy is unknown instead of 1."""
+    """Dimension 256 with dense cap 2 runs Lanczos alone on every block of more
+    than nine states. When the two lowest Ritz values of each run coincide, as
+    ARPACK returns a near-degenerate pair, the report says the degeneracy is
+    unknown instead of 1."""
     eigsh = spla.eigsh
 
     def coinciding_eigsh(*args, **kwargs):
@@ -415,7 +420,7 @@ def test_cli_groundstate_writes_an_unresolved_degeneracy_as_null(tmp_path, monke
         vals[top[1]] = vals[top[0]]
         return vals, vecs
 
-    cfg_path = write_config(tmp_path, sweep_config())
+    cfg_path = write_config(tmp_path, lanczos_sweep_config())
     argv = ["groundstate", "--dense-cap", "2", "--config", cfg_path]
     assert main(["--report-dir", str(tmp_path / "resolved"), *argv]) == 0
     report = json.loads((tmp_path / "resolved" / "groundstate.json").read_text())
@@ -615,17 +620,22 @@ def grid_line(mass, shape, chains=()):
          "annihilated", "groundstate"),
         (lambda cfg: cfg["kernels"][0].update(conservation_signs=[1, -0.5]),
          "conservation_signs", "groundstate"),
+        (lambda cfg: cfg["solver"].update(trials=2.5), "solver.trials", "verify"),
+        (lambda cfg: cfg["solver"].update(seed=7.9), "solver.seed", "groundstate"),
+        (lambda cfg: cfg["solver"].update(dense_cap=100.7), "solver.dense_cap", "groundstate"),
     ],
     ids=["count-fraction", "count-string", "count-bool", "chain-fraction", "shape-fraction",
-         "shape-string", "created-fraction", "annihilated-fraction", "sign-fraction"],
+         "shape-string", "created-fraction", "annihilated-fraction", "sign-fraction",
+         "trials-fraction", "seed-fraction", "dense-cap-fraction"],
 )
 def test_cli_config_integer_that_is_not_an_integer_exits_2(
     tmp_path, capsys, mutate, key, command
 ):
-    """A count, a chain's point index, a grid's points per axis or a kernel's
-    species index or conservation sign is a JSON integer: a fraction is not
-    rounded down, and a bool or a string is not read as one. Each is a refused
-    config: exit 2 and one line naming the key."""
+    """A count, a chain's point index, a grid's points per axis, a kernel's
+    species index or conservation sign, and the solver's trials, seed and dense
+    cap are JSON integers: a fraction is not rounded down, and a bool or a
+    string is not read as one. Each is a refused config: exit 2 and one line
+    naming the key."""
     cfg = sweep_config()
     mutate(cfg)
     cfg_path = write_config(tmp_path, cfg)
@@ -662,8 +672,8 @@ def test_cli_mass_grid_of_fewer_than_two_masses_exits_2(tmp_path, capsys, grid, 
 
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     """Two six-mode species (dimension 4096, above DENSE_CAP_DEFAULT): the
-    form bound's spectral edges come from ARPACK, and its non-convergence ends
-    the run with one line."""
+    form bound's spectral edges come from ARPACK, block by block, and the first
+    block's non-convergence ends the run with one line."""
     cfg = toy_config()
     cfg["species"] = [
         {"mass": m, "grid": {"extent": 1.0, "shape": [6, 1, 1]}, "spins": [0.5]}
@@ -684,15 +694,17 @@ def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "reports"
     argv = ["--report-dir", str(out), "verify", "--suite", "bounds", "--config", cfg_path]
     assert main(argv) == 2
-    assert calls == [(4096, 4096)]
+    form = fermifock.verify._hermitized(build_bundle(load_config(cfg_path)), 0)
+    first = next(s.size for s in fermifock.spectra._partition(form)[1] if s.size > 2)
+    assert calls == [(first, first)]
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "No convergence" in err[0]
 
 
 def _disagreeing_block_spectrum(monkeypatch):
-    solve = fermifock.spectra._block_eigvalsh
-    monkeypatch.setattr(fermifock.spectra, "_block_eigvalsh", lambda h: solve(h) - 1.0)
+    eigvalsh = np.linalg.eigvalsh  # each block's cross-check values
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) - 1.0)
     return "dense and Lanczos ground energies disagree"
 
 
@@ -703,12 +715,12 @@ def _non_hermitian_interaction(monkeypatch):
 
 @pytest.mark.parametrize("failure", [_disagreeing_block_spectrum, _non_hermitian_interaction])
 def test_cli_refused_result_exits_2(tmp_path, capsys, monkeypatch, failure):
-    """Dimension 16 with dense cap 8: Lanczos runs and the block cross-check
+    """Dimension 256 with dense cap 64: Lanczos runs and the block cross-check
     with it. A failed internal check ends the run with one line, no traceback."""
     message = failure(monkeypatch)
-    cfg_path = write_config(tmp_path, sweep_config())
+    cfg_path = write_config(tmp_path, lanczos_sweep_config())
     out = tmp_path / "reports"
-    argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "8", "--config", cfg_path]
+    argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "64", "--config", cfg_path]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1

@@ -224,7 +224,8 @@ chain = sp.diags([np.full(29, 0.5), np.linspace(-1.0, 1.0, 30), np.full(29, 0.5)
 dense = spectra.ground_state(chain.tocsr())
 after_dense = [name for name in heavy if name in sys.modules]
 fermifock_modules = sorted(name for name in sys.modules if name.startswith("fermifock."))
-lanczos = spectra.ground_state(sp.diags(np.arange(64.0)).tocsr(), dense_cap=8)
+long_chain = sp.diags([np.ones(63), np.arange(64.0), np.ones(63)], [-1, 0, 1])
+lanczos = spectra.ground_state(long_chain.tocsr(), dense_cap=8)
 print(json.dumps({
     "demo_exit": demo_exit, "methods": [dense.method, lanczos.method],
     "after_dense": after_dense, "fermifock": fermifock_modules,

@@ -186,6 +186,25 @@ def test_lanczos_path_reports_degeneracy_across_blocks():
     assert abs(lanczos.energy - dense.energy) <= CROSS_METHOD_TOL
 
 
+@pytest.mark.parametrize(
+    "dense_cap, count", [(10, 1), (4, 1), (4, 8)], ids=["checked", "ritz", "ritz-count-8"]
+)
+def test_lanczos_path_takes_the_dense_tier_representative(dense_cap, count):
+    """The lowest level is shared by two 12-state blocks. Above the cap each is
+    solved by its own Lanczos run, and the representative is the dense tier's:
+    the ground vector of the block holding the least state that meets the
+    ground space. A whole-space Lanczos run returned a mix of the two."""
+    rng = np.random.default_rng(56)
+    twin = random_hermitian(12, rng)
+    h = permuted_block_diagonal([twin, random_hermitian(12, rng) + 10.0 * np.eye(12), twin], rng)
+    dense = ground_state(h)
+    lanczos = ground_state(h, dense_cap=dense_cap, count=count)
+    assert dense.method == "dense" and dense.degeneracy == 2
+    assert lanczos.method == "lanczos"
+    assert abs(lanczos.energy - dense.energy) <= CROSS_METHOD_TOL
+    np.testing.assert_allclose(lanczos.vector, dense.vector, rtol=0, atol=1e-10)
+
+
 def test_dense_path_spectrum_is_the_block_spectrum():
     h = sp.csr_matrix(assemble_total(*triple_parts()).h_total)
     result = ground_state(h, count=8)
@@ -215,23 +234,25 @@ def test_lanczos_path_above_the_cross_check_reports_ritz_values():
 
 def test_lanczos_alone_leaves_a_near_degenerate_ground_space_unresolved():
     """Above the cross-check cap two Ritz values 1e-12 apart cannot be counted:
-    the degeneracy is None. A gapped ground state keeps degeneracy 1."""
+    the degeneracy is None. A gapped ground state keeps degeneracy 1. The
+    levels sit in one 64-state block, a random rotation of their diagonal."""
     diag = np.linspace(0.0, 5.0, 64)
     diag[:2] = -1.0, -1.0 * (1.0 - 1e-12)
-    result = ground_state(sp.diags(diag).tocsr(), dense_cap=8, count=2)
+    q = np.linalg.qr(np.random.default_rng(55).normal(size=(64, 64)))[0]
+    result = ground_state(sp.csr_matrix(q @ np.diag(diag) @ q.T), dense_cap=8, count=2)
     assert result.method == "lanczos" and result.cross_check_gap is None
     assert result.degeneracy is None
     diag[1] = -0.5
-    result = ground_state(sp.diags(diag).tocsr(), dense_cap=8, count=2)
+    result = ground_state(sp.csr_matrix(q @ np.diag(diag) @ q.T), dense_cap=8, count=2)
     assert result.method == "lanczos" and result.cross_check_gap is None
     assert result.degeneracy == 1
 
 
-def imaginary_coupling_matrix():
-    """Only purely imaginary off-diagonal couplings; components listed below."""
-    components = [(0, 5, 7), (1, 2), (3, 4, 8, 11)]
-    h = sp.lil_matrix((12, 12), dtype=np.complex128)
-    h.setdiag(np.linspace(-1.0, 1.0, 12))
+def imaginary_coupling_matrix(components=((0, 5, 7), (1, 2), (3, 4, 8, 11)), dim=12):
+    """Only purely imaginary off-diagonal couplings, each component a chain;
+    returns the matrix and its components."""
+    h = sp.lil_matrix((dim, dim), dtype=np.complex128)
+    h.setdiag(np.linspace(-1.0, 1.0, dim))
     for comp in components:
         for a, b in zip(comp, comp[1:]):
             h[a, b], h[b, a] = 0.7j, -0.7j
@@ -265,18 +286,13 @@ def test_block_spectrum_equals_full_spectrum(build):
 @pytest.mark.filterwarnings("error")  # no complex-to-real cast may warn
 def test_blocks_follow_imaginary_couplings():
     h, components = imaginary_coupling_matrix()
-    blocks = list(spectra._blocks(h))
-    lone = [states for states, block in blocks if block.ndim == 1]
-    multi = [tuple(states) for states, block in blocks if block.ndim == 2]
-    assert sorted(multi) == sorted(components)
-    assert [list(states) for states in lone] == [[6, 9, 10]]
-    for states, block in blocks:
-        if block.ndim == 2:
-            np.testing.assert_array_equal(block, h[states][:, states].toarray())
+    lone, blocks = spectra._partition(h)
+    assert sorted(tuple(states) for states in blocks) == sorted(components)
+    assert list(lone) == [6, 9, 10]
 
 
 def csgraph_labels(h):
-    """The components csgraph finds on h's stored pattern, as _blocks once took them."""
+    """The components csgraph finds on h's stored pattern, as the blocks were once taken."""
     pattern = sp.csr_matrix((np.ones(h.nnz, np.int8), h.indices, h.indptr), shape=h.shape)
     return connected_components(pattern, directed=False)[1]
 
@@ -305,54 +321,16 @@ def test_component_labels_match_csgraph(h):
 
 @BLOCK_INSTANCES
 def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
-    """The same (states, block) pairs, in the same order, as with csgraph's labels."""
+    """The same lone states and block states, in the same order, as with csgraph's labels."""
     h = sp.csr_matrix(build())
-    got = list(spectra._blocks(h))
+    lone, blocks = spectra._partition(h)
     monkeypatch.setattr(spectra, "_component_labels", csgraph_labels)
-    want = list(spectra._blocks(h))
-    assert len(got) == len(want)
-    for (states, block), (want_states, want_block) in zip(got, want):
+    want_lone, want_blocks = spectra._partition(h)
+    np.testing.assert_array_equal(lone, want_lone)
+    assert len(blocks) == len(want_blocks)
+    for states, want_states in zip(blocks, want_blocks):
         np.testing.assert_array_equal(states, want_states)
-        np.testing.assert_array_equal(block, want_block)
-        assert block.dtype == want_block.dtype
-
-
-def csr_sliced_blocks(h):
-    """The blocks taken by permuting h's CSR rows and columns into component
-    order and slicing one dense block after another: the oracle for the
-    one-pass blocks."""
-    h = spectra._solver_arithmetic(h)
-    sizes = np.bincount(labels := spectra._component_labels(h))
-    lone = sizes[labels] == 1
-    pairs = [(np.nonzero(lone)[0], h.diagonal()[lone].real)] if lone.any() else []
-    order = np.argsort(labels, kind="stable")
-    grouped = order[~lone[order]]
-    permuted = h[grouped][:, grouped]
-    bounds = np.cumsum([0, *sizes[sizes > 1]])
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        pairs.append((grouped[start:end], permuted[start:end, start:end].toarray()))
-    return pairs
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: pair_instance().h_total,
-        lambda: grid_instance().h_total,
-        lambda: c0a1_bundle(5).h_total,
-        lambda: sp.diags(np.linspace(-1.0, 1.0, 9)).tocsr(),
-    ],
-    ids=["pair", "grid", "c0a1-complex", "diagonal"],
-)
-def test_one_pass_blocks_equal_the_csr_sliced_blocks(build):
-    h = sp.csr_matrix(build())
-    want = csr_sliced_blocks(h)
-    got = list(spectra._blocks(h))
-    assert len(got) == len(want)
-    for (states, block), (want_states, want_block) in zip(got, want):
-        np.testing.assert_array_equal(states, want_states)
-        assert block.dtype == want_block.dtype
-        assert np.array_equal(block, want_block)
+        assert np.all(np.diff(states) > 0)
 
 
 DENSE_GROUND_PEAK_BYTES = int(4.5 * 2**20)
@@ -434,7 +412,9 @@ def ground_space_across_blocks(seed):
 def test_blockwise_dense_ground_matches_full_matrix(build, expected_degeneracy):
     h = sp.csr_matrix(build())
     want_energy, want_vector, want_degeneracy = full_dense_ground(h.toarray())
-    energy, vector, degeneracy, _ = spectra._dense_ground(h)
+    result = ground_state(h, count=h.shape[0])
+    energy, vector, degeneracy = result.energy, result.vector, result.degeneracy
+    assert result.method == "dense"
     assert abs(energy - want_energy) <= 1e-12
     assert degeneracy == want_degeneracy == expected_degeneracy
     np.testing.assert_allclose(vector, want_vector, rtol=0, atol=1e-12)
@@ -444,11 +424,13 @@ def refiltering_dense_ground(h):
     """The dense ground solve that re-filtered every candidate block after each
     block it solved: the oracle for the bookkeeping that re-filters only when
     the energy falls."""
+    h = spectra._solver_arithmetic(h)
+    lone, blocks = spectra._partition(h)
+    solved = [(s, *np.linalg.eigh(h[s][:, s].toarray())) for s in blocks]
     eigenvalues, candidates, energy = [], [], np.inf
-    for states, block in spectra._blocks(h):
-        vals, vecs = (block, None) if block.ndim == 1 else np.linalg.eigh(block)
+    for states, vals, vecs in [(lone, h.diagonal()[lone].real, None), *solved]:
         eigenvalues.append(vals)
-        energy = min(energy, float(vals.min()))
+        energy = min(energy, float(vals.min(initial=np.inf)))
         candidates.append((states, vals, vecs))
         candidates = [c for c in candidates if spectra._in_ground_space(c[1], energy).any()]
     degeneracy = 0
@@ -491,7 +473,8 @@ def planted_ground_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(h=planted_ground_matrices())
 def test_dense_ground_equals_the_refiltering_oracle(h):
-    got = spectra._dense_ground(h)
+    result = ground_state(h, count=h.shape[0])
+    got = result.energy, result.vector, result.degeneracy, result.spectrum
     want = refiltering_dense_ground(h)
     for got_part, want_part in zip(got, want):
         assert np.array_equal(got_part, want_part)
@@ -526,7 +509,9 @@ def test_lanczos_runs_in_the_arithmetic_of_the_entries(monkeypatch, build, want)
     dtypes = record_eigsh_dtypes(monkeypatch)
     result = ground_state(h, dense_cap=h.shape[0] // 4)
     assert result.method == "lanczos" and result.cross_check_gap is not None
-    assert dtypes == [want]
+    # one run per block of more than two states
+    runs = sum(states.size > 2 for states in spectra._partition(sp.csr_matrix(h))[1])
+    assert runs > 0 and dtypes == [want] * runs
     assert result.vector.dtype == np.complex128
 
 
@@ -552,15 +537,17 @@ def test_real_arithmetic_matches_the_complex_dense_oracle(build, dense_cap, meth
 
 
 def test_imaginary_couplings_keep_the_complex_solvers(monkeypatch):
-    """Its real part is diagonal, so solving h.real would give a wrong spectrum."""
-    h, _ = imaginary_coupling_matrix()
+    """Its real part is diagonal, so solving h.real would give a wrong spectrum.
+    Its two chains of six and seven states are solved by Lanczos with k = 4."""
+    chains = [(0, 5, 7, 12, 14, 17), (1, 2), (3, 4, 8, 11, 13, 15, 16)]
+    h, _ = imaginary_coupling_matrix(chains, 18)
     want = np.linalg.eigvalsh(h.toarray())
     assert not np.allclose(want, np.sort(h.diagonal().real))
     dtypes = record_eigsh_dtypes(monkeypatch)
     lanczos = ground_state(h, dense_cap=2, count=4)
-    assert lanczos.method == "lanczos" and dtypes == [np.complex128]
+    assert lanczos.method == "lanczos" and dtypes == [np.complex128] * 2
     np.testing.assert_allclose(lanczos.spectrum, want[:4], rtol=0, atol=1e-10)
-    dense = ground_state(h, count=12)
+    dense = ground_state(h, count=18)
     assert dense.method == "dense"
     np.testing.assert_allclose(dense.spectrum, want, rtol=0, atol=1e-12)
 
@@ -758,29 +745,25 @@ def counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap):
 
 
 @pytest.mark.parametrize(
-    "instance, arithmetic, degenerate_limit",
+    "instance, arithmetic",
     [
         (lambda: (build_bundle(normalize_config(lanczos_sweep_config())), 1, [0.5, 0.2, 0.05], 32),
-         np.float64, False),
-        (lambda: (grid_instance(), 1, [0.5, 0.3, 0.2, 0.1], 512), np.float64, True),
+         np.float64),
+        # the massless limit's ground level is shared by the blocks led by states 0 and 64
+        (lambda: (grid_instance(), 1, [0.5, 0.3, 0.2, 0.1], 512), np.float64),
         # dimension 1024 = 4 x the dense cap: the per-block dense cross-check runs
-        (lambda: (c0a1_bundle(5), 0, [0.9, 0.5, 0.2, 0.05], 256), np.complex128, False),
+        (lambda: (c0a1_bundle(5), 0, [0.9, 0.5, 0.2, 0.05], 256), np.complex128),
     ],
     ids=["lanczos-config", "grid", "c0a1-complex"],
 )
-def test_block_sweep_matches_whole_space_solves(monkeypatch, instance, arithmetic, degenerate_limit):
+def test_block_sweep_matches_whole_space_solves(monkeypatch, instance, arithmetic):
     """Above the dense cap the sweep solves per block of h_int, in the blocks'
     arithmetic (complex for c0a1's complex kernel), and skips the blocks its
-    Weyl bounds rule out. Every point's energy, cross energy and overlap equals
-    whole-space ground_state runs on the point's H_total within 1e-12, and
-    every point after the first solves fewer blocks than the first, which
-    solves every block of more than two states.
-
-    The grid's massless limit has a two-fold ground space (one level in the
-    blocks led by states 0 and 64), so its whole-space Ritz vector is an
-    arbitrary mix of the two, and the limit overlap is not compared there: the
-    block sweep's limit vector is checked to be a ground vector of the block of
-    state 0, which the least-first-state rule picks."""
+    Weyl bounds rule out. Every point's energy, cross energy, overlap and
+    vector equals ground_state runs on the point's H_total within 1e-12 (the
+    vectors within 1e-10 and inside one block), the grid's two-fold massless
+    limit included, and every point after the first solves fewer blocks than
+    the first, which solves every block of more than two states."""
     bundle, species, masses, dense_cap = instance()
     assert bundle.h_int.shape[0] > dense_cap
     curve, runs = counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap)
@@ -799,14 +782,10 @@ def test_block_sweep_matches_whole_space_solves(monkeypatch, instance, arithmeti
     np.testing.assert_allclose(curve.cross_energies, want_cross, rtol=1e-12, atol=0)
     overlaps = [*curve.overlaps, curve.limit_overlap]
     want_overlaps = [abs(np.vdot(a.vector, b.vector)) for a, b in zip(refs, refs[1:])]
-    compared = len(overlaps) - degenerate_limit
-    np.testing.assert_allclose(overlaps[:compared], want_overlaps[:compared], rtol=1e-12, atol=0)
-    for vec, ref in zip([*curve.vectors, curve.limit_vector][:compared + 1], refs):
+    np.testing.assert_allclose(overlaps, want_overlaps, rtol=1e-12, atol=0)
+    for vec, ref in zip([*curve.vectors, curve.limit_vector], refs):
         assert abs(np.vdot(vec, ref.vector)) > 1.0 - 1e-10
-    if degenerate_limit:
-        vec = curve.limit_vector
-        assert np.linalg.norm(h_limit @ vec - curve.limit_energy * vec) < 1e-9
-        assert set(labels[np.abs(vec) > 0]) == {labels[0]}
+        assert len(set(labels[np.abs(vec) > 0])) == 1  # one block's vector, never a mix
 
 
 def planted_crossing_bundle():
@@ -879,7 +858,7 @@ def two_fold_ground_bundle():
 
 @pytest.mark.parametrize("dense_cap", [16, 2], ids=["below-cap", "above-cap"])
 def test_sweep_takes_the_dense_tier_representative(dense_cap):
-    """Each point's ground vector follows _dense_ground's rule: the projection
+    """Each point's ground vector follows ground_state's dense rule: the projection
     of the first basis state meeting the ground space inside the block's
     eigenbasis. Below the cap this pins the two-fold ground of block A, bit for
     bit. Above the cap the two-state block B is solved dense too and takes the
@@ -892,7 +871,8 @@ def test_sweep_takes_the_dense_tier_representative(dense_cap):
                  [*curve.vectors, curve.limit_vector])
     in_a = []
     for point, energy, vec in points:
-        want_energy, want_vector, degeneracy, _ = spectra._dense_ground(point.h_total)
+        want = ground_state(point.h_total, count=16)
+        want_energy, want_vector, degeneracy = want.energy, want.vector, want.degeneracy
         in_a.append(degeneracy == 2)
         assert (set(np.nonzero(vec)[0]) <= set(block_a)) == in_a[-1]
         if in_a[-1] and lanczos_a:
