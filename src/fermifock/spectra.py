@@ -5,12 +5,13 @@ term changes each species' particle number by one, so these are conserved
 sectors), and the largest block sets a solve's cost. One loop, _block_ground,
 solves a ground problem block by block: ground_state solves every block, each
 mass_sweep point only the blocks its Weyl lower bounds leave in reach of the
-ground. LAPACK is authoritative below a dimension cap and on blocks too small
-for ARPACK; above it a block takes a seeded Lanczos run, checked against the
-block's spectrum below a cross-check cap. Degenerate ground spaces, counted
-across blocks, get a deterministic representative from the block of the first
-basis vector meeting them: its projection, or the block's lowest Ritz vector,
-with a fixed phase convention.
+ground. LAPACK's eigh is authoritative below a dimension cap and on blocks too
+small for ARPACK. Up to four times the cap eigvalsh gives every other block's
+values and the block holding the ground takes one seeded Lanczos run, checked
+against them; above that each of those blocks takes a seeded Lanczos run.
+Degenerate ground spaces, counted across blocks, get a deterministic
+representative from the block of the first basis vector meeting them: its
+projection, or the block's lowest Ritz vector, with a fixed phase convention.
 
 The arithmetic is decided once, by _solver_arithmetic: an H that stores no
 nonzero imaginary part (any kernel with a real value gives one) is real
@@ -22,7 +23,7 @@ kernel value keeps the complex solvers. The ground vector is complex either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,60 +90,35 @@ def _partition(h: sp.csr_matrix) -> tuple[np.ndarray, list[np.ndarray]]:
     """The one-state components of h's pattern, as one ascending array, and the
     ascending states of each larger one, in _component_labels' numbering."""
     sizes = np.bincount(labels := _component_labels(h))
-    order = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes))
-    return np.nonzero(sizes[labels] == 1)[0], [s for s in order if s.size > 1]
+    order, ends = np.argsort(labels, kind="stable"), np.cumsum(sizes).tolist()
+    blocks = [order[end - n:end] for n, end in zip(sizes.tolist(), ends) if n > 1]
+    return np.nonzero(sizes[labels] == 1)[0], blocks
 
 
-def _block(h: sp.csr_matrix, states: np.ndarray) -> sp.csr_matrix:
-    """h on the ascending states of one component: their rows hold no other
-    column, so the rows are gathered from h's arrays and the columns renumbered."""
-    starts, lengths = h.indptr[states], h.indptr[states + 1] - h.indptr[states]
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-    cols = np.searchsorted(states, h.indices[take])
-    return sp.csr_matrix((h.data[take], cols, indptr), shape=(states.size,) * 2)
+def _block(h: sp.csr_matrix, states: np.ndarray, dense: bool):
+    """h on the ascending states of one component, an array if dense else CSR:
+    their rows hold no other column, so the rows are gathered from h's arrays
+    and the columns renumbered."""
+    starts, ends = h.indptr[states], h.indptr[states + 1]
+    lengths, offsets = ends - starts, np.cumsum(ends - starts)
+    take = np.repeat(ends - offsets, lengths) + np.arange(offsets[-1])
+    cols, data = np.searchsorted(states, h.indices[take]), h.data[take]
+    if not dense:
+        return sp.csr_matrix((data, cols, np.concatenate([[0], offsets])), shape=(states.size,) * 2)
+    block = np.zeros((states.size,) * 2, dtype=h.dtype)
+    np.add.at(block, (np.repeat(np.arange(states.size), lengths), cols), data)
+    return block
 
 
 def _block_eigvalsh(h: sp.spmatrix) -> np.ndarray:
     """All eigenvalues of h, ascending, from its blocks."""
     lone, blocks = _partition(h := _solver_arithmetic(sp.csr_matrix(h)))
-    vals = [np.linalg.eigvalsh(_block(h, s).toarray()) for s in blocks]
+    vals = [np.linalg.eigvalsh(_block(h, s, True)) for s in blocks]
     return np.sort(np.concatenate([h.diagonal()[lone].real, *vals]))
 
 
 def _in_ground_space(vals: np.ndarray, energy: float) -> np.ndarray:
     return vals - energy <= DEGENERACY_TOL * max(1.0, abs(energy))
-
-
-def _ground(solved: Iterable[tuple], dim: int) -> tuple[float, np.ndarray, int, np.ndarray]:
-    """Ground energy, representative, degeneracy and sorted eigenvalues of solved
-    blocks (states, eigenvalues, eigenvectors or None). The representative comes
-    from the block of the first state meeting the ground space: that state's
-    projection in a full eigenbasis, the lowest Ritz vector as it is, or the state."""
-    eigenvalues, candidates, energy = [], [], np.inf
-    for states, vals, vecs in solved:
-        eigenvalues.append(vals)
-        if (low := float(vals.min(initial=np.inf))) < energy:
-            energy = low
-            # the energy only falls: a block that cannot meet it now never will
-            candidates = [c for c in candidates if _in_ground_space(c[1], energy).any()]
-        if _in_ground_space(vals, energy).any():
-            candidates.append((states, vals, vecs))
-    degeneracy, offers = 0, []
-    for states, vals, vecs in candidates:
-        members = _in_ground_space(vals, energy)
-        degeneracy += int(members.sum())
-        if vecs is None:
-            offers.append((states[members][0], states[members][:1], np.ones(1)))
-            continue
-        space = vecs[:, members[:vecs.shape[1]]]  # a lone Ritz vector beside eigvalsh values
-        local = int(np.argmax(np.linalg.norm(space, axis=1) > 1e-8))
-        ritz = vecs.shape[1] < states.size
-        offers.append((states[local], states, space[:, 0] if ritz else space @ space[local].conj()))
-    _, states, vec = min(offers, key=lambda offer: offer[0])
-    rep = np.zeros(dim, dtype=np.complex128)
-    rep[states] = vec
-    return energy, _fix_phase(rep), degeneracy, np.sort(np.concatenate(eigenvalues))
 
 
 def _lanczos(h: sp.csr_matrix, v0: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,55 +137,78 @@ def _lanczos(h: sp.csr_matrix, v0: np.ndarray, count: int) -> tuple[np.ndarray, 
 
 def _block_ground(
     lone: np.ndarray, lone_energies: np.ndarray, blocks: Sequence[np.ndarray],
-    bound: np.ndarray, block: Callable[[np.ndarray], sp.csr_matrix], v0: np.ndarray,
-    dense_cap: int, count: int = 1,
+    bound: np.ndarray, block: Callable[[np.ndarray, bool], np.ndarray | sp.csr_matrix],
+    v0: np.ndarray, dense_cap: int, count: int = 1,
 ) -> tuple[float, np.ndarray, int | None, np.ndarray, str, float | None]:
-    """_ground's energy, representative, degeneracy and `count` lowest values of
-    a space split into lone states and blocks, the method and the largest
+    """Ground energy, representative, degeneracy and `count` lowest values of a
+    space split into lone states and blocks, the method and the largest
     cross-check gap (None without a check).
 
-    The blocks go by ascending lower bound, and once a bound lies above the
-    count-th lowest level found the rest are skipped; a solved block's bound
-    becomes its lowest value, less the residual for a Ritz value. block(states)
-    slices a block when it is solved: by eigh if the space has at most
-    dense_cap states or the block at most count + 1 (ARPACK needs k < n - 1);
-    else by one seeded Lanczos pair up to 4 * dense_cap states, its energy
-    checked against the block's eigvalsh, which gives the block's values; above
-    that by Lanczos with k = count.
+    Blocks go by ascending lower bound, and the rest are skipped once a bound
+    lies above the lowest level found (finite bounds come with count 1); a
+    solved block's bound becomes its lowest value, less the residual for a Ritz
+    value. block(states, dense) slices a block as an array or as CSR. It is
+    solved by eigh if the space has at most dense_cap states or the block at
+    most count + 1 (ARPACK needs k < n - 1), by eigvalsh up to 4 * dense_cap
+    states, and above that by seeded Lanczos with k = count. The representative
+    comes from the block of the first state meeting the ground space: that
+    state's projection in a full eigenbasis, else the block's lowest Ritz
+    vector, or the lone state. The blocks meeting the ground are tried by least
+    state; an eigvalsh block tried takes one seeded Lanczos pair (k = 1), its
+    value checked against the block's lowest eigenvalue.
     """
-    dim, gaps, unchecked = v0.size, [], []
-
-    def solved():
-        low = np.sort(lone_energies)[:count]
-        yield lone, lone_energies, None
-        for k in np.argsort(bound, kind="stable"):
-            if low.size == count and bound[k] > low[-1] + DEGENERACY_TOL * max(1.0, abs(low[-1])):
-                break  # this block and every later one lie above the count lowest levels
-            h, slack = block(s := blocks[k]), 0.0  # LAPACK's lowest value needs no slack
-            if dim <= dense_cap or s.size <= count + 1:
-                vals, vecs = np.linalg.eigh(h.toarray())
-            elif dim <= 4 * dense_cap:
-                ritz, vecs = _lanczos(h, v0[s], 1)
-                vals = np.linalg.eigvalsh(h.toarray())
-                gaps.append(gap := abs(float(vals[0]) - float(ritz[0])))
-                if gap > CROSS_CHECK_TOL * max(1.0, abs(ritz[0])):
-                    raise AssertionError(
-                        f"dense and Lanczos ground energies disagree by {gap:.2e}"
-                    )
-            else:
-                vals, vecs = _lanczos(h, v0[s], count)
-                unchecked.append(k)
-                slack = np.linalg.norm(h @ vecs[:, 0] - vals[0] * vecs[:, 0])  # the Ritz residual
-            bound[k] = vals[0] - slack
+    dim, gaps, unchecked = v0.size, [], False
+    energy = float(lone_energies.min(initial=np.inf))
+    eigenvalues, candidates = [lone_energies], [(lone, lone_energies, None)] * bool(lone.size)
+    for k in np.argsort(bound, kind="stable"):
+        if bound[k] > energy + DEGENERACY_TOL * max(1.0, abs(energy)):
+            break  # this block and every later one lie above the ground
+        s, vecs, slack = blocks[k], None, 0.0  # LAPACK's lowest value needs no slack
+        if dim <= dense_cap or s.size <= count + 1:
+            vals, vecs = np.linalg.eigh(block(s, True))
+        elif dim <= 4 * dense_cap:
+            vals = np.linalg.eigvalsh(block(s, True))  # vectors only if the block is tried
+        else:
+            h = block(s, False)
+            vals, vecs = _lanczos(h, v0[s], count)
+            unchecked = True
+            slack = np.linalg.norm(h @ vecs[:, 0] - vals[0] * vecs[:, 0])  # the Ritz residual
             del h  # the next block is sliced without this one alive
-            low = np.sort(np.concatenate([low, vals]))[:count]
-            yield s, vals, vecs
+        bound[k] = vals[0] - slack
+        eigenvalues.append(vals)
+        if vals[0] < energy:
+            energy = float(vals[0])
+            # the energy only falls: a block that cannot meet it now never will
+            candidates = [c for c in candidates if _in_ground_space(c[1], energy).any()]
+        if _in_ground_space(vals, energy).any():
+            candidates.append((s, vals, vecs))
 
-    energy, vec, degeneracy, spectrum = _ground(solved(), dim)
+    degeneracy = sum(int(_in_ground_space(c[1], energy).sum()) for c in candidates)
+    first, offer = dim, None
+    for states, vals, vecs in sorted(candidates, key=lambda c: c[0][0]):
+        if states[0] > first:
+            break  # this block and every later one start after the first state found
+        members = _in_ground_space(vals, energy)
+        if states is lone:
+            local, states, vec = 0, states[members][:1], np.ones(1)
+        else:
+            if vecs is None:
+                (low,), vecs = _lanczos(block(states, False), v0[states], 1)
+                gaps.append(gap := abs(float(vals[0]) - float(low)))
+                if gap > CROSS_CHECK_TOL * max(1.0, abs(low)):
+                    raise AssertionError(f"dense and Lanczos ground energies disagree by {gap:.2e}")
+            space = vecs[:, members[:vecs.shape[1]]]  # a lone Ritz vector beside eigvalsh values
+            local = int(np.argmax(np.linalg.norm(space, axis=1) > 1e-8))
+            vec = space[:, 0] if vecs.shape[1] < states.size else space @ space[local].conj()
+        if states[local] < first:
+            first, offer = states[local], (states, vec)
+    rep = np.zeros(dim, dtype=np.complex128)
+    rep[offer[0]] = offer[1]
     if unchecked:  # two Ritz values in the ground space: Lanczos alone cannot count it
         degeneracy = 1 if degeneracy == 1 else None
     method = "lanczos" if gaps or unchecked else "dense"
-    return energy, vec, degeneracy, spectrum[:count], method, max(gaps, default=None)
+    spectrum = np.sort(np.concatenate(eigenvalues))[:count]
+    return energy, _fix_phase(rep), degeneracy, spectrum, method, max(gaps, default=None)
 
 
 def ground_state(
@@ -227,7 +226,7 @@ def ground_state(
     v0 = np.random.default_rng(seed).standard_normal(h.shape[0])
     energy, vec, degeneracy, spectrum, method, cross = _block_ground(
         lone, h.diagonal()[lone].real, blocks, np.full(len(blocks), -np.inf),
-        lambda s: _block(h, s), v0, dense_cap, count,
+        lambda s, dense: _block(h, s, dense), v0, dense_cap, count,
     )
     # a real h times the real and imaginary parts: no complex copy of h
     hvec = h @ vec if np.iscomplexobj(h.data) else h @ vec.real + 1j * (h @ vec.imag)
@@ -340,11 +339,12 @@ def _block_sweep(bundles: Sequence[HamiltonianBundle], dense_cap: int, seed: int
         # below each block's lowest level, by Weyl: min eig(A - D) >= min eig(A) - max D
         bound -= [np.max(previous[s] - fd[s]) for s in blocks]
         previous = fd
-        yield _block_ground(
-            lone, fd[lone] + lone_int, blocks, bound,
-            lambda s: (sp.diags(fd[s]) + g * _solver_arithmetic(_block(h_int, s))).tocsr(),
-            v0, dense_cap,
-        )[:2]
+
+        def block(s, dense):  # each block in the arithmetic of its own entries
+            b = (sp.diags(fd[s]) + g * _solver_arithmetic(_block(h_int, s, False))).tocsr()
+            return b.toarray() if dense else b
+
+        yield _block_ground(lone, fd[lone] + lone_int, blocks, bound, block, v0, dense_cap)[:2]
 
 
 def mass_sweep(

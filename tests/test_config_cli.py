@@ -26,6 +26,7 @@ from fermifock.config import (
     to_jsonable,
 )
 from test_fock import load_triplets
+from test_verify import ground_block_size, recorded_ground_problems
 
 TOY_ENERGY = 1.0 - math.sqrt(2.0)
 
@@ -383,9 +384,9 @@ def test_cli_groundstate_above_dense_cap_on_a_tiny_problem(tmp_path, capsys):
 
 
 def test_cli_groundstate_runs_one_eigensolve(tmp_path, monkeypatch):
-    """Dimension 256 with dense cap 64: each block of more than nine states is
-    solved by one Lanczos run (k = 1) beside its eigvalsh cross-check, and the
-    8-value spectrum is the cross-check's block spectrum."""
+    """Dimension 256 with dense cap 64: every block's eigvalsh gives the 8-value
+    spectrum, and one Lanczos run (k = 1), on the block holding the ground,
+    gives the ground vector and is cross-checked against that spectrum."""
     calls = []
     eigsh = spla.eigsh
 
@@ -398,12 +399,10 @@ def test_cli_groundstate_runs_one_eigensolve(tmp_path, monkeypatch):
     out = tmp_path / "reports"
     argv = ["--report-dir", str(out), "groundstate", "--dense-cap", "64", "--config", cfg_path]
     assert main(argv) == 0
-    h = build_bundle(load_config(cfg_path)).h_total
-    runs = sum(states.size > 9 for states in fermifock.spectra._partition(h)[1])
-    assert runs > 1 and calls == [1] * runs
+    assert calls == [1]
     assert json.loads((out / "groundstate.json").read_text())["method"] == "lanczos"
     rows = (out / "spectrum.csv").read_text().splitlines()[1:]
-    want = fermifock.spectra._block_eigvalsh(h)
+    want = fermifock.spectra._block_eigvalsh(build_bundle(load_config(cfg_path)).h_total)
     assert [float(row.split(",")[1]) for row in rows] == list(want[:8])
 
 
@@ -672,8 +671,8 @@ def test_cli_mass_grid_of_fewer_than_two_masses_exits_2(tmp_path, capsys, grid, 
 
 def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
     """Two six-mode species (dimension 4096, above DENSE_CAP_DEFAULT): the
-    form bound's spectral edges come from ARPACK, block by block, and the first
-    block's non-convergence ends the run with one line."""
+    form bound's spectral edges are checked by ARPACK on the block holding each
+    edge, and the first run's non-convergence ends the run with one line."""
     cfg = toy_config()
     cfg["species"] = [
         {"mass": m, "grid": {"extent": 1.0, "shape": [6, 1, 1]}, "spins": [0.5]}
@@ -691,12 +690,12 @@ def test_cli_solver_non_convergence_exits_2(tmp_path, capsys, monkeypatch):
         )
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
+    problems = recorded_ground_problems(monkeypatch)
     out = tmp_path / "reports"
     argv = ["--report-dir", str(out), "verify", "--suite", "bounds", "--config", cfg_path]
     assert main(argv) == 2
-    form = fermifock.verify._hermitized(build_bundle(load_config(cfg_path)), 0)
-    first = next(s.size for s in fermifock.spectra._partition(form)[1] if s.size > 2)
-    assert calls == [(first, first)]
+    size = ground_block_size(problems[0])
+    assert calls == [(size, size)]
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and "No convergence" in err[0]

@@ -289,6 +289,9 @@ def test_blocks_follow_imaginary_couplings():
     lone, blocks = spectra._partition(h)
     assert sorted(tuple(states) for states in blocks) == sorted(components)
     assert list(lone) == [6, 9, 10]
+    for states in blocks:
+        block = spectra._block(spectra._solver_arithmetic(h), states, True)
+        np.testing.assert_array_equal(block, h[states][:, states].toarray())
 
 
 def csgraph_labels(h):
@@ -321,8 +324,9 @@ def test_component_labels_match_csgraph(h):
 
 @BLOCK_INSTANCES
 def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
-    """The same lone states and block states, in the same order, as with csgraph's labels."""
-    h = sp.csr_matrix(build())
+    """The same lone states and block states, in the same order, as with
+    csgraph's labels, and each block the slice of h on csgraph's states."""
+    h = spectra._solver_arithmetic(sp.csr_matrix(build()))
     lone, blocks = spectra._partition(h)
     monkeypatch.setattr(spectra, "_component_labels", csgraph_labels)
     want_lone, want_blocks = spectra._partition(h)
@@ -331,6 +335,33 @@ def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
     for states, want_states in zip(blocks, want_blocks):
         np.testing.assert_array_equal(states, want_states)
         assert np.all(np.diff(states) > 0)
+        block, want = spectra._block(h, states, True), h[want_states][:, want_states].toarray()
+        assert block.dtype == want.dtype and np.array_equal(block, want)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pair_instance().h_total,
+        lambda: grid_instance().h_total,
+        lambda: c0a1_bundle(5).h_total,
+        lambda: sp.diags(np.linspace(-1.0, 1.0, 9)).tocsr(),
+    ],
+    ids=["pair", "grid", "c0a1-complex", "diagonal"],
+)
+def test_block_gathers_the_sliced_block(build):
+    """_block gathers each component's rows from h's arrays and renumbers their
+    columns; as an array and as CSR it equals scipy's slice h[s][:, s] in value
+    and dtype, in the arithmetic ground_state solves in. Lone states are
+    one-state components."""
+    for h in (sp.csr_matrix(build()), spectra._solver_arithmetic(sp.csr_matrix(build()))):
+        lone, blocks = spectra._partition(h)
+        for states in [*blocks, *lone[:, None]]:
+            want = h[states][:, states]
+            dense, csr = spectra._block(h, states, True), spectra._block(h, states, False)
+            assert dense.dtype == csr.dtype == want.dtype
+            assert np.array_equal(dense, want.toarray())
+            assert np.array_equal(csr.toarray(), want.toarray())
 
 
 DENSE_GROUND_PEAK_BYTES = int(4.5 * 2**20)
@@ -509,9 +540,7 @@ def test_lanczos_runs_in_the_arithmetic_of_the_entries(monkeypatch, build, want)
     dtypes = record_eigsh_dtypes(monkeypatch)
     result = ground_state(h, dense_cap=h.shape[0] // 4)
     assert result.method == "lanczos" and result.cross_check_gap is not None
-    # one run per block of more than two states
-    runs = sum(states.size > 2 for states in spectra._partition(sp.csr_matrix(h))[1])
-    assert runs > 0 and dtypes == [want] * runs
+    assert dtypes == [want]
     assert result.vector.dtype == np.complex128
 
 
@@ -722,15 +751,20 @@ def test_sweep_below_the_cap_equals_per_point_ground_states(monkeypatch, instanc
 
 
 def counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap):
-    """mass_sweep and the dtype of each eigsh run, per mass point (each point
-    ends in one _fix_phase call); eigsh is wrapped as perfbench's spans wrap it.
-    Reading a bundle's h_total inside the sweep fails the test."""
+    """mass_sweep and the dtype of each eigsh run and each eigvalsh call, as
+    ("eigsh" or "eigvalsh", dtype) per mass point (each point ends in one
+    _fix_phase call); eigsh is wrapped as perfbench's spans wrap it. Reading a
+    bundle's h_total inside the sweep fails the test."""
     runs = [[]]
-    eigsh, fix_phase = spla.eigsh, spectra._fix_phase
+    eigsh, eigvalsh, fix_phase = spla.eigsh, np.linalg.eigvalsh, spectra._fix_phase
 
     def counting_eigsh(op, *args, **kwargs):
-        runs[-1].append(op.dtype)
+        runs[-1].append(("eigsh", op.dtype))
         return eigsh(op, *args, **kwargs)
+
+    def counting_eigvalsh(a):
+        runs[-1].append(("eigvalsh", a.dtype))
+        return eigvalsh(a)
 
     def marking(vec):
         runs.append([])
@@ -738,6 +772,7 @@ def counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap):
 
     with monkeypatch.context() as patch:
         patch.setattr(spla, "eigsh", counting_eigsh)
+        patch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         patch.setattr(spectra, "_fix_phase", marking)
         patch.setattr(HamiltonianBundle, "h_total", property(refused_h_total))
         curve = mass_sweep(bundle, species, masses, dense_cap=dense_cap)
@@ -751,7 +786,7 @@ def counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap):
          np.float64),
         # the massless limit's ground level is shared by the blocks led by states 0 and 64
         (lambda: (grid_instance(), 1, [0.5, 0.3, 0.2, 0.1], 512), np.float64),
-        # dimension 1024 = 4 x the dense cap: the per-block dense cross-check runs
+        # dimension 1024 = 4 x the dense cap: blocks go to eigvalsh, the ground's to Lanczos too
         (lambda: (c0a1_bundle(5), 0, [0.9, 0.5, 0.2, 0.05], 256), np.complex128),
     ],
     ids=["lanczos-config", "grid", "c0a1-complex"],
@@ -763,15 +798,19 @@ def test_block_sweep_matches_whole_space_solves(monkeypatch, instance, arithmeti
     vector equals ground_state runs on the point's H_total within 1e-12 (the
     vectors within 1e-10 and inside one block), the grid's two-fold massless
     limit included, and every point after the first solves fewer blocks than
-    the first, which solves every block of more than two states."""
+    the first, which solves every block of more than two states: by Lanczos,
+    or up to 4 x the cap by eigvalsh, with one Lanczos run per point."""
     bundle, species, masses, dense_cap = instance()
     assert bundle.h_int.shape[0] > dense_cap
     curve, runs = counted_block_sweep(monkeypatch, bundle, species, masses, dense_cap)
     sizes = np.bincount(labels := spectra._component_labels(bundle.h_int))
-    solves = [len(run) for run in runs]
+    checked = bundle.h_int.shape[0] <= 4 * dense_cap
+    solves = [sum(name == ("eigvalsh" if checked else "eigsh") for name, _ in run) for run in runs]
     assert len(solves) == len(masses) + 1
     assert solves[0] == np.sum(sizes > 2) and max(solves[1:]) < solves[0]
-    assert {np.dtype(t) for run in runs for t in run} == {np.dtype(arithmetic)}
+    if checked:
+        assert [sum(name == "eigsh" for name, _ in run) for run in runs] == [1] * len(runs)
+    assert {np.dtype(t) for run in runs for _, t in run} == {np.dtype(arithmetic)}
 
     refs = [ground_state(b.h_total, dense_cap=dense_cap, seed=7) for b in curve.bundles]
     h_limit = curve.bundles[-1].h_total

@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -698,6 +699,22 @@ def test_singular_value_checks_repeat_exactly_above_dense_size():
     assert norms_1.max_ratio == norms_2.max_ratio
 
 
+def recorded_ground_problems(monkeypatch):
+    """The matrices verify hands to ground_state, in call order."""
+    problems, solve = [], verify.ground_state
+    monkeypatch.setattr(verify, "ground_state", lambda h, **kw: problems.append(h) or solve(h, **kw))
+    return problems
+
+
+def ground_block_size(h):
+    """States in the block of h's dense ground representative: above the dense
+    cap, the block whose Lanczos run checks the ground."""
+    h = spectra._solver_arithmetic(sp.csr_matrix(h))
+    labels = spectra._component_labels(h)
+    first = np.argmax(np.abs(spectra.ground_state(h, dense_cap=h.shape[0]).vector) > 0)
+    return int(np.sum(labels == labels[first]))
+
+
 def test_form_bound_raises_when_an_edge_does_not_converge(monkeypatch):
     """A spectral edge ARPACK could not find must not pass as an exact supremum."""
     bundle = c0a1_bundle(6)
@@ -712,12 +729,11 @@ def test_form_bound_raises_when_an_edge_does_not_converge(monkeypatch):
         )
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
+    problems = recorded_ground_problems(monkeypatch)
     with pytest.raises(spla.ArpackNoConvergence):
         check_form_bound(bundle, trials=5)
-    # the first block of more than two states is the first that ARPACK solves
-    blocks = spectra._partition(verify._hermitized(bundle, 0))[1]
-    first = next(s.size for s in blocks if s.size > 2)
-    assert calls == [(first, first)]
+    size = ground_block_size(problems[0])
+    assert calls == [(size, size)]
 
 
 # ---------------------------------------------------------------------------
