@@ -88,8 +88,7 @@ def _suite_exact(bundle, cfg, seed):
 
 def _suite_bounds(bundle, cfg, seed):
     exps = cfg["exponents"]
-    exempt = int(exps["exempt_species"])
-    trials = int(cfg["solver"]["trials"])
+    exempt, trials = exps["exempt_species"], cfg["solver"]["trials"]
     reports = []
     for index in range(len(bundle.tensors)):
         reports.append(
@@ -100,14 +99,14 @@ def _suite_bounds(bundle, cfg, seed):
         )
         reports.append(
             vf.check_hermite_bound(
-                bundle, index, exempt, float(exps["smoothness"]), trials=trials, seed=seed + 2
+                bundle, index, exempt, exps["smoothness"], trials=trials, seed=seed + 2
             )
         )
         reports.append(
             vf.check_operator_bound(bundle, index, exempt, trials=trials, seed=seed + 3)
         )
     reports.append(
-        vf.check_relative_bound_zero(bundle, margin=float(exps["margin"]), seed=seed + 4)
+        vf.check_relative_bound_zero(bundle, margin=exps["margin"], seed=seed + 4)
     )
     return reports
 
@@ -118,9 +117,9 @@ def _suite_interpolation(bundle, cfg, seed):
         vf.check_interpolation(
             bundle,
             index,
-            int(exps["exempt_species"]),
-            float(exps["smoothness"]),
-            thetas=tuple(float(t) for t in exps["theta_grid"]),
+            exps["exempt_species"],
+            exps["smoothness"],
+            thetas=tuple(exps["theta_grid"]),
             seed=seed,
         )
         for index in range(len(bundle.tensors))
@@ -133,18 +132,15 @@ def _sweeps(bundle, cfg, seed):
     Each later sweep starts where the earlier ones ended, with every finished
     species frozen at zero mass.
     """
-    dense_cap = int(cfg["solver"]["dense_cap"])
     for species, masses in cfgmod.mass_grid_entries(cfg):
-        curve = mass_sweep(bundle, species, masses, dense_cap=dense_cap, seed=seed)
+        curve = mass_sweep(bundle, species, masses, dense_cap=cfg["solver"]["dense_cap"], seed=seed)
         yield species, curve
         # the limit point is this bundle with the swept species at zero mass
         bundle = curve.bundles[-1]
 
 
 def _suite_number(bundle, cfg, seed):
-    exps = cfg["exponents"]
-    exempt = int(exps["exempt_species"])
-    margin = float(exps["margin"])
+    exempt, margin = cfg["exponents"]["exempt_species"], cfg["exponents"]["margin"]
     reports = []
     for species, curve in _sweeps(bundle, cfg, seed):
         reports.extend(vf.check_sweep_estimates(curve, species, exempt, margin))
@@ -154,23 +150,16 @@ def _suite_number(bundle, cfg, seed):
 def _infrared_runs(cfg):
     """Per kernel entry, for the config's infrared section: (entry, infrared
     report, the section's `expect`, whether the verdict is that expectation)."""
-    section = cfg.get("infrared")
-    if section is None:
-        raise ValueError("config has no infrared section")
+    section = cfgmod.section(cfg, "infrared")
     n = len(cfg["species"])
     massless = [i for i, e in enumerate(cfg["species"]) if cfgmod.build_species(e).is_massless]
-    exps = cfg["exponents"]
-    slice_species = int(section["slice_species"])
-    r = float(section.get("r", 1.9))
-    expect = section.get("expect")
+    exps, slice_species, expect = cfg["exponents"], section["slice_species"], section["expect"]
+    exponents = exponent_table(n, massless, exps["margin"], exps["exempt_species"])
+    exponents = {i: float(v) for i, v in exponents.items() if i != slice_species}
     runs = []
     for entry in cfg["kernels"]:
         _, spec = cfgmod.build_kernel_spec(entry, n)
-        exponents = exponent_table(
-            n, massless, float(exps["margin"]), int(exps["exempt_species"])
-        )
-        exponents = {i: float(v) for i, v in exponents.items() if i != slice_species}
-        ir = infrared_report(spec, slice_species, r, exponents)
+        ir = infrared_report(spec, slice_species, section["r"], exponents)
         runs.append((entry, ir, expect, expect is not None and ir.verdict == expect))
     return runs
 
@@ -212,7 +201,7 @@ def _load_config(args) -> tuple[dict, int]:
 
 def _seed(args, cfg: dict) -> int:
     """--seed when given, else the config's solver.seed."""
-    return args.seed if args.seed is not None else int(cfg["solver"]["seed"])
+    return args.seed if args.seed is not None else cfg["solver"]["seed"]
 
 
 def cmd_verify(args) -> int:
@@ -256,7 +245,7 @@ def cmd_groundstate(args) -> int:
     bundle = cfgmod.build_bundle(cfg)
     out = _report_dir(args)
     result = ground_state(
-        bundle.h_total, dense_cap=int(cfg["solver"]["dense_cap"]), seed=seed,
+        bundle.h_total, dense_cap=cfg["solver"]["dense_cap"], seed=seed,
         count=min(bundle.basis.dimension, 8),
     )
     rows = [[i, float(v)] for i, v in enumerate(result.spectrum)]
@@ -296,7 +285,6 @@ def cmd_groundstate(args) -> int:
 
 def cmd_masslimit(args) -> int:
     cfg, seed = _load_config(args)
-    cfgmod.mass_grid_entries(cfg)  # reject a bad grid before any model work
     bundle = cfgmod.build_bundle(cfg)
     out = _report_dir(args)
     rows = []
@@ -336,7 +324,7 @@ def cmd_masslimit(args) -> int:
 
 
 _DEMO_VARIANTS = {
-    # massless exponent, expectation for the infrared verdict at r = 1.9
+    # massless exponent, expectation for the infrared verdict at the default r
     "physical": (0.0, "divergent"),
     "regular": (0.5, "finite"),
 }
@@ -344,10 +332,11 @@ _DEMO_MASSES = [1.0, 0.8, 0.5, 0.0]
 _DEMO_MARGIN = Fraction(1, 20)
 
 
-def _demo_config(variant: str, r: float) -> dict:
+def _demo_config(variant: str, r: float | None) -> dict:
     """The bundled four-fermion decay model: species 0 and 1 created, 2 and 3
     annihilated, species 3 massless; one separable kernel whose massless
-    component exponent sets the variant, with gaussian momentum conservation."""
+    component exponent sets the variant, with gaussian momentum conservation.
+    The infrared section takes r when given, else the config default."""
     nu, expect = _DEMO_VARIANTS[variant]
     species = {"points": [[0.3, 0.0, 0.0], [0.0, 0.45, 0.15]], "weights": [0.7, 0.6],
                "spins": [0.5]}
@@ -357,7 +346,7 @@ def _demo_config(variant: str, r: float) -> dict:
                      "created": [0, 1], "conservation_sigma": 0.35}],
         "coupling": 0.4,
         "exponents": {"margin": float(_DEMO_MARGIN), "exempt_species": 0},
-        "infrared": {"slice_species": 3, "r": r, "expect": expect},
+        "infrared": {"slice_species": 3, "expect": expect, **({} if r is None else {"r": r})},
     })
 
 
@@ -382,7 +371,7 @@ def cmd_fermi_demo(args) -> int:
             "infrared": ir.as_dict(),
             "expected_verdict": expect,
             "verdict_as_expected": annotated,
-            "power_counting_oracle": power_counting_verdict(nu, args.r),
+            "power_counting_oracle": power_counting_verdict(nu, ir.r),
             "slice_profiles_finite": all(math.isfinite(v) for v in ir.profiles.values),
         }
         print(f"fermi-demo[{name}]: infrared {ir.verdict} "
@@ -392,7 +381,7 @@ def cmd_fermi_demo(args) -> int:
     cfg = _demo_config("regular", args.r)
     bundle = cfgmod.build_bundle(cfg)
     result = ground_state(
-        bundle.h_total, dense_cap=int(cfg["solver"]["dense_cap"]), seed=_seed(args, cfg)
+        bundle.h_total, dense_cap=cfg["solver"]["dense_cap"], seed=_seed(args, cfg)
     )
     numbers = [
         observables(bundle, result.vector, i).expected_number
@@ -449,7 +438,7 @@ def main(argv=None) -> int:
         default=["physical", "regular"],
         choices=list(_DEMO_VARIANTS),
     )
-    p_demo.add_argument("--r", type=float, default=1.9)
+    p_demo.add_argument("--r", type=float, default=None)
     p_demo.set_defaults(func=cmd_fermi_demo)
 
     args = parser.parse_args(argv)

@@ -94,7 +94,7 @@ def write_config(tmp_path, cfg, name="run.json"):
 # ---------------------------------------------------------------------------
 
 def test_normalize_fills_defaults():
-    cfg = normalize_config({"species": [{"mass": 1.0}], "kernels": []})
+    cfg = normalize_config({"species": [{"mass": 1.0, "points": [[0.0, 0.0, 0.0]]}], "kernels": []})
     assert cfg["coupling"] == 1.0
     assert cfg["exponents"]["margin"] == 0.05
     assert cfg["exponents"]["exempt_species"] == 0
@@ -103,8 +103,10 @@ def test_normalize_fills_defaults():
 
 
 def test_normalize_rejects_missing_sections():
-    with pytest.raises(ValueError, match="at least one species"):
+    with pytest.raises(ValueError, match="missing required key 'species'"):
         normalize_config({"kernels": []})
+    with pytest.raises(ValueError, match="species must be a list of 1 or more entries"):
+        normalize_config({"species": [], "kernels": []})
     with pytest.raises(ValueError, match="kernels"):
         normalize_config({"species": [{"mass": 1.0}]})
 
@@ -147,7 +149,7 @@ def test_kernel_spec_kinds_and_default_annihilated():
         {"kind": "separable", "nus": [0.5, 0.6], "lam": 2.0, "created": [0]}, 2
     )
     assert spec.conservation_signs == (1, -1)
-    with pytest.raises(ValueError, match="unknown kernel kind"):
+    with pytest.raises(ValueError, match="kernels.kind must be one of"):
         build_kernel_spec({"kind": "cubic"}, 2)
     with pytest.raises(ValueError, match="one conservation sign per species"):
         build_kernel_spec(
@@ -439,7 +441,7 @@ def test_cli_rejects_non_integer_truncation_caps(tmp_path, capsys, caps):
     assert main(["--report-dir", str(out), "groundstate", "--config", cfg_path]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error:") and "truncation caps" in err[0]
+    assert err[0].startswith("error:") and "truncation entry must be an integer" in err[0]
 
 
 @pytest.mark.parametrize("slice_species", [-1, 2, 9])
@@ -552,17 +554,17 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
             }),
             "offsets",
         ),
-        (lambda cfg: cfg["kernels"][0].update(value=float("nan")), "kernel key 'value'"),
+        (lambda cfg: cfg["kernels"][0].update(value=float("nan")), "kernels.value"),
         (lambda cfg: cfg["kernels"][0]["nus"].__setitem__(1, float("nan")), "nus"),
         (
             lambda cfg: cfg.update(mass_grid={"species": 1, "start": float("nan"), "stop": 0.1,
                                               "count": 3}),
-            "mass_grid entry key 'start'",
+            "mass_grid.start",
         ),
         (
             lambda cfg: cfg.update(mass_grid={"species": 1, "start": 1.0, "stop": float("nan"),
                                               "count": 3}),
-            "mass_grid entry key 'stop'",
+            "mass_grid.stop",
         ),
         (
             lambda cfg: cfg.update(mass_grid={"species": 1, "values": [0.5, float("nan")]}),
@@ -570,19 +572,31 @@ def test_config_values_out_of_range_are_rejected(tmp_path, capsys, section, key,
         ),
         (lambda cfg: cfg.update(kernels=["gaussian"]), "kernels entry"),
         (lambda cfg: cfg.update(kernels={}), "kernels"),
+        (lambda cfg: cfg.update(mass_grid=[]), "mass_grid"),
+        (lambda cfg: cfg["species"].__setitem__(1, grid_line(0.8, [2, 1])), "grid.shape"),
+        (
+            lambda cfg: cfg["species"].__setitem__(1, {
+                "mass": 0.8, "spins": [0.5],
+                "grid": {"extent": 1.0, "shape": [2, 1, 1], "offsets": [0.1, 0.2]},
+            }),
+            "grid.offsets",
+        ),
     ],
     ids=["coupling-null", "dense-cap-null", "alpha-null", "theta-number", "spins-number",
          "truncation-number", "conservation-sigma-null", "infrared-r-null",
          "dense-cap-infinity", "trials-infinity", "spins-nan", "coupling-nan",
          "points-nan", "offsets-nan", "value-nan", "nus-nan",
          "mass-grid-start-nan", "mass-grid-stop-nan", "mass-grid-values-nan",
-         "kernel-entry-string", "kernels-object"],
+         "kernel-entry-string", "kernels-object", "mass-grid-empty", "grid-two-axes",
+         "grid-two-offsets"],
 )
 def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate, key):
     """A null where a number belongs, a number where a list belongs, a string
-    where an object belongs, or a NaN or an infinity (which json.load reads)
-    where a number belongs, is a refused config: exit 2 and one `error:` line
-    that names the key, no traceback. A mass grid is read by masslimit."""
+    where an object belongs, a NaN or an infinity (which json.load reads)
+    where a number belongs, an empty mass_grid list, or a grid's shape or
+    offsets without one entry per axis, is a refused config: exit 2 and one
+    `error:` line that names the key, no traceback. A mass grid is read by
+    masslimit."""
     cfg = sweep_config()
     mutate(cfg)
     cfg_path = write_config(tmp_path, cfg)
@@ -592,6 +606,88 @@ def test_cli_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, mutate, ke
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:") and key in err[0]
+
+
+def _leaves(node, path=()):
+    """(path, value) of every value below node, lists and objects included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in children:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+
+
+def _replacements(value):
+    """What a leaf is replaced by: a number by null, true, a string, a list, an
+    object or NaN, an integer also by a fraction, a list or object by a string."""
+    if isinstance(value, (dict, list)):
+        return ["x"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return []
+    fraction = [2.5] if isinstance(value, int) else []
+    return [None, True, "x", [], {}, float("nan")] + fraction
+
+
+def test_cli_build_refuses_every_mistyped_value_naming_its_key(tmp_path, capsys):
+    """Every value of sweep_config, found by walking the dict, replaced by a
+    value of the wrong JSON type: `build` exits 2 with one `error:` line that
+    names the value's key, and prints nothing on stdout."""
+    cfg_path = tmp_path / "run.json"
+    out = tmp_path / "reports"
+    cases, wrong = 0, []
+    for path, value in _leaves(sweep_config()):
+        key = [step for step in path if isinstance(step, str)][-1]
+        for bad in _replacements(value):
+            cfg = sweep_config()
+            parent = cfg
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = bad
+            cfg_path.write_text(json.dumps(cfg))
+            code = main(["--report-dir", str(out), "build", "--config", str(cfg_path)])
+            stdout, err = capsys.readouterr()
+            lines = err.strip().splitlines()
+            cases += 1
+            if code != 2 or stdout or len(lines) != 1 or not (
+                lines[0].startswith("error:") and key in lines[0]
+            ):
+                wrong.append((path, bad, code, stdout, lines))
+    assert cases > 200
+    assert wrong == []
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda cfg: cfg.update(exponents={"theta_grid": ["0.5"]}), "exponents.theta_grid"),
+        (lambda cfg: cfg["species"][1].update(chains=5), "species.chains"),
+        (lambda cfg: cfg["kernels"][0].update(created=0), "kernels.created"),
+        (lambda cfg: cfg.update(mass_grid=[]), "mass_grid"),
+        (lambda cfg: cfg["mass_grid"][0].update(values=[0.2, 0.5]), "mass_grid.values"),
+        (lambda cfg: cfg["infrared"].update(r=2.5), "infrared.r"),
+        (lambda cfg: cfg["infrared"].update(expect="finit"), "infrared.expect"),
+        (lambda cfg: cfg.update(exponents={"smoothness": 0.4}), "exponents.smoothness"),
+        (lambda cfg: cfg.update(exponents={"margin": 1.5}), "exponents.margin"),
+        (lambda cfg: cfg["solver"].update(seed=-1), "solver.seed"),
+    ],
+    ids=["theta-string", "chains-number", "created-number", "mass-grid-empty",
+         "mass-grid-increasing", "infrared-r-2.5", "infrared-expect", "smoothness-0.4",
+         "margin-1.5", "seed-negative"],
+)
+def test_cli_verify_refuses_a_bad_value_before_any_check(tmp_path, capsys, mutate, key):
+    """A value that only one suite reads is still refused when the config
+    loads: `verify --suite all` exits 2 with one line naming the key, before
+    any check prints its report line or any report is written."""
+    cfg = sweep_config()
+    mutate(cfg)
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "all"]
+    assert main(argv + ["--config", write_config(tmp_path, cfg)]) == 2
+    stdout, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert stdout == ""
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}")
+    assert not out.exists()
 
 
 def grid_line(mass, shape, chains=()):

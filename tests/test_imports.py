@@ -4,10 +4,10 @@ referenced somewhere in the package, and every parameter with a default is
 passed by some call in the package or its tests. Start-up loads only what a
 run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo, the
 dense path or a dense-path `verify --suite all`, and no module imports
-scipy.special at all. No module reads the environment, no function reads one
-bundle's `h_total` twice, verify draws its bound checks' trial vectors
-only in blocks, and the slice table evaluates the separable factor only
-through the kernel spec.
+scipy.special at all. The CLI casts no config value, no module reads the
+environment, no function reads one bundle's `h_total` twice, verify draws
+its bound checks' trial vectors only in blocks, and the slice table
+evaluates the separable factor only through the kernel spec.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -137,6 +137,20 @@ def test_only_config_builds_kernels_and_bundles():
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 callers.get(name, set()).add(path.name)
     assert callers == {"KernelSpec": {"config.py"}, "assemble_total": {"config.py"}}
+
+
+def test_cli_casts_no_config_value():
+    """config reads every value against its table and hands it over typed, so
+    cli.py wraps no read of the config (`cfg`, a section or an entry of it) in
+    int(...) or float(...)."""
+    cli = next(path for path in PACKAGE if path.name == "cli.py")
+    config_names = {"cfg", "exps", "section", "entry"}
+    casts = [
+        ast.unparse(node) for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("int", "float")
+        and any(getattr(name, "id", None) in config_names for name in ast.walk(node))
+    ]
+    assert casts == []
 
 
 def test_no_function_reads_h_total_twice():
