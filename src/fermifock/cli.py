@@ -189,29 +189,45 @@ _BUNDLE_SUITES = {
     "interpolation": _suite_interpolation,
     "number": _suite_number,
 }
+# the config section each suite reads that a valid config may leave out
+_SUITE_SECTIONS = {"number": "mass_grid", "infrared": "infrared"}
 
 
-def _load_config(args) -> tuple[dict, int]:
-    """The config with the --dense-cap override applied, and the run's seed."""
+def _solver_flags(args) -> dict:
+    """The solver keys that --seed and --dense-cap set, each given flag read
+    against its key's table entry, before any model work or output."""
+    given = {"seed": ("--seed", args.seed), "dense_cap": ("--dense-cap", args.dense_cap)}
+    return {
+        key: cfgmod.flag_value(value, f"solver.{key}", flag)
+        for key, (flag, value) in given.items() if value is not None
+    }
+
+
+def _load_config(args, sections: list[str]) -> tuple[dict, int]:
+    """The config, refused unless it holds each of the sections the run
+    reads, with the --dense-cap override applied, and the run's seed."""
     cfg = cfgmod.load_config(args.config)
-    if args.dense_cap is not None:
-        cfg["solver"]["dense_cap"] = args.dense_cap
+    for name in sections:
+        if name not in cfg:
+            raise ValueError(f"config has no {name} section")
+    if "dense_cap" in args.solver:
+        cfg["solver"]["dense_cap"] = args.solver["dense_cap"]
     return cfg, _seed(args, cfg)
 
 
 def _seed(args, cfg: dict) -> int:
     """--seed when given, else the config's solver.seed."""
-    return args.seed if args.seed is not None else cfg["solver"]["seed"]
+    return args.solver.get("seed", cfg["solver"]["seed"])
 
 
 def cmd_verify(args) -> int:
-    cfg, seed = _load_config(args)
-    out = _report_dir(args)
     suites = (
         ["exact", "bounds", "interpolation", "number", "infrared"]
         if args.suite == "all"
         else [args.suite]
     )
+    cfg, seed = _load_config(args, [_SUITE_SECTIONS[s] for s in suites if s in _SUITE_SECTIONS])
+    out = _report_dir(args)
     all_reports = {}
     failures = 0
     bundle = None
@@ -241,7 +257,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    cfg, seed = _load_config(args)
+    cfg, seed = _load_config(args, [])
     bundle = cfgmod.build_bundle(cfg)
     out = _report_dir(args)
     result = ground_state(
@@ -284,7 +300,7 @@ def cmd_groundstate(args) -> int:
 
 
 def cmd_masslimit(args) -> int:
-    cfg, seed = _load_config(args)
+    cfg, seed = _load_config(args, ["mass_grid"])
     bundle = cfgmod.build_bundle(cfg)
     out = _report_dir(args)
     rows = []
@@ -405,6 +421,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--report-dir", default="reports")
     parser.add_argument("--seed", type=int, default=None)
+    parser.set_defaults(dense_cap=None)  # for the subcommands without --dense-cap
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="assemble and write the manifest")
@@ -443,6 +460,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        args.solver = _solver_flags(args)
         return args.func(args)
     # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result;
     # TypeError: a wrong-typed config value that no key check names still refuses the config;

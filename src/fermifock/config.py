@@ -41,14 +41,14 @@ _KEYS = {
     "species": ("[1:]object", _REQUIRED),
     "kernels": ("[]object", _REQUIRED),
     "coupling": ("number", 1.0),
-    "truncation": ("[]integer", None, "[0, inf)"),  # one cap per species
+    "truncation": ("[]integer", None, "[1, inf)"),  # one cap per species; 0 removes H_int
     "exponents": ("object", {}),
     "solver": ("object", {}),
     "exponents.margin": ("number", 0.05, "(0, 1)"),
     "exponents.exempt_species": ("integer", 0, _SPECIES),
     "exponents.smoothness": ("number", 0.75, "(0.5, inf)"),
     "exponents.theta_grid": ("[]number", [0.25, 0.5, 0.75], "(0, 1)"),  # log-convexity: interior
-    "solver.dense_cap": ("integer", DENSE_CAP_DEFAULT),
+    "solver.dense_cap": ("integer", DENSE_CAP_DEFAULT, "[1, inf)"),
     "solver.seed": ("integer", 7, "[0, inf)"),
     "solver.trials": ("integer", 1000, "[1, inf)"),
     "infrared.slice_species": ("integer", _REQUIRED, _SPECIES),
@@ -151,7 +151,9 @@ def normalize_config(raw: dict) -> dict:
     has been read against _KEYS: a bad value is refused here, before any model
     work. Entries stay as written, so the digest reads the config as given."""
     cfg = _read(raw, "", 0)
-    n_species = len(cfg["species"])
+    n_species, caps = len(cfg["species"]), cfg["truncation"]
+    if caps is not None and len(caps) != n_species:
+        raise ValueError(f"truncation must hold one cap per species ({n_species}), got {caps!r}")
     for name in ("exponents", "solver"):
         cfg[name] = _read(cfg[name], name, n_species)
     for name in ("infrared", "output"):
@@ -163,6 +165,14 @@ def normalize_config(raw: dict) -> dict:
         build_kernel_spec(entry, n_species)
     build_mode_table([build_species(entry) for entry in cfg["species"]])
     return cfg
+
+
+def flag_value(value: Any, key: str, flag: str) -> Any:
+    """A command-line flag's value read against the table entry of the config
+    key it overrides, so flag and key admit the same values; a refusal names
+    the flag."""
+    kind, _, *rng = _KEYS[key]
+    return _check(value, kind, rng[0] if rng else None, flag, 0)
 
 
 def section(cfg: dict, name: str) -> dict:

@@ -76,12 +76,26 @@ def enumerate_basis(
             )
         keep = np.ones(states.shape[0], dtype=bool)
         for i, cap in enumerate(truncation):
-            block_mask = np.int64(sum(1 << mode for mode in table.block(i)))
-            keep &= np.bitwise_count(states & block_mask) <= cap
+            keep &= _species_count(table, states, i) <= cap
         states = states[keep]
     if states.shape[0] > MAX_BASIS_STATES:
         raise ValueError("basis too large; tighten truncation")
     return FockBasis(states=states, truncation=tuple(truncation) if truncation else None)
+
+
+def _species_count(table: ModeTable, states: np.ndarray, species: int) -> np.ndarray:
+    """Particles of one species in each state."""
+    return np.bitwise_count(states & np.int64(sum(1 << mode for mode in table.block(species))))
+
+
+def below_caps(table: ModeTable, basis: FockBasis) -> np.ndarray:
+    """Mask of the states in which every species holds fewer particles than
+    its truncation cap (every state of an untruncated basis): from these, no
+    single creator leaves the basis."""
+    below = np.ones(basis.dimension, dtype=bool)
+    for i, cap in enumerate(basis.truncation or ()):
+        below &= _species_count(table, basis.states, i) < cap
+    return below
 
 
 def monomial_operator(

@@ -158,11 +158,11 @@ def kernel_slice(
 class HamiltonianBundle:
     """H = H_free + coupling * H_int for one table, basis and coupling.
 
-    The interaction (h_int, the process terms it was summed from and their
-    kernel tensors) depends on the mode geometry only and is built once, by
-    assemble_total. The species masses enter only the free diagonal, derived
-    from the table on construction: a mass or coupling change is a
-    dataclasses.replace that shares the interaction. h_total is built on each
+    The interaction (h_int and the kernel tensors it was summed from) depends
+    on the mode geometry only and is built once, by assemble_total; a process
+    term is rebuilt from its tensor by process_term. The species masses enter
+    only the free diagonal, derived from the table on construction: a mass or
+    coupling change is a dataclasses.replace that shares the interaction. h_total is built on each
     access and never stored; a caller that needs it twice binds it once.
     """
 
@@ -170,7 +170,6 @@ class HamiltonianBundle:
     basis: FockBasis
     coupling: float
     tensors: tuple[KernelTensor, ...]
-    terms: tuple[sp.csr_matrix, ...]
     h_int: sp.csr_matrix
     free_diag: np.ndarray = field(init=False)
 
@@ -181,6 +180,11 @@ class HamiltonianBundle:
     @property
     def h_total(self) -> sp.csr_matrix:
         return (sp.diags(self.free_diag) + self.coupling * self.h_int).tocsr()
+
+
+def process_term(table: ModeTable, basis: FockBasis, tensor: KernelTensor) -> sp.csr_matrix:
+    """The process term T of one kernel tensor: its monomial summed over mode tuples."""
+    return monomial_operator(table, basis, tensor.signature.factors(), tensor.values)
 
 
 def assemble_total(
@@ -197,10 +201,8 @@ def assemble_total(
     """
     dim = basis.dimension
     h_int = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    terms = []
     for tensor in tensors:
-        term = monomial_operator(table, basis, tensor.signature.factors(), tensor.values)
-        terms.append(term)
+        term = process_term(table, basis, tensor)
         h_int = h_int + term + term.conj().T
     h_int = h_int.tocsr()
     step = -(-dim // _HERMITICITY_BLOCKS)  # row blocks: no full copy of H_int is formed
@@ -213,7 +215,6 @@ def assemble_total(
         basis=basis,
         coupling=coupling,
         tensors=tuple(tensors),
-        terms=tuple(terms),
         h_int=h_int,
     )
 
@@ -229,8 +230,9 @@ def commutator_with_annihilator(bundle: HamiltonianBundle, mode: int) -> sp.csr_
     The slice sum collects the contraction remnants: for every monomial
     carrying a creator of the mode's species, the monomial with that factor
     removed and the kernel sliced at the mode, with the anticommutation sign.
-    The parity tail is -2 g M b_mode summed over monomials of odd degree (zero
-    when all degrees are even). Their sum is the commutator.
+    Every monomial has one factor per species, so its degree is the species
+    count: when that is odd the parity tail is -2 g H_int b_mode, else zero.
+    Their sum is the commutator.
     """
     table = bundle.table
     basis = bundle.basis
@@ -239,16 +241,13 @@ def commutator_with_annihilator(bundle: HamiltonianBundle, mode: int) -> sp.csr_
     g = bundle.coupling
     dim = basis.dimension
 
-    b_op = annihilation(table, basis, mode)
     slice_sum = sp.csr_matrix((dim, dim), dtype=np.complex128)
-    tail = sp.csr_matrix((dim, dim), dtype=np.complex128)
-
-    for tensor, term in zip(bundle.tensors, bundle.terms):
+    for tensor in bundle.tensors:
         monomials = [
-            (tensor.signature.factors(), tensor.values, term),
-            (_adjoint_factors(tensor.signature), np.conj(tensor.values), term.conj().T.tocsr()),
+            (tensor.signature.factors(), tensor.values),
+            (_adjoint_factors(tensor.signature), np.conj(tensor.values)),
         ]
-        for factors, values, op in monomials:
+        for factors, values in monomials:
             for q, (s, create) in enumerate(factors):
                 if s != species or not create:
                     continue
@@ -258,9 +257,10 @@ def commutator_with_annihilator(bundle: HamiltonianBundle, mode: int) -> sp.csr_
                 slice_sum = slice_sum + monomial_operator(
                     table, basis, remnant_factors, remnant_values
                 )
-            if len(factors) % 2 == 1:
-                tail = tail - 2.0 * (op @ b_op)
 
+    if table.n_species % 2 == 0:
+        return (g * slice_sum).tocsr()
+    tail = -2.0 * (bundle.h_int @ annihilation(table, basis, mode))
     return (g * slice_sum + g * tail).tocsr()
 
 

@@ -44,10 +44,10 @@ import scipy.sparse as sp
 
 from .fock import (
     annihilation,
+    below_caps,
     creation,
     diagonal_second_quantized,
     free_hamiltonian_diagonal,
-    monomial_operator,
     parity_diagonal,
     smeared,
 )
@@ -57,6 +57,7 @@ from .hamiltonian import (
     _max_abs,
     commutator_with_annihilator,
     kernel_slice,
+    process_term,
 )
 from .kernels import (
     blend_exponents,
@@ -135,8 +136,7 @@ def _top_singular_value(op: sp.spmatrix) -> float:
     return math.sqrt(-ground_state(-(op.conj().T @ op)).energy)
 
 
-def _hermitized(bundle: HamiltonianBundle, term_index: int) -> sp.csr_matrix:
-    term = bundle.terms[term_index]
+def _hermitized(term: sp.csr_matrix) -> sp.csr_matrix:
     return (term + term.conj().T).tocsr()
 
 
@@ -205,7 +205,7 @@ def check_form_bound(
     tensor = bundle.tensors[term_index]
     subset, d = _energy_weight(bundle, exempt)
     kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset)
-    op = _hermitized(bundle, term_index)
+    op = _hermitized(process_term(bundle.table, bundle.basis, tensor))
     trial, exact, rows = _form_ratios(op, d, kernel_norm, trials, seed)
     exact /= max(kernel_norm, _TINY)
     return _bound_report(
@@ -255,7 +255,8 @@ def check_refined_form_bound(
     """
     tensor = bundle.tensors[term_index]
     sig = tensor.signature
-    op, term = _hermitized(bundle, term_index), bundle.terms[term_index]
+    term = process_term(bundle.table, bundle.basis, tensor)
+    op = _hermitized(term)
     subset = [i for i in range(bundle.table.n_species) if i != exempt]
     kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset)
     a_diag = _group_half_power_diag(bundle, sig.created, exempt)
@@ -313,7 +314,7 @@ def check_hermite_bound(
         raise ValueError(f"exponents.smoothness {smoothness}: weighted kernel norm {weighted}")
     c_ref = hermite_bound_constant(table, exempt, smoothness)
     c_disc = discrete_bound_constant(table, exempt, smoothness)
-    op = _hermitized(bundle, term_index)
+    op = _hermitized(process_term(table, bundle.basis, tensor))
     trial, exact, rows = _form_ratios(op, np.ones(op.shape[0]), c_ref * weighted, trials, seed)
     exact_ratio = exact / max(c_ref * weighted, _TINY)
     disc_ratio = exact / max(c_disc * weighted, _TINY)
@@ -353,7 +354,7 @@ def check_operator_bound(
     singular value of T D^(-1).
     """
     tensor = bundle.tensors[term_index]
-    term = bundle.terms[term_index]
+    term = process_term(bundle.table, bundle.basis, tensor)
     subset, d = _energy_weight(bundle, exempt)
     kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset, one_plus=True)
     exact = _top_singular_value((term @ sp.diags(1.0 / d)).tocsr()) / max(kernel_norm, _TINY)
@@ -414,8 +415,7 @@ def check_interpolation(
     for j in range(k_dim):
         values = np.zeros(shape, dtype=np.complex128)
         values[np.unravel_index(j, shape)] = 1.0
-        term = monomial_operator(table, basis, sig.factors(), values)
-        herm = (term + term.conj().T).tocoo()
+        herm = _hermitized(process_term(table, basis, KernelTensor(sig, values))).tocoo()
         flat.append(herm.row.astype(np.int64) * dim + herm.col)
         entry.append(np.full(herm.nnz, j))
         data.append(herm.data)
@@ -616,24 +616,32 @@ def check_pull_through(bundle: HamiltonianBundle) -> BoundReport:
     (kernel slices plus parity tail) must match b_m H - H b_m - omega_m b_m,
     and for an eigenvector Phi of H with eigenvalue E,
     (H - E + omega_m) b_m Phi + [b_m, g H_int] Phi = 0 follows; the first is
-    checked as operators, which implies the second.
+    checked as operators, which implies the second. On a truncated basis the
+    projected identity holds only on the states whose every species sits below
+    its cap (H pushes no particle past the cap from them), so only those
+    columns are compared, and params count them.
     """
     table, basis = bundle.table, bundle.basis
     modes = [table.block(i)[0] for i in range(table.n_species)]
     h = bundle.h_total
+    columns = np.flatnonzero(below_caps(table, basis))
     worst = 0.0
     for m in modes:
         species, point, spin = table.locate(m)
         omega = table.mode_energies(species)[m - table.offsets[species]]
         b = annihilation(table, basis, m)
         direct = (b @ h - h @ b - omega * b).tocsr()
-        worst = max(worst, _max_abs(direct - commutator_with_annihilator(bundle, m)))
+        dev = direct - commutator_with_annihilator(bundle, m)
+        worst = max(worst, _max_abs(dev[:, columns]))
+    params = {"modes": list(int(m) for m in modes)}
+    if basis.truncation is not None:
+        params["compared_states"] = int(columns.size)
     return BoundReport(
         name="pull_through",
         passed=worst <= IDENTITY_TOL,
         max_ratio=worst,
         tolerance=IDENTITY_TOL,
-        params={"modes": list(int(m) for m in modes)},
+        params=params,
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import fermifock.cli
+import fermifock.config
 import fermifock.hamiltonian
 import fermifock.kernels
 import fermifock.spectra
@@ -688,6 +689,70 @@ def test_cli_verify_refuses_a_bad_value_before_any_check(tmp_path, capsys, mutat
     assert stdout == ""
     assert len(lines) == 1 and lines[0].startswith(f"error: {key}")
     assert not out.exists()
+
+
+def _without(name):
+    return lambda cfg: cfg.pop(name)
+
+
+def _truncation(caps):
+    return lambda cfg: cfg.update(truncation=caps)
+
+
+@pytest.mark.parametrize(
+    "argv, mutate, name",
+    [
+        (["--seed", "-1", "verify", "--suite", "exact"], None, "--seed"),
+        (["--seed", "-1", "groundstate"], None, "--seed"),
+        (["--seed", "-1", "masslimit"], None, "--seed"),
+        (["--seed", "-1", "build"], None, "--seed"),
+        (["--seed", "-1", "fermi-demo", "--variant", "regular"], None, "--seed"),
+        (["groundstate", "--dense-cap", "-5"], None, "--dense-cap"),
+        (["masslimit", "--dense-cap", "0"], None, "--dense-cap"),
+        (["verify", "--suite", "number", "--dense-cap", "0"], None, "--dense-cap"),
+        (["verify", "--suite", "all"], _without("infrared"), "infrared"),
+        (["verify", "--suite", "infrared"], _without("infrared"), "infrared"),
+        (["verify", "--suite", "all"], _without("mass_grid"), "mass_grid"),
+        (["verify", "--suite", "number"], _without("mass_grid"), "mass_grid"),
+        (["masslimit"], _without("mass_grid"), "mass_grid"),
+        (["verify", "--suite", "infrared"], _truncation([1]), "truncation"),
+        (["build"], _truncation([1, 1, 1]), "truncation"),
+        (["verify", "--suite", "all"], _truncation([0, 2]), "truncation"),
+    ],
+    ids=["seed-verify", "seed-groundstate", "seed-masslimit", "seed-build", "seed-demo",
+         "dense-cap-groundstate", "dense-cap-masslimit", "dense-cap-verify",
+         "no-infrared-all", "no-infrared-infrared", "no-mass-grid-all", "no-mass-grid-number",
+         "no-mass-grid-masslimit", "truncation-short", "truncation-long", "truncation-zero"],
+)
+def test_cli_refuses_before_any_output_naming_the_flag_key_or_section(
+    tmp_path, capsys, monkeypatch, argv, mutate, name
+):
+    """A flag out of its config key's range, a section the subcommand or a
+    suite reads but the config leaves out, or a truncation without one
+    positive cap per species: exit 2 with one `error:` line naming it, nothing
+    on stdout, no report written and no bundle built."""
+    cfg = sweep_config()
+    if mutate:
+        mutate(cfg)
+    if argv[-1] != "regular":
+        argv = argv + ["--config", write_config(tmp_path, cfg)]
+    monkeypatch.setattr(fermifock.config, "build_bundle", None)
+    out = tmp_path / "reports"
+    assert main(["--report-dir", str(out), *argv]) == 2
+    stdout, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert stdout == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+    assert not out.exists()
+
+
+def test_a_zero_truncation_cap_is_refused_at_load():
+    """Every monomial has one factor per species, so a zero cap would remove
+    the whole interaction; the count of caps is read at load too."""
+    for caps in ([0, 1], [1], [1, 1, 1]):
+        with pytest.raises(ValueError, match="truncation"):
+            normalize_config(dict(sweep_config(), truncation=caps))
+    assert normalize_config(dict(sweep_config(), truncation=[1, 2]))["truncation"] == [1, 2]
 
 
 def grid_line(mass, shape, chains=()):

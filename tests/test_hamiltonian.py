@@ -17,6 +17,7 @@ from fermifock.hamiltonian import (
     commutator_with_annihilator,
     enumerate_processes,
     kernel_slice,
+    process_term,
     sample_kernel_tensor,
 )
 from fermifock.kernels import (
@@ -28,7 +29,7 @@ from fermifock.verify import check_parity_identity
 
 ASSEMBLY_TOL = 1e-13
 GROUND_PULL_TOL = 1e-8
-ASSEMBLY_PEAK_FACTOR = 2.5  # the build's traced peak over what its bundle holds
+ASSEMBLY_PEAK_FACTOR = 2.5  # the build's traced peak over H_int plus every process term
 
 
 def brute_force_processes(n):
@@ -234,7 +235,7 @@ def test_toy_pair_creation_sign():
     bundle = toy_bundle()
     vac = np.zeros(4)
     vac[0] = 1.0
-    out = bundle.terms[0] @ vac
+    out = process_term(bundle.table, bundle.basis, bundle.tensors[0]) @ vac
     want = np.zeros(4)
     want[3] = 1.0  # both modes occupied, plus sign
     np.testing.assert_allclose(out, want)
@@ -273,8 +274,9 @@ def test_assembled_hamiltonian_is_hermitian():
 
 def test_hermiticity_guard_forms_no_copy_of_the_interaction():
     """Three species of 4, 3 and 3 modes with two dense complex kernels:
-    dimension 1024. The build's traced peak stays within 2.5x what the
-    bundle holds afterwards; forming h_int - h_int^H whole took it to 3.6x."""
+    dimension 1024. The build's traced peak stays within 2.5x of what the
+    bundle holds afterwards plus the bytes of its process terms, rebuilt
+    untraced; forming h_int - h_int^H whole took it to 3.6x."""
     table = random_table(31, (1.0, 0.7, 0.5), (4, 3, 3), (1, 1, 1))
     basis = enumerate_basis(table)
     tensors = [
@@ -288,8 +290,10 @@ def test_hermiticity_guard_forms_no_copy_of_the_interaction():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    terms = [process_term(table, basis, tensor) for tensor in tensors]
+    term_bytes = sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes for t in terms)
     assert bundle.h_int.nnz > 0
-    assert peak < ASSEMBLY_PEAK_FACTOR * held
+    assert peak < ASSEMBLY_PEAK_FACTOR * (held + term_bytes)
 
 
 def test_parity_identity_odd_species():

@@ -4,8 +4,9 @@ referenced somewhere in the package, and every parameter with a default is
 passed by some call in the package or its tests. Start-up loads only what a
 run uses: no ARPACK, scipy.linalg, scipy.special or csgraph for the demo, the
 dense path or a dense-path `verify --suite all`, and no module imports
-scipy.special at all. The CLI casts no config value, no module reads the
-environment, no function reads one bundle's `h_total` twice, verify draws
+scipy.special at all. The CLI casts no config value and reads its solver
+flags only where it checks them, a bundle holds no per-term matrix, no
+module reads the environment, no function reads one bundle's `h_total` twice, verify draws
 its bound checks' trial vectors only in blocks, and the slice table
 evaluates the separable factor only through the kernel spec.
 
@@ -14,6 +15,7 @@ imports and helpers behind; this walks each module's syntax tree instead.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,6 +23,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse as sp
 
 import fermifock
 
@@ -151,6 +154,38 @@ def test_cli_casts_no_config_value():
         and any(getattr(name, "id", None) in config_names for name in ast.walk(node))
     ]
     assert casts == []
+
+
+def test_cli_reads_the_solver_flags_only_where_it_checks_them():
+    """--seed and --dense-cap are read against their config keys' table
+    entries in one function: cli.py reads `args.seed` and `args.dense_cap`
+    nowhere else, and that function calls config.flag_value."""
+    tree = ast.parse((Path(fermifock.__file__).parent / "cli.py").read_text())
+    readers = {
+        node.name
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+        for read in ast.walk(node)
+        if isinstance(read, ast.Attribute) and read.attr in ("seed", "dense_cap")
+        and getattr(read.value, "id", None) == "args"
+    }
+    assert readers == {"_solver_flags"}
+    [checker] = [node for node in tree.body if getattr(node, "name", None) == "_solver_flags"]
+    assert "flag_value" in referenced_names(checker)
+
+
+def test_bundle_holds_the_interaction_as_one_matrix():
+    """The kernel tensors and h_int are a bundle's only record of the
+    interaction: no field holds a per-term matrix, h_int is its one sparse
+    field, and a process term is rebuilt from its tensor when a check needs it."""
+    from fermifock.config import build_bundle, normalize_config
+
+    bundle = build_bundle(normalize_config(DENSE_VERIFY_CONFIG))
+    held = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)}
+    sparse = [
+        name for name, value in held.items()
+        if any(sp.issparse(v) for v in (value if isinstance(value, (tuple, list)) else (value,)))
+    ]
+    assert sparse == ["h_int"]
 
 
 def test_no_function_reads_h_total_twice():

@@ -642,7 +642,7 @@ def test_toy_mass_curve_matches_analytic():
     assert len(curve.bundles) == len(masses) + 1
     for bundle in curve.bundles:
         assert bundle.h_int is first.h_int
-        assert bundle.terms is first.terms
+        assert bundle.tensors is first.tensors
 
 
 def test_mass_sweep_points_match_fresh_assembly():
@@ -847,7 +847,7 @@ def planted_crossing_bundle():
         idx = np.nonzero(members)[0]
         a = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
         h_int[np.ix_(idx, idx)] = 0.05 * (a + a.conj().T) + shift * np.eye(idx.size)
-    bundle = HamiltonianBundle(table, basis, 1.0, (), (), sp.csr_matrix(h_int))
+    bundle = HamiltonianBundle(table, basis, 1.0, (), sp.csr_matrix(h_int))
     return bundle, in_b
 
 
@@ -891,7 +891,7 @@ def two_fold_ground_bundle():
     h_int = np.zeros((16, 16))
     h_int[np.ix_(block_a, block_a)] = q @ np.diag([-3.0, -3.0, -2.0, -1.0]) @ q.T - np.diag(free_a)
     h_int[np.ix_(block_b, block_b)] = [[-3.5, 0.1], [0.1, -3.4]]
-    bundle = HamiltonianBundle(table, basis, 1.0, (), (), sp.csr_matrix(h_int, dtype=np.complex128))
+    bundle = HamiltonianBundle(table, basis, 1.0, (), sp.csr_matrix(h_int, dtype=np.complex128))
     return bundle, block_a
 
 

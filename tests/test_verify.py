@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,8 +14,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from test_acceptance import limit_curve, pair_instance, triple_parts
+from test_imports import DENSE_VERIFY_CONFIG
 
 from fermifock import spectra, verify
+from fermifock.cli import _suite_exact
+from fermifock.config import build_bundle, normalize_config
 from fermifock.fock import (
     enumerate_basis,
     free_hamiltonian_diagonal,
@@ -25,6 +29,7 @@ from fermifock.hamiltonian import (
     KernelTensor,
     ProcessSignature,
     assemble_total,
+    process_term,
     sample_kernel_tensor,
 )
 from fermifock.kernels import (
@@ -145,7 +150,8 @@ def test_form_bound_exact_supremum_on_toy():
 
     # hand check of one trial vector: phi = (e0 + e3)/sqrt2 gives form value
     # 1 against the right-hand side 1.5 (kernel norm is exactly 1)
-    herm = (bundle.terms[0] + bundle.terms[0].conj().T).toarray()
+    term = process_term(bundle.table, bundle.basis, bundle.tensors[0])
+    herm = (term + term.conj().T).toarray()
     phi = np.zeros(4)
     phi[[0, 3]] = 1.0 / math.sqrt(2.0)
     lhs = abs(phi @ herm @ phi)
@@ -204,7 +210,8 @@ def test_complex_kernel_suprema_match_dense_eigvalsh():
     bundle = c0a1_bundle(4)
     assert bundle.basis.dimension == 256
     assert np.abs(bundle.tensors[0].values.imag).max() > 0
-    herm = (bundle.terms[0] + bundle.terms[0].conj().T).toarray()
+    term = process_term(bundle.table, bundle.basis, bundle.tensors[0])
+    herm = (term + term.conj().T).toarray()
 
     form = check_form_bound(bundle, trials=50)
     # n = 2 and species 0 is exempt: D = (H_free,1 + 1)^(1/2)
@@ -511,6 +518,26 @@ def test_car_relations_on_truncated_basis():
     report = check_car_relations(bundle)
     assert report.passed
     assert report.params["truncated"]
+
+
+@pytest.mark.parametrize("caps, compared", [([1, 1, 1], 1), ([1, 2, 1], 4), ([2, 2, 2], 36)])
+def test_exact_suite_passes_on_truncated_bases(caps, compared):
+    """On a truncated basis the projected pull-through identity holds on the
+    states whose every species sits below its cap; pull_through compares only
+    those columns and counts them, and still fails on H_int scaled by 1.01."""
+    cfg = normalize_config(dict(DENSE_VERIFY_CONFIG, truncation=caps))
+    bundle = build_bundle(cfg)
+    reports = _suite_exact(bundle, cfg, cfg["solver"]["seed"])
+    assert [r.name for r in reports if not r.passed] == []
+    [pull] = [r for r in reports if r.name == "pull_through"]
+    assert pull.params["compared_states"] == compared
+    scaled = replace(bundle, h_int=(1.01 * bundle.h_int).tocsr())
+    assert not check_pull_through(scaled).passed
+
+
+def test_pull_through_on_an_untruncated_basis_compares_every_state():
+    report = check_pull_through(build_bundle(normalize_config(DENSE_VERIFY_CONFIG)))
+    assert report.passed and "compared_states" not in report.params
 
 
 def test_parity_identity_wrapper():
