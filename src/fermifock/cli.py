@@ -11,6 +11,11 @@ Subcommands:
 
 All outputs are deterministic for a fixed config and seed: reports are
 sort-keyed JSON and CSVs are written with repr floats, no timestamps.
+
+A subcommand writes and prints nothing: it returns its reports by file name
+(a payload for .json, (header, rows) for .csv, an operator for .txt), its
+stdout lines and its exit code, and `main` emits them once it has returned.
+So a refused run prints one `error:` line and leaves no report behind.
 """
 
 from __future__ import annotations
@@ -44,16 +49,13 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             fh.write("\n")
 
 
-def _report_dir(args) -> str:
-    os.makedirs(args.report_dir, exist_ok=True)
-    return args.report_dir
+Run = tuple[dict, list[str], int]  # reports by file name, stdout lines, exit code
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> Run:
     cfg = cfgmod.load_config(args.config)
     bundle = cfgmod.build_bundle(cfg)
     h_total = bundle.h_total
-    out = _report_dir(args)
     manifest = {
         "config_digest": cfgmod.config_digest(cfg),
         "n_species": bundle.table.n_species,
@@ -65,13 +67,11 @@ def cmd_build(args) -> int:
         "terms": [t.signature.label() for t in bundle.tensors],
         "kernel_norms": [t.frobenius() for t in bundle.tensors],
     }
-    _write_json(os.path.join(out, "manifest.json"), manifest)
+    reports = {"manifest.json": manifest}
     if cfg.get("output", {}).get("export_operators"):
-        save_triplets(h_total, os.path.join(out, "hamiltonian.txt"))
-        save_triplets(bundle.h_int, os.path.join(out, "interaction.txt"))
-    print(f"build: dimension {bundle.basis.dimension}, "
-          f"interaction nnz {bundle.h_int.nnz}")
-    return 0
+        reports.update({"hamiltonian.txt": h_total, "interaction.txt": bundle.h_int})
+    return reports, [f"build: dimension {bundle.basis.dimension}, "
+                     f"interaction nnz {bundle.h_int.nnz}"], 0
 
 
 def _suite_exact(bundle, cfg, seed):
@@ -194,11 +194,13 @@ _SUITE_SECTIONS = {"number": "mass_grid", "infrared": "infrared"}
 
 
 def _solver_flags(args) -> dict:
-    """The solver keys that --seed and --dense-cap set, each given flag read
-    against its key's table entry, before any model work or output."""
-    given = {"seed": ("--seed", args.seed), "dense_cap": ("--dense-cap", args.dense_cap)}
+    """The values --seed, --dense-cap and --r set, by their config keys' last
+    names, each given flag read against its key's table entry, before any
+    model work."""
+    given = {"solver.seed": ("--seed", args.seed), "infrared.r": ("--r", args.r),
+             "solver.dense_cap": ("--dense-cap", args.dense_cap)}
     return {
-        key: cfgmod.flag_value(value, f"solver.{key}", flag)
+        key.rpartition(".")[2]: cfgmod.flag_value(value, key, flag)
         for key, (flag, value) in given.items() if value is not None
     }
 
@@ -220,16 +222,14 @@ def _seed(args, cfg: dict) -> int:
     return args.solver.get("seed", cfg["solver"]["seed"])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Run:
     suites = (
         ["exact", "bounds", "interpolation", "number", "infrared"]
         if args.suite == "all"
         else [args.suite]
     )
     cfg, seed = _load_config(args, [_SUITE_SECTIONS[s] for s in suites if s in _SUITE_SECTIONS])
-    out = _report_dir(args)
-    all_reports = {}
-    failures = 0
+    all_reports, lines, failures = {}, [], 0
     bundle = None
     for suite in suites:
         if suite == "infrared":
@@ -242,8 +242,8 @@ def cmd_verify(args) -> int:
         all_reports[suite] = [r.as_dict() for r in reports]
         for report in reports:
             status = "pass" if report.passed else "FAIL"
-            print(f"[{suite}] {report.name}: {status} "
-                  f"(max_ratio {report.max_ratio:.6g}, tol {report.tolerance:g})")
+            lines.append(f"[{suite}] {report.name}: {status} "
+                         f"(max_ratio {report.max_ratio:.6g}, tol {report.tolerance:g})")
             if not report.passed:
                 failures += 1
     payload = {
@@ -252,39 +252,24 @@ def cmd_verify(args) -> int:
         "reports": all_reports,
         "failures": failures,
     }
-    _write_json(os.path.join(out, f"verify_{args.suite}.json"), payload)
-    return 1 if failures else 0
+    return {f"verify_{args.suite}.json": payload}, lines, 1 if failures else 0
 
 
-def cmd_groundstate(args) -> int:
+def cmd_groundstate(args) -> Run:
     cfg, seed = _load_config(args, [])
     bundle = cfgmod.build_bundle(cfg)
-    out = _report_dir(args)
     result = ground_state(
         bundle.h_total, dense_cap=cfg["solver"]["dense_cap"], seed=seed,
         count=min(bundle.basis.dimension, 8),
     )
     rows = [[i, float(v)] for i, v in enumerate(result.spectrum)]
-    _write_csv(os.path.join(out, "spectrum.csv"), ["index", "energy"], rows)
-    obs_rows = []
-    payload_obs = []
+    obs_rows, payload_obs = [], []
     for i in range(bundle.table.n_species):
         rep = observables(bundle, result.vector, i)
-        payload_obs.append(
-            {
-                "species": i,
-                "expected_number": rep.expected_number,
-                "amplitudes": list(rep.amplitudes),
-                "chain_gradients": [list(g) for g in rep.chain_gradients],
-            }
-        )
-        for local, amp in enumerate(rep.amplitudes):
-            obs_rows.append([i, local, float(amp)])
-    _write_csv(
-        os.path.join(out, "observables.csv"),
-        ["species", "mode", "amplitude"],
-        obs_rows,
-    )
+        payload_obs.append({"species": i, "expected_number": rep.expected_number,
+                            "amplitudes": list(rep.amplitudes),
+                            "chain_gradients": [list(g) for g in rep.chain_gradients]})
+        obs_rows.extend([i, local, float(amp)] for local, amp in enumerate(rep.amplitudes))
     payload = {
         "config_digest": cfgmod.config_digest(cfg),
         "energy": result.energy,
@@ -293,26 +278,26 @@ def cmd_groundstate(args) -> int:
         "degeneracy": result.degeneracy,
         "observables": payload_obs,
     }
-    _write_json(os.path.join(out, "groundstate.json"), payload)
-    print(f"groundstate: E = {result.energy!r} ({result.method}, "
-          f"residual {result.residual:.2e})")
-    return 0
+    reports = {
+        "spectrum.csv": (["index", "energy"], rows),
+        "observables.csv": (["species", "mode", "amplitude"], obs_rows),
+        "groundstate.json": payload,
+    }
+    return reports, [f"groundstate: E = {result.energy!r} ({result.method}, "
+                     f"residual {result.residual:.2e})"], 0
 
 
-def cmd_masslimit(args) -> int:
+def cmd_masslimit(args) -> Run:
     cfg, seed = _load_config(args, ["mass_grid"])
     bundle = cfgmod.build_bundle(cfg)
-    out = _report_dir(args)
-    rows = []
-    sweeps = []
+    rows, sweeps, lines = [], [], []
     for species, curve in _sweeps(bundle, cfg, seed):
         for j, m in enumerate(curve.masses):
             overlap = float(curve.overlaps[j]) if j < len(curve.overlaps) else curve.limit_overlap
             rows.append([species, float(m), float(curve.energies[j]),
                          float(curve.cross_energies[j]), overlap])
         rows.append([species, 0.0, float(curve.limit_energy), float(curve.limit_energy), 1.0])
-        mono = curve.monotonicity_violation()
-        sandwich = curve.sandwich_violation()
+        mono, sandwich = curve.monotonicity_violation(), curve.sandwich_violation()
         sweeps.append({
             "species": species,
             "masses": list(curve.masses),
@@ -322,21 +307,17 @@ def cmd_masslimit(args) -> int:
             "sandwich_violation": sandwich,
             "passed": bool(mono <= 1e-9 and sandwich <= 1e-9),
         })
-        print(f"masslimit[{species}]: E({float(curve.masses[-1])}) = {float(curve.energies[-1])}, "
-              f"limit {curve.limit_energy!r}, monotone dev {mono:.2e}, "
-              f"sandwich dev {sandwich:.2e}")
-    _write_csv(
-        os.path.join(out, "masslimit.csv"),
-        ["target_species", "mass", "energy", "cross_energy", "overlap_next"],
-        rows,
-    )
+        lines.append(f"masslimit[{species}]: E({float(curve.masses[-1])}) = "
+                     f"{float(curve.energies[-1])}, limit {curve.limit_energy!r}, "
+                     f"monotone dev {mono:.2e}, sandwich dev {sandwich:.2e}")
+    header = ["target_species", "mass", "energy", "cross_energy", "overlap_next"]
     payload = {
         "config_digest": cfgmod.config_digest(cfg),
         "sweeps": sweeps,
         "passed": all(s["passed"] for s in sweeps),
     }
-    _write_json(os.path.join(out, "masslimit.json"), payload)
-    return 0 if payload["passed"] else 1
+    reports = {"masslimit.csv": (header, rows), "masslimit.json": payload}
+    return reports, lines, 0 if payload["passed"] else 1
 
 
 _DEMO_VARIANTS = {
@@ -366,8 +347,8 @@ def _demo_config(variant: str, r: float | None) -> dict:
     })
 
 
-def cmd_fermi_demo(args) -> int:
-    out = _report_dir(args)
+def cmd_fermi_demo(args) -> Run:
+    r = args.solver.get("r")
     exact = exponent_table(len(_DEMO_MASSES), [3], _DEMO_MARGIN, 0)
     payload = {
         "species_masses": _DEMO_MASSES,
@@ -376,10 +357,10 @@ def cmd_fermi_demo(args) -> int:
         "exponents": {str(i): str(v) for i, v in exact.items()},
         "variants": {},
     }
-    failures = 0
+    failures, lines = 0, []
     for name in args.variant:
         nu, expect = _DEMO_VARIANTS[name]
-        ((_, ir, _, annotated),) = _infrared_runs(_demo_config(name, args.r))
+        ((_, ir, _, annotated),) = _infrared_runs(_demo_config(name, r))
         if not annotated:
             failures += 1
         payload["variants"][name] = {
@@ -390,11 +371,11 @@ def cmd_fermi_demo(args) -> int:
             "power_counting_oracle": power_counting_verdict(nu, ir.r),
             "slice_profiles_finite": all(math.isfinite(v) for v in ir.profiles.values),
         }
-        print(f"fermi-demo[{name}]: infrared {ir.verdict} "
-              f"(expected {expect}), gradient {ir.gradient_verdict}")
+        lines.append(f"fermi-demo[{name}]: infrared {ir.verdict} "
+                     f"(expected {expect}), gradient {ir.gradient_verdict}")
 
     # small Fock-side ground problem of the regular variant
-    cfg = _demo_config("regular", args.r)
+    cfg = _demo_config("regular", r)
     bundle = cfgmod.build_bundle(cfg)
     result = ground_state(
         bundle.h_total, dense_cap=cfg["solver"]["dense_cap"], seed=_seed(args, cfg)
@@ -408,9 +389,13 @@ def cmd_fermi_demo(args) -> int:
         "energy": result.energy,
         "expected_numbers": numbers,
     }
-    print(f"fermi-demo: Fock dim {bundle.basis.dimension}, E = {result.energy!r}")
-    _write_json(os.path.join(out, "fermi_demo.json"), payload)
-    return 1 if failures else 0
+    lines.append(f"fermi-demo: Fock dim {bundle.basis.dimension}, E = {result.energy!r}")
+    return {"fermi_demo.json": payload}, lines, 1 if failures else 0
+
+
+def _refuse(message: str):
+    """argparse's error hook: raise, so a bad argument takes main's one refusal path."""
+    raise ValueError(message)
 
 
 def main(argv=None) -> int:
@@ -421,7 +406,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--report-dir", default="reports")
     parser.add_argument("--seed", type=int, default=None)
-    parser.set_defaults(dense_cap=None)  # for the subcommands without --dense-cap
+    parser.set_defaults(dense_cap=None, r=None)  # for the subcommands without these flags
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="assemble and write the manifest")
@@ -457,17 +442,31 @@ def main(argv=None) -> int:
     )
     p_demo.add_argument("--r", type=float, default=None)
     p_demo.set_defaults(func=cmd_fermi_demo)
+    for each in (parser, *sub.choices.values()):
+        each.error = _refuse
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         args.solver = _solver_flags(args)
-        return args.func(args)
+        reports, lines, code = args.func(args)
+        os.makedirs(args.report_dir, exist_ok=True)
+        for name, report in reports.items():
+            path = os.path.join(args.report_dir, name)
+            if name.endswith(".json"):
+                _write_json(path, report)
+            elif name.endswith(".csv"):
+                _write_csv(path, *report)
+            else:
+                save_triplets(report, path)
     # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result;
     # TypeError: a wrong-typed config value that no key check names still refuses the config;
     # the tuple is evaluated only when an exception arrives, so ARPACK is not loaded for it
     except (ValueError, TypeError, OSError, spectra.ArpackNoConvergence, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -356,7 +356,7 @@ def weighted_kernel_norm(
     for i in species_subset:
         omega = table.mode_energies(i)
         if np.any(omega == 0):
-            raise ValueError("zero-energy mode makes the energy weight singular")
+            raise ValueError(f"species {i}: species.points holds k = 0 at mass 0: singular weight")
         scale = omega**-0.5
         if one_plus:
             scale = 1.0 + scale

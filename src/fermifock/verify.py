@@ -619,20 +619,21 @@ def check_pull_through(bundle: HamiltonianBundle) -> BoundReport:
     checked as operators, which implies the second. On a truncated basis the
     projected identity holds only on the states whose every species sits below
     its cap (H pushes no particle past the cap from them), so only those
-    columns are compared, and params count them.
+    columns are compared, and params count them. Deviations are read relative to
+    max(1, ||H||_inf), H's largest absolute row sum: round-off scales with H.
     """
     table, basis = bundle.table, bundle.basis
     modes = [table.block(i)[0] for i in range(table.n_species)]
     h = bundle.h_total
+    scale = max(1.0, float(abs(h).sum(axis=1).max()))
     columns = np.flatnonzero(below_caps(table, basis))
     worst = 0.0
-    for m in modes:
-        species, point, spin = table.locate(m)
-        omega = table.mode_energies(species)[m - table.offsets[species]]
+    for species, m in enumerate(modes):
+        omega = table.mode_energies(species)[0]
         b = annihilation(table, basis, m)
         direct = (b @ h - h @ b - omega * b).tocsr()
         dev = direct - commutator_with_annihilator(bundle, m)
-        worst = max(worst, _max_abs(dev[:, columns]))
+        worst = max(worst, _max_abs(dev[:, columns]) / scale)
     params = {"modes": list(int(m) for m in modes)}
     if basis.truncation is not None:
         params["compared_states"] = int(columns.size)
@@ -743,7 +744,7 @@ def check_sweep_estimates(
         if target == curve.species or table.species[target].is_massless:
             scales = [float(np.linalg.norm(k)) for k in table.momenta(target)]
             if 0.0 in scales:
-                raise ValueError("massless target species may not hold a k = 0 mode")
+                raise ValueError(f"species {target}: species.points holds k = 0 (1/|k| infinite)")
         else:
             scales = [float(e) for e in table.mode_energies(target)]
         creating = [

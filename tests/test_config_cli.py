@@ -1,5 +1,6 @@
 """Config loading and the command-line surface, end to end on tiny models."""
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -82,6 +83,51 @@ def sweep_config():
         ],
         "infrared": {"slice_species": 1, "r": 1.9},
     }
+
+
+# the benchmark's verify input at its held-out seed 1009: three species of 2, 3
+# and 2 modes (dimension 128), the power kernels c012 and c0a12
+SEED_1009_VERIFY = {
+    "coupling": 0.678473,
+    "infrared": {"r": 1.9, "slice_species": 1},
+    "kernels": [
+        {"created": [0, 1, 2], "kind": "power", "lam": 2.580477,
+         "nus": [0.541136, 0.640034, 0.674921]},
+        {"created": [0], "kind": "power", "lam": 2.580477,
+         "nus": [0.541136, 0.640034, 0.674921]},
+    ],
+    "mass_grid": {"count": 6, "species": 1, "start": 1.0, "stop": 0.001},
+    "solver": {"seed": 2062498596},
+    "species": [
+        {"mass": 1.0, "points": [[0.346056, 0.022494, 0.025212], [0.643829, -0.045102, 0.029414]],
+         "spins": [0.5], "weights": [0.983666, 0.932609]},
+        {"chains": [[0, 1, 2]], "mass": 1.0,
+         "points": [[0.240625, 0.311737, 0.140025], [0.450785, 0.311737, 0.140025],
+                    [0.660945, 0.311737, 0.140025]],
+         "spins": [0.5], "weights": [0.152748, 0.152748, 0.152748]},
+        {"mass": 0.703544, "points": [[0.435624, 0.09914, 0.04805], [0.092352, 0.51289, 0.232423]],
+         "spins": [0.5], "weights": [0.903914, 1.149549]},
+    ],
+}
+
+
+def seed_1009_verify():
+    return copy.deepcopy(SEED_1009_VERIFY)
+
+
+def massless_at_k0(cfg):
+    """Species 2 made massless, with its first point at k = 0."""
+    cfg["species"][2].update(mass=0.0)
+    cfg["species"][2]["points"][0] = [0.0, 0.0, 0.0]
+    return cfg
+
+
+def swept_at_k0(cfg):
+    """The mass grid's species given a further point, at k = 0."""
+    swept = cfg["species"][cfg["mass_grid"]["species"]]
+    swept["points"].append([0.0, 0.0, 0.0])
+    swept["weights"].append(swept["weights"][0])
+    return cfg
 
 
 def write_config(tmp_path, cfg, name="run.json"):
@@ -916,6 +962,44 @@ def test_cli_verify_exact_suite(tmp_path):
     names = [r["name"] for r in payload["reports"]["exact"]]
     assert names == ["car_relations", "smeared_norms", "pull_through", "hermiticity"]
     assert all(r["passed"] for r in payload["reports"]["exact"])
+
+
+def test_cli_pull_through_is_read_relative_to_the_hamiltonian(tmp_path):
+    """A point at |k| = 1e5 gives H a row sum near 2e5, and the commutator's
+    round-off grows with it (an absolute reading of 9.75e-12 failed this
+    correct program): divided by max(1, ||H||_inf) it passes at 1e-12."""
+    cfg = seed_1009_verify()
+    cfg["species"][0]["points"][1] = [1e5, 0.0, 0.0]
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "exact"]
+    assert main(argv + ["--config", write_config(tmp_path, cfg)]) == 0
+    reports = json.loads((out / "verify_exact.json").read_text())["reports"]["exact"]
+    [pull] = [r for r in reports if r["name"] == "pull_through"]
+    assert pull["passed"] and pull["max_ratio"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mutate, species",
+    [(massless_at_k0, 2), (swept_at_k0, 1)],
+    ids=["massless-species", "swept-species"],
+)
+def test_cli_a_k0_point_that_a_check_cannot_weigh_is_refused_naming_it(
+    tmp_path, capsys, mutate, species
+):
+    """A massless species' k = 0 mode makes the bounds' energy weight singular,
+    and the swept species' k = 0 mode the number estimate's 1/|k|: both are
+    found only when the check runs, after other suites have reported. The run
+    still exits 2 with one line naming the species and `species.points`, prints
+    no report line and leaves no report directory."""
+    cfg = mutate(seed_1009_verify())
+    out = tmp_path / "reports"
+    argv = ["--report-dir", str(out), "verify", "--suite", "all"]
+    assert main(argv + ["--config", write_config(tmp_path, cfg)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    [line] = err.strip().splitlines()
+    assert line.startswith(f"error: species {species}: species.points holds k = 0")
+    assert not out.exists()
 
 
 def test_cli_verify_all_suites_on_sweep_instance(tmp_path):

@@ -157,20 +157,43 @@ def test_cli_casts_no_config_value():
 
 
 def test_cli_reads_the_solver_flags_only_where_it_checks_them():
-    """--seed and --dense-cap are read against their config keys' table
-    entries in one function: cli.py reads `args.seed` and `args.dense_cap`
-    nowhere else, and that function calls config.flag_value."""
+    """--seed, --dense-cap and --r are read against their config keys' table
+    entries in one function: cli.py reads `args.seed`, `args.dense_cap` and
+    `args.r` nowhere else, and that function calls config.flag_value."""
     tree = ast.parse((Path(fermifock.__file__).parent / "cli.py").read_text())
     readers = {
         node.name
         for node in tree.body if isinstance(node, ast.FunctionDef)
         for read in ast.walk(node)
-        if isinstance(read, ast.Attribute) and read.attr in ("seed", "dense_cap")
+        if isinstance(read, ast.Attribute) and read.attr in ("seed", "dense_cap", "r")
         and getattr(read.value, "id", None) == "args"
     }
     assert readers == {"_solver_flags"}
     [checker] = [node for node in tree.body if getattr(node, "name", None) == "_solver_flags"]
     assert "flag_value" in referenced_names(checker)
+
+
+EMITTERS = ("print", "makedirs", "_write_json", "_write_csv", "save_triplets")
+
+
+def test_only_cli_main_prints_or_writes_reports():
+    """A subcommand returns its reports and stdout lines, and cli.main alone
+    emits them, once the subcommand has returned: in the package only main
+    calls print, os.makedirs or a report writer, no cmd_* calls open, and open
+    is called only by the writers and config.load_config."""
+    callers = {}
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call):
+                        func = call.func
+                        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                        callers.setdefault(name, set()).add(f"{path.stem}.{node.name}")
+    assert {name: callers.get(name) for name in EMITTERS} == {name: {"cli.main"} for name in EMITTERS}
+    assert callers["open"] == {
+        "cli._write_json", "cli._write_csv", "fock.save_triplets", "config.load_config"
+    }
 
 
 def test_bundle_holds_the_interaction_as_one_matrix():

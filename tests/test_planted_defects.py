@@ -5,9 +5,10 @@ interaction.
 One dimension-128 bundle is built, shaped like the benchmark's verify input:
 three species of 2, 3 and 2 modes and the power kernels c012 and c0a12. Each
 defect is planted in a copy of it with dataclasses.replace (object.__setattr__
-for the free diagonal, which the bundle derives), so the package carries no
-hook. Every check of `verify --suite exact` and `--suite bounds` runs on every
-copy, and its verdict is held to the table below.
+for the free diagonal and the table, which the bundle derives from or holds),
+or in a package function through a monkeypatch undone after the checks, so the
+package carries no hook. Every check of `verify --suite exact` and `--suite
+bounds` runs on every planted copy, and its verdict is held to the table below.
 """
 
 from dataclasses import replace
@@ -16,20 +17,26 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fermifock import fock
 from fermifock.cli import _suite_bounds, _suite_exact
 from fermifock.config import build_bundle, normalize_config
 from fermifock.fock import parity_diagonal
 from fermifock.hamiltonian import KernelTensor
+from fermifock.modes import ModeTable
+from fermifock.verify import check_pull_through
 from test_imports import DENSE_VERIFY_CONFIG
 
+# species 2's first mode: pull_through compares the first mode of each species
+SIGN_MODE = 5
 
-def _tensor_scaled(bundle):
+
+def _tensor_scaled(bundle, patch):
     """Kernel tensor 0 scaled by 1.02, H_int kept."""
     first, *rest = bundle.tensors
     return replace(bundle, tensors=(KernelTensor(first.signature, 1.02 * first.values), *rest))
 
 
-def _pair_negated(bundle):
+def _pair_negated(bundle, patch):
     """One off-diagonal pair of H_int negated; H_int stays hermitian."""
     h = bundle.h_int.toarray()
     i, j = np.argwhere(np.triu(h != 0, 1))[0]
@@ -37,19 +44,19 @@ def _pair_negated(bundle):
     return replace(bundle, h_int=sp.csr_matrix(h))
 
 
-def _h_int_scaled(bundle):
+def _h_int_scaled(bundle, patch):
     """H_int scaled by 1.01, the tensors kept."""
     return replace(bundle, h_int=(1.01 * bundle.h_int).tocsr())
 
 
-def _parity_even_entry(bundle):
+def _parity_even_entry(bundle, patch):
     """A hermitian pair joining the vacuum to a two-particle state added to H_int."""
     i, j = np.flatnonzero(parity_diagonal(bundle.basis) > 0)[:2]
     entry = sp.csr_matrix(([0.05, 0.05], ([i, j], [j, i])), shape=bundle.h_int.shape)
     return replace(bundle, h_int=(bundle.h_int + entry).tocsr())
 
 
-def _free_diag_shifted(bundle):
+def _free_diag_shifted(bundle, patch):
     """The free diagonal raised by 1e-3 at state 1, where mode 0 is occupied."""
     planted = replace(bundle)
     diag = planted.free_diag.copy()
@@ -58,23 +65,56 @@ def _free_diag_shifted(bundle):
     return planted
 
 
+class _ShiftedEnergyTable(ModeTable):
+    def mode_energies(self, i):
+        energies = super().mode_energies(i)
+        return energies + 1e-3 * (np.arange(energies.size) == 0) if i == 0 else energies
+
+
+def _mode_energy_shifted(bundle, patch):
+    """Mode 0's energy in the table raised by 1e-3, the free diagonal kept."""
+    planted = replace(bundle)
+    object.__setattr__(planted, "table", _ShiftedEnergyTable(bundle.table.species))
+    return planted
+
+
+def _jordan_wigner_sign_flipped(bundle, patch):
+    """fock's ladder helper builds b and b* of SIGN_MODE with the Jordan-Wigner
+    sign flipped to +1 on every state with an odd count of modes occupied
+    below it; the bundle's H, built through monomial_operator, keeps its signs."""
+    ladder = fock._ladder
+
+    def planted(table, basis, mode, create):
+        op = ladder(table, basis, mode, create)
+        if mode != SIGN_MODE:
+            return op
+        below = np.bitwise_count(basis.states & np.int64((1 << mode) - 1)) & 1
+        return (op @ sp.diags(1.0 - 2.0 * below)).tocsr()
+
+    patch.setattr(fock, "_ladder", planted)
+    return bundle
+
+
 DEFECTS = {
     "tensor_scaled": _tensor_scaled,
     "pair_negated": _pair_negated,
     "h_int_scaled": _h_int_scaled,
     "parity_even_entry": _parity_even_entry,
     "free_diag_shifted": _free_diag_shifted,
+    "mode_energy_shifted": _mode_energy_shifted,
+    "jordan_wigner_sign_flipped": _jordan_wigner_sign_flipped,
 }
 INTERACTION_DEFECTS = ("tensor_scaled", "pair_negated", "h_int_scaled", "parity_even_entry")
 
 # check -> the defects it fails on; every other pair passes. The checks that no
 # defect fails are kept (their reports are benchmark references), and why none
-# reaches them: car_relations and smeared_norms read only the table and the
-# basis; hermiticity sees a hermitian plant; the four constant-1 bounds build
+# reaches them: smeared_norms reads only the table and the basis, and builds
+# its operators through monomial_operator, not the ladder helper; hermiticity
+# sees a hermitian plant; the four constant-1 bounds build
 # their terms from the kernel tensors alone, so scaling a tensor moves both
 # sides of the inequality; relative_bound_zero keeps its slack.
 FAILS = {
-    "car_relations": (),
+    "car_relations": ("jordan_wigner_sign_flipped",),
     "smeared_norms": (),
     "pull_through": tuple(DEFECTS),
     "hermiticity": (),
@@ -120,5 +160,17 @@ def test_unplanted_bundle_passes_every_check(bundle_and_config):
 @pytest.mark.parametrize("defect", DEFECTS)
 def test_planted_defect_fails_the_checks_the_table_names(bundle_and_config, defect):
     bundle, cfg = bundle_and_config
-    got = verdicts(DEFECTS[defect](bundle), cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        got = verdicts(DEFECTS[defect](bundle, patch), cfg)
     assert got == {check: defect not in failing for check, failing in FAILS.items()}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_pull_through_reads_every_defect_far_above_its_tolerance(bundle_and_config, defect):
+    """pull_through divides its residual by max(1, ||H||_inf), 8.1 on this
+    bundle: every defect still reads at least 1e-5, 1e7 times the 1e-12
+    tolerance, while the unplanted bundle reads round-off."""
+    bundle, _ = bundle_and_config
+    assert check_pull_through(bundle).max_ratio <= 1e-14
+    with pytest.MonkeyPatch.context() as patch:
+        assert check_pull_through(DEFECTS[defect](bundle, patch)).max_ratio >= 1e-5
