@@ -10,6 +10,31 @@ infinitesimal relative bounds, and infrared finiteness of ground-state
 occupation integrals.
 """
 
+
+def _defer_numpy_submodules() -> None:
+    """Set each of numpy's deferred submodules that is not yet imported as a
+    lazy module, executed on its first attribute access: scipy's array-API
+    shim reads every name in dir(numpy), and would execute numpy.f2py,
+    numpy.testing and the rest that no run uses."""
+    import importlib.util
+    import sys
+
+    import numpy
+
+    for name in getattr(numpy, "__numpy_submodules__", ()):
+        qualified = f"numpy.{name}"
+        spec = None if qualified in sys.modules else importlib.util.find_spec(qualified)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name, module)
+
+
+_defer_numpy_submodules()
+
 from .modes import ModeTable, SpeciesConfig, build_mode_table, uniform_grid_species
 from .fock import FockBasis, enumerate_basis
 from .hamiltonian import (

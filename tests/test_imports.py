@@ -8,7 +8,9 @@ scipy.special at all. The CLI casts no config value and reads its solver
 flags only where it checks them, a bundle holds no per-term matrix, no
 module reads the environment, no function reads one bundle's `h_total` twice, verify draws
 its bound checks' trial vectors only in blocks, and the slice table
-evaluates the separable factor only through the kernel spec.
+evaluates the separable factor only through the kernel spec. numpy's
+deferred submodules that no run uses (`numpy.testing`, `numpy.f2py`,
+`numpy.ma`, ...) stay unexecuted until a caller touches one.
 
 No linter runs on this tree, and folding or deleting code tends to leave
 imports and helpers behind; this walks each module's syntax tree instead.
@@ -22,6 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse as sp
 
@@ -282,6 +285,17 @@ def test_no_module_reads_the_environment():
     assert readers == set()
 
 
+def child_result(code: str, *args: str) -> dict:
+    """Run code in a fresh interpreter on the package's sources and return
+    the JSON object on the last line it prints."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fermifock.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 HEAVY = ("scipy.sparse.linalg", "scipy.linalg", "scipy.special", "scipy.sparse.csgraph")
 STARTUP_CHILD = """
 import json, sys, tempfile
@@ -310,13 +324,7 @@ def test_demo_and_dense_runs_load_no_eigensolver_modules():
     """One child imports the CLI, runs fermi-demo and a dense ground solve, and
     must not have loaded ARPACK, scipy.linalg, scipy.special or csgraph; its
     Lanczos solve then loads ARPACK. The CLI import still loads every module."""
-    src = str(Path(fermifock.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", STARTUP_CHILD, *HEAVY],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    got = json.loads(out.stdout.strip().splitlines()[-1])
+    got = child_result(STARTUP_CHILD, *HEAVY)
     assert got["demo_exit"] == 0
     assert got["methods"] == ["dense", "lanczos"]
     assert got["after_dense"] == []
@@ -363,13 +371,80 @@ def test_dense_verify_run_loads_no_eigensolver_or_special_modules(tmp_path):
     computed in kernels, not through scipy's zeta."""
     config = tmp_path / "verify.json"
     config.write_text(json.dumps(DENSE_VERIFY_CONFIG))
-    env = dict(os.environ, PYTHONPATH=str(Path(fermifock.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", VERIFY_CHILD, str(config), *HEAVY],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    got = json.loads(out.stdout.strip().splitlines()[-1])
+    got = child_result(VERIFY_CHILD, str(config), *HEAVY)
     assert got == {"exit": 0, "failures": 0, "loaded": []}
+
+
+UNUSED = ("unittest", "numpy.f2py.crackfortran", "numpy.ma.core")
+LAZY_CHILD = """
+import json, sys, tempfile, types
+from fermifock import cli, spectra
+import numpy as np, scipy.sparse as sp
+
+unused = sys.argv[1:]
+# built without sp.diags: scipy's dia constructor calls np.unique, and numpy's
+# unique reads np.ma.is_masked, which executes numpy.ma
+chain = np.diag(np.linspace(-1.0, 1.0, 30)) + np.diag(np.full(29, 0.5), 1)
+method = spectra.ground_state(sp.csr_matrix(chain + chain.T)).method
+before_demo = [name for name in unused if name in sys.modules]
+masked_sum = float(np.ma.masked_array([1.0]).sum())
+with tempfile.TemporaryDirectory() as out:
+    demo_exit = cli.main(["--report-dir", out, "fermi-demo", "--variant", "regular"])
+after_demo = [name for name in unused if name in sys.modules]
+# type() reads no attribute of the module, so it does not execute it
+testing_deferred = type(sys.modules["numpy.testing"]) is not types.ModuleType
+np.testing.assert_allclose(1.0, 1.0)
+print(json.dumps({
+    "method": method, "before_demo": before_demo, "masked_sum": masked_sum,
+    "demo_exit": demo_exit, "after_demo": after_demo, "testing_deferred": testing_deferred,
+    "testing_executed": type(sys.modules["numpy.testing"]) is types.ModuleType,
+}))
+"""
+
+
+def test_numpy_submodules_no_run_uses_stay_unexecuted():
+    """After the CLI import and a dense ground solve, unittest, numpy.f2py's
+    crackfortran and numpy.ma's core are not loaded, and fermi-demo loads
+    neither of the first two; numpy.testing is still an unexecuted lazy module
+    after the demo. The first real use of np.ma or np.testing executes it as
+    a plain import would."""
+    deferred = getattr(np, "__numpy_submodules__", set())
+    if not {"testing", "f2py", "ma"} <= set(deferred):
+        pytest.skip("numpy lists no deferred testing, f2py and ma submodules: "
+                    "fermifock's lazy registration is a no-op there")
+    got = child_result(LAZY_CHILD, *UNUSED)
+    assert got == {
+        "method": "dense", "before_demo": [], "masked_sum": 1.0,
+        "demo_exit": 0, "after_demo": ["numpy.ma.core"], "testing_deferred": True,
+        "testing_executed": True,
+    }
+
+
+NO_OP_CHILD = """
+import json, sys, tempfile, types
+import numpy as np, numpy.testing, scipy.sparse
+before = sys.modules["numpy.testing"]
+from fermifock import cli
+
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["--report-dir", out, "verify", "--suite", "all", "--config", sys.argv[1]])
+    with open(out + "/verify_all.json") as fh:
+        failures = json.load(fh)["failures"]
+print(json.dumps({
+    "exit": code, "failures": failures, "same": sys.modules["numpy.testing"] is before,
+    "plain": type(np.testing) is types.ModuleType and np.testing is before,
+}))
+"""
+
+
+def test_submodules_imported_before_fermifock_are_left_alone(tmp_path):
+    """A caller that imports numpy.testing and scipy.sparse before fermifock,
+    as pytest's own imports may, keeps the very module it imported, still a
+    plain executed one, and a dense-path verify --suite all passes."""
+    config = tmp_path / "verify.json"
+    config.write_text(json.dumps(DENSE_VERIFY_CONFIG))
+    got = child_result(NO_OP_CHILD, str(config))
+    assert got == {"exit": 0, "failures": 0, "same": True, "plain": True}
 
 
 def test_no_module_imports_scipy_special():
