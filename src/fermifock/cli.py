@@ -458,7 +458,7 @@ def main(argv=None) -> int:
                 _write_csv(path, *report)
             else:
                 save_triplets(report, path)
-    # AssertionError: a failed internal check (cross-check, hermiticity) refuses the result;
+    # AssertionError: a failed internal check (e.g. the dense/Lanczos cross-check) refuses it;
     # TypeError: a wrong-typed config value that no key check names still refuses the config;
     # the tuple is evaluated only when an exception arrives, so ARPACK is not loaded for it
     except (ValueError, TypeError, OSError, spectra.ArpackNoConvergence, AssertionError) as exc:

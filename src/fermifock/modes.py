@@ -10,6 +10,7 @@ index, which fixes the Jordan-Wigner sign convention used in fock.py.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -147,12 +148,9 @@ class ModeTable:
         point * n_spins + spin."""
         if not (0 <= mode < self.total_modes):
             raise ValueError("mode index out of range")
-        for i in reversed(range(self.n_species)):
-            if mode >= self.offsets[i]:
-                local = mode - self.offsets[i]
-                ns = len(self.species[i].spins)
-                return i, local // ns, local % ns
-        raise AssertionError("unreachable")
+        i = bisect.bisect_right(self.offsets, mode) - 1
+        local, ns = mode - self.offsets[i], len(self.species[i].spins)
+        return i, local // ns, local % ns
 
     def momenta(self, i: int) -> np.ndarray:
         """(n_modes, 3) momentum of every mode of species i, point-major."""

@@ -13,11 +13,12 @@ Degenerate ground spaces, counted across blocks, get a deterministic
 representative from the block of the first basis vector meeting them: its
 projection, or the block's lowest Ritz vector, with a fixed phase convention.
 
-The arithmetic is decided once, by _solver_arithmetic: an H that stores no
-nonzero imaginary part (any kernel with a real value gives one) is real
-symmetric and is solved as h.real, so Lanczos runs ARPACK's dsaupd and the
-block solves run real LAPACK, at a fraction of the complex cost. A complex
-kernel value keeps the complex solvers. The ground vector is complex either way.
+The arithmetic is decided per block, by _block from the entries it gathers: a
+block that stores no nonzero imaginary part (any kernel with a real value gives
+one) is real symmetric and is solved real, so Lanczos runs ARPACK's dsaupd and
+the block solves run real LAPACK, at a fraction of the complex cost. A block
+with a complex entry keeps the complex solvers. No real copy of the whole H is
+made, and the ground vector is complex either way.
 """
 
 from __future__ import annotations
@@ -66,13 +67,6 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _solver_arithmetic(h: sp.csr_matrix) -> sp.csr_matrix:
-    """h.real (contiguous) when h stores no nonzero imaginary part, else h."""
-    if np.iscomplexobj(h.data) and not h.data.imag.any():
-        return sp.csr_matrix((h.data.real.copy(), h.indices, h.indptr), shape=h.shape)
-    return h
-
-
 def _component_labels(h: sp.csr_matrix) -> np.ndarray:
     """Component of each state in h's stored pattern (a purely imaginary coupling
     is an edge), numbered by least state as csgraph's connected_components numbers
@@ -96,23 +90,26 @@ def _partition(h: sp.csr_matrix) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _block(h: sp.csr_matrix, states: np.ndarray, dense: bool):
-    """h on the ascending states of one component, an array if dense else CSR:
-    their rows hold no other column, so the rows are gathered from h's arrays
-    and the columns renumbered."""
+    """h on the ascending states of one component, an array if dense else CSR,
+    real when its entries store no nonzero imaginary part: their rows hold no
+    other column, so the rows are gathered from h's arrays and the columns
+    renumbered."""
     starts, ends = h.indptr[states], h.indptr[states + 1]
     lengths, offsets = ends - starts, np.cumsum(ends - starts)
     take = np.repeat(ends - offsets, lengths) + np.arange(offsets[-1])
     cols, data = np.searchsorted(states, h.indices[take]), h.data[take]
+    if np.iscomplexobj(data) and not data.imag.any():
+        data = data.real.copy()
     if not dense:
         return sp.csr_matrix((data, cols, np.concatenate([[0], offsets])), shape=(states.size,) * 2)
-    block = np.zeros((states.size,) * 2, dtype=h.dtype)
+    block = np.zeros((states.size,) * 2, dtype=data.dtype)
     np.add.at(block, (np.repeat(np.arange(states.size), lengths), cols), data)
     return block
 
 
 def _block_eigvalsh(h: sp.spmatrix) -> np.ndarray:
     """All eigenvalues of h, ascending, from its blocks."""
-    lone, blocks = _partition(h := _solver_arithmetic(sp.csr_matrix(h)))
+    lone, blocks = _partition(h := sp.csr_matrix(h))
     vals = [np.linalg.eigvalsh(_block(h, s, True)) for s in blocks]
     return np.sort(np.concatenate([h.diagonal()[lone].real, *vals]))
 
@@ -221,16 +218,14 @@ def ground_state(
     eigenvalues, every block of h solved by _block_ground. The method is
     "lanczos" when some block took a Lanczos run, else "dense"; above 4 *
     dense_cap states the spectrum holds the Lanczos blocks' Ritz values."""
-    h = _solver_arithmetic(sp.csr_matrix(h))
+    h = sp.csr_matrix(h)
     lone, blocks = _partition(h)
     v0 = np.random.default_rng(seed).standard_normal(h.shape[0])
     energy, vec, degeneracy, spectrum, method, cross = _block_ground(
         lone, h.diagonal()[lone].real, blocks, np.full(len(blocks), -np.inf),
         lambda s, dense: _block(h, s, dense), v0, dense_cap, count,
     )
-    # a real h times the real and imaginary parts: no complex copy of h
-    hvec = h @ vec if np.iscomplexobj(h.data) else h @ vec.real + 1j * (h @ vec.imag)
-    residual = float(np.linalg.norm(hvec - energy * vec))
+    residual = float(np.linalg.norm(h @ vec - energy * vec))
     return GroundStateResult(
         energy=energy,
         vector=vec,
@@ -340,8 +335,8 @@ def _block_sweep(bundles: Sequence[HamiltonianBundle], dense_cap: int, seed: int
         bound -= [np.max(previous[s] - fd[s]) for s in blocks]
         previous = fd
 
-        def block(s, dense):  # each block in the arithmetic of its own entries
-            b = (sp.diags(fd[s]) + g * _solver_arithmetic(_block(h_int, s, False))).tocsr()
+        def block(s, dense):  # _block chose the arithmetic from the block's entries
+            b = (sp.diags(fd[s]) + g * _block(h_int, s, False)).tocsr()
             return b.toarray() if dense else b
 
         yield _block_ground(lone, fd[lone] + lone_int, blocks, bound, block, v0, dense_cap)[:2]

@@ -54,8 +54,8 @@ from .fock import (
 from .hamiltonian import (
     HamiltonianBundle,
     KernelTensor,
-    _max_abs,
     commutator_with_annihilator,
+    hermitized,
     kernel_slice,
     process_term,
 )
@@ -136,8 +136,9 @@ def _top_singular_value(op: sp.spmatrix) -> float:
     return math.sqrt(-ground_state(-(op.conj().T @ op)).energy)
 
 
-def _hermitized(term: sp.csr_matrix) -> sp.csr_matrix:
-    return (term + term.conj().T).tocsr()
+def _max_abs(op: sp.spmatrix) -> float:
+    op = sp.csr_matrix(op)
+    return float(np.max(np.abs(op.data))) if op.nnz else 0.0
 
 
 def _energy_weight(bundle: HamiltonianBundle, exempt: int) -> tuple[list[int], np.ndarray]:
@@ -205,7 +206,7 @@ def check_form_bound(
     tensor = bundle.tensors[term_index]
     subset, d = _energy_weight(bundle, exempt)
     kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset)
-    op = _hermitized(process_term(bundle.table, bundle.basis, tensor))
+    op = hermitized(process_term(bundle.table, bundle.basis, tensor))
     trial, exact, rows = _form_ratios(op, d, kernel_norm, trials, seed)
     exact /= max(kernel_norm, _TINY)
     return _bound_report(
@@ -256,7 +257,7 @@ def check_refined_form_bound(
     tensor = bundle.tensors[term_index]
     sig = tensor.signature
     term = process_term(bundle.table, bundle.basis, tensor)
-    op = _hermitized(term)
+    op = hermitized(term)
     subset = [i for i in range(bundle.table.n_species) if i != exempt]
     kernel_norm = weighted_kernel_norm(tensor.values, bundle.table, subset)
     a_diag = _group_half_power_diag(bundle, sig.created, exempt)
@@ -314,7 +315,7 @@ def check_hermite_bound(
         raise ValueError(f"exponents.smoothness {smoothness}: weighted kernel norm {weighted}")
     c_ref = hermite_bound_constant(table, exempt, smoothness)
     c_disc = discrete_bound_constant(table, exempt, smoothness)
-    op = _hermitized(process_term(table, bundle.basis, tensor))
+    op = hermitized(process_term(table, bundle.basis, tensor))
     trial, exact, rows = _form_ratios(op, np.ones(op.shape[0]), c_ref * weighted, trials, seed)
     exact_ratio = exact / max(c_ref * weighted, _TINY)
     disc_ratio = exact / max(c_disc * weighted, _TINY)
@@ -415,7 +416,7 @@ def check_interpolation(
     for j in range(k_dim):
         values = np.zeros(shape, dtype=np.complex128)
         values[np.unravel_index(j, shape)] = 1.0
-        herm = _hermitized(process_term(table, basis, KernelTensor(sig, values))).tocoo()
+        herm = hermitized(process_term(table, basis, KernelTensor(sig, values))).tocoo()
         flat.append(herm.row.astype(np.int64) * dim + herm.col)
         entry.append(np.full(herm.nnz, j))
         data.append(herm.data)

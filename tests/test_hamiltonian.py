@@ -1,6 +1,5 @@
 """Process enumeration, interaction assembly and structural identities."""
 
-import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from math import comb
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fermifock.config import build_bundle, normalize_config
 from fermifock.fock import annihilation, creation, enumerate_basis, monomial_operator
 from fermifock.hamiltonian import (
     KernelTensor,
@@ -25,11 +25,11 @@ from fermifock.kernels import (
     RadialProfile,
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
-from fermifock.verify import check_parity_identity
+from fermifock.verify import check_hermiticity, check_parity_identity
+from test_config_cli import seed_1009_verify
 
 ASSEMBLY_TOL = 1e-13
 GROUND_PULL_TOL = 1e-8
-ASSEMBLY_PEAK_FACTOR = 2.5  # the build's traced peak over H_int plus every process term
 
 
 def brute_force_processes(n):
@@ -261,39 +261,28 @@ def test_with_coupling_rescales_interaction():
 # ---------------------------------------------------------------------------
 
 def test_assembled_hamiltonian_is_hermitian():
-    table = random_table(27, (1.0, 0.0, 0.5), (2, 1, 1), (1, 2, 1))
-    basis = enumerate_basis(table)
-    tensors = [
-        random_tensor(table, ProcessSignature(3, (0, 1, 2), ()), 27),
-        random_tensor(table, ProcessSignature(3, (0,), (1, 2)), 28),
+    """H_int equals its adjoint entry for entry, with no tolerance: a process
+    term and its adjoint never store the same position, so every position holds
+    the same addends as its mirror, conjugated, summed in the same order. Cases:
+    complex values, a repeated signature, the adjoint pair created-all and
+    created-none, a truncated basis, and a kernel scaled by 1e5."""
+    table = random_table(27, (1.0, 0.0, 0.5), (2, 1, 2), (1, 2, 1))
+    cases = [
+        ([(0, 1, 2), (0,)], None, 1.0),
+        ([(0, 1), (0, 1), (0, 2)], None, 1.0),
+        ([(0, 1, 2), ()], None, 1.0),
+        ([(0,), (0, 2), ()], [1, 1, 1], 1.0),
+        ([(0, 1, 2), (0, 1), ()], None, 1e5),
     ]
-    bundle = assemble_total(table, basis, tensors, 0.8)
-    dev = bundle.h_total - bundle.h_total.conj().T
-    assert (np.max(np.abs(dev.toarray())) if dev.nnz else 0.0) <= ASSEMBLY_TOL
-
-
-def test_hermiticity_guard_forms_no_copy_of_the_interaction():
-    """Three species of 4, 3 and 3 modes with two dense complex kernels:
-    dimension 1024. The build's traced peak stays within 2.5x of what the
-    bundle holds afterwards plus the bytes of its process terms, rebuilt
-    untraced; forming h_int - h_int^H whole took it to 3.6x."""
-    table = random_table(31, (1.0, 0.7, 0.5), (4, 3, 3), (1, 1, 1))
-    basis = enumerate_basis(table)
-    tensors = [
-        random_tensor(table, ProcessSignature(3, (0, 1, 2), ()), 31),
-        random_tensor(table, ProcessSignature(3, (0,), (1, 2)), 32),
-    ]
-    assemble_total(table, basis, tensors, 0.6)
-    tracemalloc.start()
-    try:
-        bundle = assemble_total(table, basis, tensors, 0.6)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    terms = [process_term(table, basis, tensor) for tensor in tensors]
-    term_bytes = sum(t.data.nbytes + t.indices.nbytes + t.indptr.nbytes for t in terms)
-    assert bundle.h_int.nnz > 0
-    assert peak < ASSEMBLY_PEAK_FACTOR * (held + term_bytes)
+    for signatures, truncation, scale in cases:
+        tensors = []
+        for k, created in enumerate(signatures):
+            annihilated = tuple(i for i in range(3) if i not in created)
+            tensor = random_tensor(table, ProcessSignature(3, created, annihilated), 27 + k)
+            tensors.append(KernelTensor(tensor.signature, scale * tensor.values))
+        h_int = assemble_total(table, enumerate_basis(table, truncation), tensors, 0.8).h_int
+        assert h_int.nnz > 0 and h_int.data.imag.any()
+        assert (h_int != h_int.conj().T).nnz == 0
 
 
 def test_parity_identity_odd_species():
@@ -305,6 +294,21 @@ def test_parity_identity_odd_species():
     assert res.details["matrix_deviation"] <= 1e-12
     assert res.details["spectrum_deviation"] <= 1e-9
     assert res.passed
+
+
+@pytest.mark.parametrize("k", [None, 1e3, 1e5], ids=["unmoved", "1e3", "1e5"])
+def test_parity_identity_is_exact_at_every_scale(k):
+    """On the seed-1009 verify input, species 0's second point moved out to
+    |k| = 1e5 or not, both parity deviations and hermiticity read exactly 0:
+    P H P only flips signs, (2g) * h = 2 * (g * h) in floating point, and H_int
+    is hermitian by construction, so the absolute tolerances need no scale."""
+    cfg = seed_1009_verify()
+    if k is not None:
+        cfg["species"][0]["points"][1] = [k, 0.0, 0.0]
+    bundle = build_bundle(normalize_config(cfg))
+    parity = check_parity_identity(bundle)
+    assert parity.details == {"matrix_deviation": 0.0, "spectrum_deviation": 0.0}
+    assert check_hermiticity(bundle).max_ratio == 0.0
 
 
 def test_parity_identity_rejects_even_species():

@@ -8,7 +8,9 @@ scipy.special at all. The CLI casts no config value and reads its solver
 flags only where it checks them, a bundle holds no per-term matrix, no
 module reads the environment, no function reads one bundle's `h_total` twice, verify draws
 its bound checks' trial vectors only in blocks, and the slice table
-evaluates the separable factor only through the kernel spec. numpy's
+evaluates the separable factor only through the kernel spec. Only
+`hamiltonian.hermitized` adds a matrix to its own adjoint, and in spectra only
+`_block` reads `.imag`, where it picks a block's arithmetic. numpy's
 deferred submodules that no run uses (`numpy.testing`, `numpy.f2py`,
 `numpy.ma`, ...) stay unexecuted until a caller touches one.
 
@@ -232,6 +234,48 @@ def test_no_function_reads_h_total_twice():
                     for owner in sorted(set(reads)) if reads.count(owner) > 1
                 )
     assert repeated == []
+
+
+def functions_with(path: Path, found) -> set[str]:
+    """The functions of a module holding a node for which found(node) is true
+    (an enclosing function holds its nested functions' nodes too)."""
+    return {
+        f"{path.stem}.{node.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(found(inner) for stmt in node.body for inner in ast.walk(stmt))
+    }
+
+
+def addends(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return addends(node.left) + addends(node.right)
+    return [ast.unparse(node)]
+
+
+def adds_own_adjoint(node: ast.AST) -> bool:
+    """A sum with some addend X and X.conj().T among its addends."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    terms = addends(node)
+    return any(f"{term}.conj().T" in terms for term in terms)
+
+
+def test_hermitized_is_the_one_hermitization():
+    """H_int is hermitian because every term enters it as T + T*: in the
+    package only hamiltonian.hermitized adds a matrix to its own .conj().T,
+    so a second, post-hoc route to hermiticity cannot come back unnoticed."""
+    found = set().union(*(functions_with(path, adds_own_adjoint) for path in PACKAGE))
+    assert found == {"hamiltonian.hermitized"}
+
+
+def test_spectra_chooses_the_arithmetic_only_per_block():
+    """A block's solver arithmetic follows its own gathered entries: in spectra
+    only _block reads .imag, so no whole-H real copy or residual fork on the
+    dtype comes back."""
+    path = Path(fermifock.__file__).parent / "spectra.py"
+    reads = functions_with(path, lambda n: isinstance(n, ast.Attribute) and n.attr == "imag")
+    assert reads == {"spectra._block"}
 
 
 def test_verify_draws_trial_vectors_only_in_blocks():

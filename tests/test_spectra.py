@@ -290,8 +290,19 @@ def test_blocks_follow_imaginary_couplings():
     assert sorted(tuple(states) for states in blocks) == sorted(components)
     assert list(lone) == [6, 9, 10]
     for states in blocks:
-        block = spectra._block(spectra._solver_arithmetic(h), states, True)
+        block = spectra._block(h, states, True)
         np.testing.assert_array_equal(block, h[states][:, states].toarray())
+
+
+def entry_dtype(block):
+    """The dtype _block gathers a block in: real exactly when it stores no
+    nonzero imaginary part."""
+    return np.complex128 if np.asarray(block.data).imag.any() else np.float64
+
+
+def real_storage(h):
+    """h stored real when it stores no nonzero imaginary part, else h."""
+    return sp.csr_matrix(h.real) if not h.data.imag.any() else h
 
 
 def csgraph_labels(h):
@@ -326,7 +337,7 @@ def test_component_labels_match_csgraph(h):
 def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
     """The same lone states and block states, in the same order, as with
     csgraph's labels, and each block the slice of h on csgraph's states."""
-    h = spectra._solver_arithmetic(sp.csr_matrix(build()))
+    h = sp.csr_matrix(build())
     lone, blocks = spectra._partition(h)
     monkeypatch.setattr(spectra, "_component_labels", csgraph_labels)
     want_lone, want_blocks = spectra._partition(h)
@@ -335,8 +346,8 @@ def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
     for states, want_states in zip(blocks, want_blocks):
         np.testing.assert_array_equal(states, want_states)
         assert np.all(np.diff(states) > 0)
-        block, want = spectra._block(h, states, True), h[want_states][:, want_states].toarray()
-        assert block.dtype == want.dtype and np.array_equal(block, want)
+        block, want = spectra._block(h, states, True), h[want_states][:, want_states]
+        assert block.dtype == entry_dtype(want) and np.array_equal(block, want.toarray())
 
 
 @pytest.mark.parametrize(
@@ -351,15 +362,15 @@ def test_blocks_match_the_csgraph_blocks(monkeypatch, build):
 )
 def test_block_gathers_the_sliced_block(build):
     """_block gathers each component's rows from h's arrays and renumbers their
-    columns; as an array and as CSR it equals scipy's slice h[s][:, s] in value
-    and dtype, in the arithmetic ground_state solves in. Lone states are
-    one-state components."""
-    for h in (sp.csr_matrix(build()), spectra._solver_arithmetic(sp.csr_matrix(build()))):
+    columns; as an array and as CSR it equals scipy's slice h[s][:, s] in value,
+    and it is real exactly when the slice stores no nonzero imaginary part,
+    whether h is stored complex or real. Lone states are one-state components."""
+    for h in (sp.csr_matrix(build()), real_storage(sp.csr_matrix(build()))):
         lone, blocks = spectra._partition(h)
         for states in [*blocks, *lone[:, None]]:
             want = h[states][:, states]
             dense, csr = spectra._block(h, states, True), spectra._block(h, states, False)
-            assert dense.dtype == csr.dtype == want.dtype
+            assert dense.dtype == csr.dtype == entry_dtype(want)
             assert np.array_equal(dense, want.toarray())
             assert np.array_equal(csr.toarray(), want.toarray())
 
@@ -404,15 +415,16 @@ def test_sweep_below_the_cap_holds_one_block_at_a_time():
 
 
 def test_residual_of_a_real_h_equals_the_complex_product():
-    """A real h is applied to the ground vector's real and imaginary parts;
-    the residual keeps the bits of the complex product h @ vec."""
+    """An h with real entries gives the same bits stored complex or real: its
+    blocks are gathered real either way, and the residual is the complex
+    product h @ vec."""
     h = sp.csr_matrix(grid_instance().h_total)
     result = ground_state(h, dense_cap=1024)
-    real = spectra._solver_arithmetic(h)
-    assert result.method == "lanczos" and not np.iscomplexobj(real.data)
-    complex_h = real.astype(np.complex128)
-    want = float(np.linalg.norm(complex_h @ result.vector - result.energy * result.vector))
-    assert result.residual == want
+    real = ground_state(real_storage(h), dense_cap=1024)
+    assert np.iscomplexobj(h.data) and result.method == real.method == "lanczos"
+    assert result.energy == real.energy and np.array_equal(result.vector, real.vector)
+    want = float(np.linalg.norm(h @ result.vector - result.energy * result.vector))
+    assert result.residual == real.residual == want
 
 
 def ground_space_across_blocks(seed):
@@ -455,9 +467,9 @@ def refiltering_dense_ground(h):
     """The dense ground solve that re-filtered every candidate block after each
     block it solved: the oracle for the bookkeeping that re-filters only when
     the energy falls."""
-    h = spectra._solver_arithmetic(h)
     lone, blocks = spectra._partition(h)
-    solved = [(s, *np.linalg.eigh(h[s][:, s].toarray())) for s in blocks]
+    sliced = [h[s][:, s].toarray() for s in blocks]  # each in the arithmetic of its entries
+    solved = [(s, *np.linalg.eigh(b if b.imag.any() else b.real)) for s, b in zip(blocks, sliced)]
     eigenvalues, candidates, energy = [], [], np.inf
     for states, vals, vecs in [(lone, h.diagonal()[lone].real, None), *solved]:
         eigenvalues.append(vals)

@@ -736,7 +736,7 @@ def recorded_ground_problems(monkeypatch):
 def ground_block_size(h):
     """States in the block of h's dense ground representative: above the dense
     cap, the block whose Lanczos run checks the ground."""
-    h = spectra._solver_arithmetic(sp.csr_matrix(h))
+    h = sp.csr_matrix(h)
     labels = spectra._component_labels(h)
     first = np.argmax(np.abs(spectra.ground_state(h, dense_cap=h.shape[0]).vector) > 0)
     return int(np.sum(labels == labels[first]))
