@@ -42,7 +42,6 @@ from .hamiltonian import (
     KernelTensor,
     ProcessSignature,
     assemble_total,
-    enumerate_processes,
     sample_kernel_tensor,
 )
 from .spectra import GroundStateResult, MassCurve, ground_state, mass_sweep
@@ -58,7 +57,6 @@ __all__ = [
     "KernelTensor",
     "ProcessSignature",
     "assemble_total",
-    "enumerate_processes",
     "sample_kernel_tensor",
     "GroundStateResult",
     "MassCurve",

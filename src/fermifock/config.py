@@ -70,8 +70,8 @@ _KEYS = {
     "kernels.value": ("number", 1.0),
     "kernels.alpha": ("number", None),
     "kernels.nus": ("[]number", None),
-    "kernels.lam": ("number", None),
-    "kernels.conservation_sigma": ("number", 0.0),
+    "kernels.lam": ("number", None, "(0, inf)"),
+    "kernels.conservation_sigma": ("number", 0.0, "[0, inf)"),
     "kernels.conservation_signs": ("[]integer", None),  # None: +1 created, -1 annihilated
     "mass_grid.species": ("integer", _REQUIRED, _SPECIES),
     "mass_grid.values": ("[]number", None, "[0, inf)"),  # else start, stop and count

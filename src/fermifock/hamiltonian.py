@@ -3,10 +3,10 @@
 An interaction process over n species is a monomial with one operator factor
 per species: the species in `created` contribute creators, the rest
 annihilators, creators written left of annihilators and each group in
-ascending species order. The canonical signature list for given n and p
-(number of creators) keeps, for 0 < p < n, only signatures whose first created
-species precedes the first annihilated one; the dropped ones are adjoints of
-kept ones, and the assembled interaction adds hermitian conjugates explicitly.
+ascending species order. A signature with creators and annihilators both
+must have its first created species precede the first annihilated one; the
+others are adjoints of such signatures, and the assembled interaction adds
+hermitian conjugates explicitly.
 
 A kernel tensor stores the amplitude for every mode tuple. Axis i always
 corresponds to species i (ascending), regardless of the factor order in the
@@ -17,7 +17,6 @@ that weighted continuum integrals become plain tensor sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,35 +59,6 @@ class ProcessSignature:
         c = "".join(str(i) for i in self.created) or "-"
         a = "".join(str(i) for i in self.annihilated) or "-"
         return f"c{c}a{a}"
-
-
-def enumerate_processes(n: int, n_created: int | None = None) -> list[ProcessSignature]:
-    """Canonical process signatures for n species.
-
-    With n_created given, only that creator count; otherwise all counts 0..n,
-    ordered by creator count then lexicographically by the created set. For
-    creator counts strictly between 0 and n, species 0 is always in the
-    created group (the ordering condition), so the count is C(n-1, p-1);
-    p = 0 and p = n contribute one signature each.
-    """
-    if n < 1:
-        raise ValueError("need at least one species")
-    counts = range(n + 1) if n_created is None else [n_created]
-    out = []
-    for p in counts:
-        if not (0 <= p <= n):
-            raise ValueError("creator count out of range")
-        if p == 0:
-            out.append(ProcessSignature(n, (), tuple(range(n))))
-            continue
-        if p == n:
-            out.append(ProcessSignature(n, tuple(range(n)), ()))
-            continue
-        for rest in combinations(range(1, n), p - 1):
-            created = (0,) + rest
-            annihilated = tuple(i for i in range(n) if i not in created)
-            out.append(ProcessSignature(n, created, annihilated))
-    return out
 
 
 @dataclass(frozen=True)

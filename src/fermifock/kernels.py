@@ -191,18 +191,11 @@ def species_regularity_basis(table: ModeTable, species: int) -> RegularityBasis:
     return basis
 
 
-def _apply_on_axes(
-    values: np.ndarray, matrices: dict[int, np.ndarray], moved: np.ndarray, product: np.ndarray
-) -> np.ndarray:
-    """Apply each matrix to values along its axis (as mat @ v on that axis), through
-    np.copyto into the buffer moved and np.dot into product on C-ordered 2-D views;
-    both hold values.size entries of the result's dtype or more."""
+def _apply_on_axes(values: np.ndarray, matrices: dict[int, np.ndarray]) -> np.ndarray:
+    """Apply each matrix to values along its axis (as mat @ v on that axis)."""
     for axis, mat in matrices.items():
         front = np.moveaxis(values, axis, 0)
-        operand, result = (b.ravel()[: front.size].reshape(front.shape) for b in (moved, product))
-        np.copyto(operand, front)
-        np.dot(mat, operand.reshape(len(mat), -1), out=result.reshape(len(mat), -1))
-        values = np.moveaxis(result, 0, axis)
+        values = np.moveaxis(np.dot(mat, front.reshape(len(mat), -1)).reshape(front.shape), 0, axis)
     return values
 
 
@@ -226,7 +219,7 @@ def weight_kernel_tensor(
     return _apply_on_axes(values, {
         axis: species_regularity_basis(table, axis_species[axis]).power_matrix(power)
         for axis, power in powers.items() if power != 0.0
-    }, *(np.empty(values.size, values.dtype) for _ in range(2)))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -465,34 +458,23 @@ class KernelSpec:
                 value = value * RadialProfile(nu, self.lam)(np.linalg.norm(k, axis=-1))
             return value
         value = self.constant  # separable
-        shape = np.broadcast_shapes(*(k.shape[:-1] for k in ks))
-        out, scratch = np.empty(shape), np.empty(shape)
         for j in range(3):
-            value = value * self._coordinate_factor([k[..., j] for k in ks], out, scratch)
+            value = value * self._coordinate_factor([k[..., j] for k in ks])
         return value
 
-    def _coordinate_factor(
-        self, coords: Sequence[np.ndarray], out: np.ndarray, scratch: np.ndarray
-    ) -> np.ndarray:
-        """The separable coordinate factor u, in out; coords[i] holds species i's
-        values of one coordinate, broadcasting to out's shape. Intermediates of
-        that shape are formed in place in out and scratch, smaller ones apart."""
+    def coordinate_profile(self, species: int) -> RadialProfile:
+        """Species' factor in one coordinate of a separable kernel, before the regularizer."""
+        return RadialProfile(self.nus[species] / 3.0, self.lam)
 
-        def into(ufunc, a, b, buffer):
-            full = np.broadcast_shapes(np.shape(a), np.shape(b)) == buffer.shape
-            return ufunc(a, b, out=buffer if full else None)
-
+    def _coordinate_factor(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """The separable coordinate factor u; coords[i] holds species i's values
+        of one coordinate, and they broadcast against each other."""
         value = np.ones(())
-        for nu, c in zip(self.nus, coords):
-            value = into(np.multiply, value, RadialProfile(nu / 3.0, self.lam)(c), out)
+        for species, c in enumerate(coords):
+            value = value * self.coordinate_profile(species)(c)
         if self.conservation_sigma > 0:
-            total = 0  # then -(total**2) / (4 sigma^2), in place
-            for s, c in zip(self.conservation_signs, coords):
-                total = into(np.add, total, s * c, scratch)
-            np.square(total, out=total)
-            np.negative(total, out=total)
-            np.divide(total, 4.0 * self.conservation_sigma**2, out=total)
-            value = into(np.multiply, value, np.exp(total, out=total), out)
+            total = sum(s * c for s, c in zip(self.conservation_signs, coords))
+            value = value * np.exp(-(total**2) / (4.0 * self.conservation_sigma**2))
         return value
 
 
@@ -510,8 +492,8 @@ class SliceProfiles:
     is || W (u sliced at coordinate a_grid[g]) || with the oscillator weights W
     on the remaining species' axes, and grad_values[g] is the same for the
     coordinate derivative of the slice. The full 3D slice norm at momentum k
-    factorizes as prod_j values(k_j). Both tables are filled in blocks of
-    _SLICE_BLOCK_ROWS grid points.
+    factorizes as prod_j values(k_j). Both tables are taken on the cutoff's
+    support as Gram-form quadratic forms (separable_slice_profiles).
     """
 
     a_grid: np.ndarray
@@ -532,12 +514,13 @@ class SliceProfiles:
         return np.prod(factors, axis=1), np.sqrt(total)
 
 
-# Gauss-Hermite nodes per remaining species axis, points of the slice grid and
-# of one block of it, and its half-width in lam (the cutoff support ends at lam)
+# Gauss-Hermite nodes per remaining species axis, points of the slice grid, its
+# half-width in lam (the cutoff support ends at lam) and the bytes of factor
+# values that one block of grid points holds
 _SLICE_QUAD_NODES = 24
 _SLICE_GRID_POINTS = 161
-_SLICE_BLOCK_ROWS = 4
 _SLICE_GRID_MARGIN = 1.05
+_SLICE_BLOCK_BYTES = 2**18
 
 
 def separable_slice_profiles(
@@ -548,12 +531,16 @@ def separable_slice_profiles(
     """Tabulate the weighted coordinate slice norms of a separable kernel.
 
     exponents gives the oscillator power per remaining species (the slice
-    species itself and any exempt species should be absent or zero). The grid
-    is tabulated in blocks of _SLICE_BLOCK_ROWS points, in five block buffers made
-    once, so memory follows one block against the quadrature nodes, not the whole
-    grid; each point takes the same operations in the same order as in a one-piece
-    table. Per block the coordinate factor is sampled once per grid shift (base,
-    plus and minus the difference step), from 1-D coordinate views that broadcast.
+    species itself and any exempt species should be absent or zero). The factor
+    vanishes wherever a remaining species' coordinate profile does, so each of
+    their Gauss-Hermite axes is cut to its support, the nodes where
+    spec.coordinate_profile is nonzero (at lam = 1, 4 of 24). On those nodes
+    each grid point's squared norm sum_cells cell |W u|^2 is the quadratic form
+    u^T (G_1 x ... x G_m) u, with G_i = W_i^T diag(w) W_i restricted to axis i's
+    support, or diag(w) there on an axis without weight. A point whose factor
+    is not finite reads NaN, as it would on the whole node grid. The grid is
+    taken in blocks of at most _SLICE_BLOCK_BYTES of factor values, so memory
+    stays bounded when the support covers every node.
     """
     if spec.kind != "separable":
         raise ValueError("slice profiles require a separable kernel")
@@ -562,37 +549,37 @@ def separable_slice_profiles(
     span = _SLICE_GRID_MARGIN * spec.lam
     a_grid = np.linspace(-span, span, _SLICE_GRID_POINTS)
     delta = 1e-4 * spec.lam
-    block_shape = (_SLICE_BLOCK_ROWS,) + axis.nodes.shape * len(others)
-    factor_buf, minus_buf, scratch, moved, product = np.empty((5, *block_shape))
+    # an axis the cutoff empties keeps one zero node, where an infinite slice factor reads NaN
+    supports = [np.flatnonzero(spec.coordinate_profile(i)(axis.nodes)) for i in others]
+    supports = [nodes if nodes.size else np.arange(1) for nodes in supports]
 
-    def factor(a_values: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-        # slice coordinate on axis 0, the nodes of others[pos] on axis 1 + pos
+    def factor(a_values: np.ndarray) -> np.ndarray:
+        # slice coordinate on axis 0, the support of others[pos] on axis 1 + pos
         coords = [None] * spec.n_species
         coords[slice_species] = a_values.reshape((-1,) + (1,) * len(others))
-        for pos, i in enumerate(others):
-            coords[i] = axis.nodes.reshape((-1,) + (1,) * (len(others) - 1 - pos))
-        return spec._coordinate_factor(coords, buffer[: a_values.size], scratch[: a_values.size])
+        for pos, (i, nodes) in enumerate(zip(others, supports)):
+            coords[i] = axis.nodes[nodes].reshape((-1,) + (1,) * (len(others) - 1 - pos))
+        return spec._coordinate_factor(coords)
 
-    def squared_norms(block: np.ndarray) -> np.ndarray:  # |block|^2 @ cell per grid row
-        square = np.abs(block, out=scratch[: block.shape[0]])
-        return np.square(square, out=square).reshape(block.shape[0], -1) @ cell
+    def squared_norms(u: np.ndarray) -> np.ndarray:  # u^T (G_1 x ... x G_m) u per grid row
+        rows = u.reshape(u.shape[0], -1)  # a view: u is a fresh array
+        finite = np.isfinite(rows).all(axis=1)
+        rows[~finite] = 0.0
+        forms = np.einsum("ij,ij->i", rows, _apply_on_axes(u, grams).reshape(rows.shape))
+        return np.where(finite, forms, np.nan)
 
-    powers = {1 + pos: float(exponents.get(i, 0.0)) for pos, i in enumerate(others)}
-    weights = {a: axis.power_matrix(power) for a, power in powers.items() if power != 0.0}
-    # quadrature cell weights for the remaining axes (these are L2 norms)
-    w_nd = np.ones(())
-    for _ in others:
-        w_nd = np.multiply.outer(w_nd, axis.weights)
-    cell = w_nd.reshape(-1)
+    grams = {}
+    for pos, (i, nodes) in enumerate(zip(others, supports)):
+        power = float(exponents.get(i, 0.0))
+        weight = (axis.power_matrix(power) if power != 0.0 else np.eye(len(axis.nodes)))[:, nodes]
+        grams[1 + pos] = (weight.T * axis.weights) @ weight
+    step = max(1, _SLICE_BLOCK_BYTES // (8 * math.prod(len(nodes) for nodes in supports)))
     values, grad_values = np.empty((2, a_grid.shape[0]))
-    for lo in range(0, a_grid.shape[0], _SLICE_BLOCK_ROWS):
-        rows = slice(lo, lo + _SLICE_BLOCK_ROWS)
+    for lo in range(0, a_grid.shape[0], step):
+        rows = slice(lo, lo + step)
         a = a_grid[rows]
-        values[rows] = squared_norms(_apply_on_axes(factor(a, factor_buf), weights, moved, product))
-        deriv = factor(a + delta, factor_buf)
-        np.subtract(deriv, factor(a - delta, minus_buf), out=deriv)
-        np.divide(deriv, 2.0 * delta, out=deriv)
-        grad_values[rows] = squared_norms(_apply_on_axes(deriv, weights, moved, product))
+        values[rows] = squared_norms(factor(a))
+        grad_values[rows] = squared_norms((factor(a + delta) - factor(a - delta)) / (2.0 * delta))
     return SliceProfiles(a_grid=a_grid, values=np.sqrt(values), grad_values=np.sqrt(grad_values))
 
 

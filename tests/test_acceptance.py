@@ -22,7 +22,6 @@ from fermifock.hamiltonian import (
     KernelTensor,
     ProcessSignature,
     assemble_total,
-    enumerate_processes,
     sample_kernel_tensor,
 )
 from fermifock.kernels import (
@@ -148,6 +147,21 @@ def limit_curve():
     table, basis, tensors, coupling = triple_parts()
     masses = list(np.geomspace(1.0, 1e-3, 6))
     return mass_sweep(assemble_total(table, basis, tensors, coupling), 1, masses)
+
+
+def enumerate_processes(n, n_created=None):
+    """Canonical process signatures for n species, by creator count (0..n, or
+    n_created alone) and then by created set. For 0 < p < n species 0 is
+    always created (the ordering condition), so count p has C(n-1, p-1)."""
+    out = []
+    for p in range(n + 1) if n_created is None else [n_created]:
+        if p in (0, n):
+            out.append(ProcessSignature(n, tuple(range(p)), tuple(range(p, n))))
+            continue
+        for rest in combinations(range(1, n), p - 1):
+            created = (0,) + rest
+            out.append(ProcessSignature(n, created, tuple(i for i in range(n) if i not in created)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fermifock.hamiltonian import (
     ProcessSignature,
     assemble_total,
     commutator_with_annihilator,
-    enumerate_processes,
     kernel_slice,
     process_term,
     sample_kernel_tensor,
@@ -26,6 +25,7 @@ from fermifock.kernels import (
 )
 from fermifock.modes import SpeciesConfig, build_mode_table
 from fermifock.verify import check_hermiticity, check_parity_identity
+from test_acceptance import enumerate_processes
 from test_config_cli import seed_1009_verify
 
 ASSEMBLY_TOL = 1e-13

@@ -1,6 +1,7 @@
 """Hermite machinery, regularity weights, kernel families and infrared integrals."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ DUAL_ROUTE_TOL = 1e-3
 LATTICE_SUM_TOL = 1e-10
 LATTICE_SUM_ULPS = 8
 PROFILE_QUAD_TOL = 5e-2
-SLICE_PEAK_BYTES = 4 * 2**20
+SLICE_PEAK_BYTES = 2**20
 
 
 def small_table(seed=40, n_points=(3, 2), masses=(1.0, 0.5), spins=((0.5,), (0.5, -0.5))):
@@ -323,39 +324,55 @@ def middle_slice_inputs():
     return spec, 1, {0: 0.4, 2: 0.7}
 
 
+def full_support_slice_inputs():
+    """The middle-species kernel with its cutoff past every quadrature node."""
+    return replace(middle_slice_inputs()[0], lam=6.5), 1, {0: 0.4, 2: 0.7}
+
+
 @pytest.mark.parametrize("inputs", [demo_slice_inputs, middle_slice_inputs],
                          ids=["demo-regular", "middle-species"])
 def test_slice_profiles_do_not_depend_on_the_block_size(monkeypatch, inputs):
-    """The grid is tabulated in blocks of _SLICE_BLOCK_ROWS points; each point
-    takes the same operations, so the table equals the one-piece table bit
-    for bit."""
+    """The grid is tabulated in blocks of at most _SLICE_BLOCK_BYTES of factor
+    values; each point takes the same operations, so one point per block gives
+    the one-block table bit for bit."""
     spec, slice_species, exponents = inputs()
-    blocked = separable_slice_profiles(spec, slice_species, exponents)
-    monkeypatch.setattr(kernels, "_SLICE_BLOCK_ROWS", kernels._SLICE_GRID_POINTS)
+    monkeypatch.setattr(kernels, "_SLICE_BLOCK_BYTES", 2**40)
     whole = separable_slice_profiles(spec, slice_species, exponents)
+    monkeypatch.setattr(kernels, "_SLICE_BLOCK_BYTES", 1)
+    blocked = separable_slice_profiles(spec, slice_species, exponents)
     assert np.array_equal(blocked.values, whole.values)
     assert np.array_equal(blocked.grad_values, whole.grad_values)
 
 
-def test_slice_profiles_memory_follows_one_block():
-    """With warm caches, one demo table allocates under 4 MB at its peak: five
-    4-row block buffers of 0.44 MB each and small arrays. Per-operation block
-    temporaries in 8-row blocks traced 6 MB, and the one-piece 161 x 24^3
-    grids about 100 MB."""
-    spec, slice_species, exponents = demo_slice_inputs()
+def traced_peak(inputs):
+    """tracemalloc's peak over one slice table, taken with warm caches."""
+    spec, slice_species, exponents = inputs()
     separable_slice_profiles(spec, slice_species, exponents)
     tracemalloc.start()
     try:
         separable_slice_profiles(spec, slice_species, exponents)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < SLICE_PEAK_BYTES
+
+
+def test_slice_profiles_memory_follows_one_block():
+    """One demo table allocates under 1 MB at its peak (0.41 MB traced): its
+    161 grid points form one block of 4^3 support nodes each. Five 4-row
+    buffers against all 24^3 nodes traced 2.5 MB, and the one-piece
+    161 x 24^3 grids about 100 MB."""
+    assert traced_peak(demo_slice_inputs) < SLICE_PEAK_BYTES
+
+
+def test_slice_profiles_memory_stays_bounded_on_full_support():
+    """With every node in the support a block holds two grid points of 24^3
+    factor values, and the table traces 1.1 MB at its peak."""
+    assert traced_peak(full_support_slice_inputs) < 2 * SLICE_PEAK_BYTES
 
 
 def reference_coordinate_factor(spec, coords):
-    """The separable coordinate factor with a fresh array per operation, in the
-    order the buffered KernelSpec._coordinate_factor keeps."""
+    """The separable coordinate factor with a fresh array per operation, over
+    whatever coordinates it is given."""
     out = np.ones(())
     for nu, c in zip(spec.nus, coords):
         out = out * RadialProfile(nu / 3.0, spec.lam)(c)
@@ -366,8 +383,9 @@ def reference_coordinate_factor(spec, coords):
 
 
 def reference_slice_profiles(spec, slice_species, exponents):
-    """The slice table with per-operation temporaries in 8-row blocks and
-    tensordot on each weighted axis: the oracle for the buffered table."""
+    """The slice table on the full 24^3 node grid, one operation at a time in
+    8-row blocks, with tensordot on each weighted axis and the cell-weighted
+    sum of |W u|^2: the oracle for the support-restricted Gram-form table."""
     others = [i for i in range(spec.n_species) if i != slice_species]
     axis = hermite_axis(kernels._SLICE_QUAD_NODES)
     span = kernels._SLICE_GRID_MARGIN * spec.lam
@@ -404,33 +422,66 @@ def reference_slice_profiles(spec, slice_species, exponents):
     return np.sqrt(values), np.sqrt(grad_values)
 
 
-TABLE_INPUTS = pytest.mark.parametrize(
-    "inputs",
-    [
-        demo_slice_inputs,
-        lambda: demo_variant_slice_inputs("physical"),
-        middle_slice_inputs,
-        lambda: (middle_slice_inputs()[0], 0, {1: 0.4, 2: 0.7}),
-        lambda: (KernelSpec(3, "separable", nus=(0.3, 0.0, 0.5), lam=1.1,
-                            conservation_sigma=0.0, conservation_signs=(1, -1, 1)), 2, {0: 0.3}),
-    ],
-    ids=["demo-regular", "demo-physical", "middle-species", "slice-species-0", "sigma-0"],
+def negative_slice_exponent_inputs():
+    """The middle-species kernel with a slice factor that is infinite at a = 0."""
+    return replace(middle_slice_inputs()[0], nus=(0.3, -0.6, 0.5)), 1, {0: 0.4, 2: 0.7}
+
+
+TABLE_CASES, TABLE_IDS = [
+    demo_slice_inputs,
+    lambda: demo_variant_slice_inputs("physical"),
+    middle_slice_inputs,
+    lambda: (middle_slice_inputs()[0], 0, {1: 0.4, 2: 0.7}),
+    lambda: (KernelSpec(3, "separable", nus=(0.3, 0.0, 0.5), lam=1.1,
+                        conservation_sigma=0.0, conservation_signs=(1, -1, 1)), 2, {0: 0.3}),
+], ["demo-regular", "demo-physical", "middle-species", "slice-species-0", "sigma-0"]
+# supports of 12 and 24 nodes per axis, a slice factor that is infinite at a = 0,
+# and the same inside a cutoff that leaves no node (the nearest is at 0.224)
+SUPPORT_CASES, SUPPORT_IDS = [
+    lambda: (replace(middle_slice_inputs()[0], lam=3.0), 1, {0: 0.4, 2: 0.7}),
+    full_support_slice_inputs,
+    negative_slice_exponent_inputs,
+    lambda: (replace(negative_slice_exponent_inputs()[0], lam=0.1), 1, {0: 0.4, 2: 0.7}),
+], ["lam-3", "full-support", "negative-slice-exponent", "empty-support"]
+TABLE_INPUTS = pytest.mark.parametrize("inputs", TABLE_CASES, ids=TABLE_IDS)
+SLICE_TABLE_INPUTS = pytest.mark.parametrize(
+    "inputs", TABLE_CASES + SUPPORT_CASES, ids=TABLE_IDS + SUPPORT_IDS
 )
+TABLE_REL_TOL = 1e-13
 
 
-@TABLE_INPUTS
+@SLICE_TABLE_INPUTS
 def test_buffered_slice_table_is_bit_identical_to_the_reference(inputs):
+    """The table on the cutoff's support, in Gram form, agrees with the
+    full-grid oracle to 1e-13 relative, with its zeros and NaNs where the
+    oracle has them: the supports hold 4, 12 and 24 nodes per axis at
+    lam = 1, 3 and 6.5, and a negative slice exponent is infinite at a = 0,
+    where the oracle's inf * 0 reads NaN, also when no node is in the support."""
     spec, slice_species, exponents = inputs()
-    table = separable_slice_profiles(spec, slice_species, exponents)
-    want_values, want_grad_values = reference_slice_profiles(spec, slice_species, exponents)
-    assert np.array_equal(table.values, want_values)
-    assert np.array_equal(table.grad_values, want_grad_values)
+    with np.errstate(invalid="ignore"):  # inf * 0 off the support, and on it when it is empty
+        table = separable_slice_profiles(spec, slice_species, exponents)
+        want_tables = reference_slice_profiles(spec, slice_species, exponents)
+    for got, want in zip((table.values, table.grad_values), want_tables):
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got == 0, want == 0)
+        np.testing.assert_allclose(got, want, rtol=TABLE_REL_TOL, atol=0)
 
 
-@TABLE_INPUTS
+def test_an_infinite_slice_factor_reads_nan_without_a_warning():
+    """The row at a = 0 reads NaN and every other row is finite. No inf reaches
+    the quadratic forms' products, where it would warn of an invalid value
+    (warnings are errors in this suite)."""
+    table = separable_slice_profiles(*negative_slice_exponent_inputs())
+    zero = kernels._SLICE_GRID_POINTS // 2
+    assert table.a_grid[zero] == 0.0 and np.isnan(table.values[zero])
+    assert np.isfinite(np.delete(table.values, zero)).all()
+    assert np.isfinite(table.grad_values).all()
+
+
+@SLICE_TABLE_INPUTS
 def test_separable_amplitude_is_bit_identical_to_the_reference(inputs):
-    """amplitude hands _coordinate_factor fresh buffers of the tensor's shape;
-    per-species coordinate views broadcast as in a kernel tensor."""
+    """amplitude multiplies one _coordinate_factor per coordinate; per-species
+    coordinate views broadcast as in a kernel tensor."""
     spec = inputs()[0]
     rng = np.random.default_rng(61)
     ks = [

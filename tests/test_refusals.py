@@ -13,6 +13,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -88,6 +89,9 @@ REFUSALS = st.one_of(
     _key(("exponents",), "exponents.smoothness",
          st.floats(400.0, 1e308).map(lambda v: {"smoothness": v}),
          (["verify", "--suite", "bounds"], ["verify", "--suite", "all"])),
+    _key(("kernels", 0, "lam"), "kernels.lam", _outside(0.0, math.inf) | st.just(0.0)),
+    _key(("kernels", 0, "conservation_sigma"), "kernels.conservation_sigma",
+         _outside(0.0, math.inf)),
     _k0("bounds"),
     _k0("number"),
 )
@@ -101,6 +105,14 @@ REFUSALS = st.one_of(
           ["verify", "--suite", "all"], "exponents.smoothness"))
 @example((massless_at_k0(seed_1009_verify()), ["verify", "--suite", "all"], "species 2"))
 @example((swept_at_k0(seed_1009_verify()), ["verify", "--suite", "all"], "species 1"))
+# a cutoff at lam <= 0 and a negative regularizer width: a math domain error
+# naming no key, and a silently dropped regularizer, before the key table refused them
+@example((_set(sweep_config(), ("kernels", 0, "lam"), 0), ["verify", "--suite", "infrared"],
+          "kernels.lam"))
+@example((_set(sweep_config(), ("kernels", 0, "lam"), -1), ["verify", "--suite", "infrared"],
+          "kernels.lam"))
+@example((_set(sweep_config(), ("kernels", 0, "conservation_sigma"), -0.35),
+          ["verify", "--suite", "infrared"], "kernels.conservation_sigma"))
 # flags that argparse or the key table refuses: --r named, not infrared.r
 @example((None, ["fermi-demo", "--r", "5"], "--r"))
 @example((seed_1009_verify(), ["--seed", "1.5", "verify", "--suite", "all"], "--seed"))
