@@ -562,10 +562,10 @@ def separable_slice_profiles(
         return spec._coordinate_factor(coords)
 
     def squared_norms(u: np.ndarray) -> np.ndarray:  # u^T (G_1 x ... x G_m) u per grid row
-        rows = u.reshape(u.shape[0], -1)  # a view: u is a fresh array
-        finite = np.isfinite(rows).all(axis=1)
-        rows[~finite] = 0.0
-        forms = np.einsum("ij,ij->i", rows, _apply_on_axes(u, grams).reshape(rows.shape))
+        flat = u.reshape(u.shape[0], -1)  # a view: u is a fresh array
+        finite = np.isfinite(flat).all(axis=1)
+        flat[~finite] = 0.0
+        forms = np.einsum("ij,ij->i", flat, _apply_on_axes(u, grams).reshape(flat.shape))
         return np.where(finite, forms, np.nan)
 
     grams = {}

@@ -294,7 +294,7 @@ def test_verify_draws_trial_vectors_only_in_blocks():
 def test_slice_profiles_evaluate_the_factor_only_through_the_kernel_spec():
     """separable_slice_profiles (its nested helpers too) calls no RadialProfile,
     plateau_cutoff or np.exp: the separable factor has one evaluation,
-    KernelSpec._coordinate_factor, which the table fills its buffers through."""
+    KernelSpec._coordinate_factor, which the table calls on the cutoff's support."""
     tree = ast.parse((Path(fermifock.__file__).parent / "kernels.py").read_text())
     [table] = [
         node for node in tree.body

@@ -41,6 +41,7 @@ LATTICE_SUM_TOL = 1e-10
 LATTICE_SUM_ULPS = 8
 PROFILE_QUAD_TOL = 5e-2
 SLICE_PEAK_BYTES = 2**20
+TABLE_REL_TOL = 1e-13
 
 
 def small_table(seed=40, n_points=(3, 2), masses=(1.0, 0.5), spins=((0.5,), (0.5, -0.5))):
@@ -447,7 +448,6 @@ TABLE_INPUTS = pytest.mark.parametrize("inputs", TABLE_CASES, ids=TABLE_IDS)
 SLICE_TABLE_INPUTS = pytest.mark.parametrize(
     "inputs", TABLE_CASES + SUPPORT_CASES, ids=TABLE_IDS + SUPPORT_IDS
 )
-TABLE_REL_TOL = 1e-13
 
 
 @SLICE_TABLE_INPUTS
